@@ -403,10 +403,14 @@ def cmd_lm(args) -> int:
     import pyarrow.parquet as pq
 
     bits = pq.read_table(args.out).column("lm_bits").to_pandas()
+    scored_bits = bits.dropna()  # docs shorter than n score null
+    bits_mean = bits_p90 = None  # JSON null, not NaN, when no doc scored
+    if len(scored_bits):
+        bits_mean = round(float(scored_bits.mean()), 4)
+        bits_p90 = round(float(scored_bits.quantile(0.9)), 4)
     print(json.dumps({"rows": int(len(bits)), "ngram_types": model.n_types,
-                      "charset": model.v,
-                      "bits_mean": round(float(bits.mean()), 4),
-                      "bits_p90": round(float(bits.quantile(0.9)), 4)}))
+                      "charset": model.v, "bits_mean": bits_mean,
+                      "bits_p90": bits_p90}))
     if owned:
         ray.shutdown()
     return 0

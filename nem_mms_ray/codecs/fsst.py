@@ -2,8 +2,11 @@
 
 From the published FSST design (VLDB 2020 paper, see PAPERS.md): at most 255
 symbols of 1..8 bytes, escape byte 255 for literals.  Training is a
-deterministic numpy pass over a sample; the per-byte encode/decode loops run
-in the C kernel (_fsst_native, pure-Python fallback available).
+deterministic numpy pass over a sample: generation 1 ranks raw n-grams, and
+each refinement generation encodes the sample and counts candidates in the
+paper's two fixed-size arrays (count1 over item ids, count2 over adjacent id
+pairs) instead of sorting them.  The per-byte encode/decode loops run in the
+C kernel (_fsst_native, pure-Python fallback available).
 
 Per BASELINE.json:north_star this is the codec for `url`/`text` (with dict
 fallback at low ndv).  The whole chunk's string data buffer is encoded as one
@@ -52,7 +55,10 @@ def train_symbols(
     symbols).  Generation 1 ranks raw 1..8-grams; each later generation
     encodes the sample with the current table and re-ranks {existing symbols
     by realized usage} ∪ {concatenations of adjacent code pairs} ∪ {escaped
-    bytes}.  All ties break on (length, value) so any parallelism level
+    bytes}.  Refinement counts item ids (code, or 256 + escaped byte) with
+    `np.bincount` into count1[512] and count2[512 * 512], then maps only the
+    non-zero bins back to (value, length), summing bins that spell the same
+    bytes.  All ties break on (length, value) so any parallelism level
     builds the identical table from the same sample (SURVEY.md §7.4)."""
     table = _train_gen1(sample, max_symbols)
     for _ in range(max(0, generations - 1)):
@@ -111,47 +117,54 @@ def _train_gen1(sample: bytes, max_symbols: int = MAX_SYMBOLS) -> tuple[np.ndarr
     return sym_bytes, lens.astype(np.uint8)
 
 
-def _item_sequence(enc: np.ndarray, sym_vals: np.ndarray, sym_lens_i: np.ndarray):
-    """Decode an encoded stream into its item sequence (vals, lens) where an
-    item is either a symbol code or an escaped literal byte.
+def _item_ids(enc: np.ndarray) -> np.ndarray:
+    """Item ids of an encoded stream: the code (0..254) of each symbol item,
+    or 256 + byte for each escaped literal.
 
-    The escape parse is inherently sequential (a literal may itself be 0xFF)
-    but vectorizes via run-parity: inside each maximal run of 0xFF bytes
-    that starts at an item boundary, even offsets are escapes and odd
-    offsets are their literals; the byte after an odd-length run is also a
-    literal.
+    The escape parse is sequential (a literal may itself be 0xFF) but
+    vectorizes by run parity: every maximal run of 0xFF bytes starts at an
+    item boundary, so inside it even offsets are escapes, and the byte after
+    each escape is its literal (an odd offset, or the byte after an
+    odd-length run).
     """
     n = len(enc)
+    ids = enc.astype(np.int64)
     is_ff = enc == np.uint8(native.ESCAPE)
+    if not is_ff.any():
+        return ids
+    pos = np.arange(n)
+    run_start = np.zeros(n, bool)
+    run_start[0] = is_ff[0]
+    run_start[1:] = is_ff[1:] & ~is_ff[:-1]
+    start_pos = np.maximum.accumulate(np.where(run_start, pos, 0))
+    esc = is_ff & ((pos - start_pos) % 2 == 0)
+    esc_pos = np.flatnonzero(esc)
+    ids[esc_pos] = 256 + ids[np.minimum(esc_pos + 1, n - 1)]
     literal = np.zeros(n, bool)
-    if is_ff.any():
-        # starts of maximal 0xFF runs
-        d = np.diff(is_ff.astype(np.int8), prepend=0)
-        run_starts = np.flatnonzero(d == 1)
-        run_ends = np.flatnonzero(np.diff(is_ff.astype(np.int8), append=0) == -1)
-        for s, e in zip(run_starts, run_ends):  # runs are rare; loop is small
-            k = e - s + 1
-            # within run: s+1, s+3, ... are literals
-            literal[s + 1 : e + 1 : 2] = True
-            if k % 2 == 1 and e + 1 < n:  # trailing escape consumes next byte
-                literal[e + 1] = True
-    items = ~literal
-    codes = enc[items]
-    esc = codes == np.uint8(native.ESCAPE)
-    # literal byte following each escape item
-    item_pos = np.flatnonzero(items)
-    lit_vals = np.zeros(len(codes), np.uint64)
-    if esc.any():
-        nxt = item_pos[esc] + 1
-        nxt = np.clip(nxt, 0, n - 1)
-        lit_vals[esc] = enc[nxt].astype(np.uint64)
-    vals = np.where(esc, lit_vals, sym_vals[np.minimum(codes, len(sym_vals) - 1)])
-    lens = np.where(esc, 1, sym_lens_i[np.minimum(codes, len(sym_lens_i) - 1)])
-    return vals.astype(np.uint64), lens.astype(np.int64), esc
+    literal[1:] = esc[:-1]
+    return ids[~literal]
+
+
+def _group_reduce(vals: np.ndarray, lens: np.ndarray, x: np.ndarray, ufunc):
+    """Distinct (vals, lens) pairs ordered by (vals, lens), with `x`
+    reduced by `ufunc` over each pair's entries."""
+    if len(vals) == 0:
+        return vals, lens, x
+    order = np.lexsort((lens, vals))
+    vals, lens, x = vals[order], lens[order], x[order]
+    first = np.ones(len(vals), bool)
+    first[1:] = (vals[1:] != vals[:-1]) | (lens[1:] != lens[:-1])
+    starts = np.flatnonzero(first)
+    return vals[starts], lens[starts], ufunc.reduceat(x, starts)
 
 
 def _refine(sample: bytes, table, max_symbols: int):
-    """One refinement generation: re-rank on realized usage + merged pairs."""
+    """One refinement generation: re-rank on realized usage + merged pairs.
+
+    Candidates are counted, not sorted (FSST paper's count1/count2): count1
+    over item ids, count2 over adjacent id pairs, then only the non-zero
+    bins map back to (value, length) and are summed per distinct value.
+    """
     sym_bytes, sym_lens = table
     if len(sym_lens) == 0 or len(sample) == 0:
         return None
@@ -166,44 +179,43 @@ def _refine(sample: bytes, table, max_symbols: int):
         (sym_bytes.astype(np.uint64) << np.where(valid, shifts, 0).astype(np.uint64))
         * valid
     ).sum(axis=1, dtype=np.uint64)
-    vals, lens, esc = _item_sequence(enc, sym_vals, sym_lens.astype(np.int64))
+    # (value, length) of every item id: codes past the table clamp to its
+    # last symbol, 256 + b is the escaped byte b
+    code = np.minimum(np.arange(256), len(sym_lens) - 1)
+    id_vals = np.concatenate([sym_vals[code], np.arange(256, dtype=np.uint64)])
+    id_lens = np.concatenate([sym_lens.astype(np.int64)[code], np.ones(256, np.int64)])
 
-    rec = np.empty(len(vals), dtype=[("v", "u8"), ("l", "i8")])
-    rec["v"], rec["l"] = vals, lens
+    ids = _item_ids(enc)
     # existing symbols + escaped bytes by realized usage
-    u1, c1 = np.unique(rec, return_counts=True)
-    gain1 = c1 * np.maximum(1, u1["l"] - 1)
-    gain1 = np.where(u1["l"] == 1, c1, gain1)  # single byte: 1 saved vs escape
-    # adjacent pairs with combined length <= 8
-    pv = (vals[:-1] << (np.uint64(8) * lens[1:].astype(np.uint64))) | vals[1:]
-    pl = lens[:-1] + lens[1:]
-    ok = pl <= 8
-    rec2 = np.empty(int(ok.sum()), dtype=rec.dtype)
-    rec2["v"], rec2["l"] = pv[ok], pl[ok]
-    u2, c2 = np.unique(rec2, return_counts=True)
-    gain2 = c2  # one output byte saved per merged pair occurrence
+    count1 = np.bincount(ids, minlength=512)
+    nz1 = np.flatnonzero(count1)
+    v1, l1, c1 = _group_reduce(id_vals[nz1], id_lens[nz1], count1[nz1], np.add)
+    gain1 = c1 * np.maximum(1, l1 - 1)  # single byte: 1 saved vs escape
+    # adjacent pairs with combined length <= 8, one output byte saved each
+    count2 = np.bincount(ids[:-1] * 512 + ids[1:], minlength=512 * 512)
+    nz2 = np.flatnonzero(count2)
+    a, b = nz2 >> 9, nz2 & 511
+    l2 = id_lens[a] + id_lens[b]
+    ok = l2 <= 8
+    a, b, l2 = a[ok], b[ok], l2[ok]
+    v2 = (id_vals[a] << (np.uint64(8) * id_lens[b].astype(np.uint64))) | id_vals[b]
+    v2, l2, gain2 = _group_reduce(v2, l2, count2[nz2[ok]], np.add)
     keep2 = gain2 >= 4
-    u2, gain2 = u2[keep2], gain2[keep2]
+    v2, l2, gain2 = v2[keep2], l2[keep2], gain2[keep2]
 
-    allu = np.concatenate([u1, u2])
-    allg = np.concatenate([gain1, gain2])
     # dedupe (a pair may equal an existing symbol): keep max gain per item
-    order = np.lexsort((-allg, allu["l"], allu["v"]))
-    allu, allg = allu[order], allg[order]
-    first = np.ones(len(allu), bool)
-    first[1:] = (allu["v"][1:] != allu["v"][:-1]) | (allu["l"][1:] != allu["l"][:-1])
-    allu, allg = allu[first], allg[first]
+    allv, alll, allg = _group_reduce(
+        np.concatenate([v1, v2]), np.concatenate([l1, l2]),
+        np.concatenate([gain1, gain2]), np.maximum)
 
-    pick = np.lexsort((allu["v"], allu["l"], -allg))[:max_symbols]
-    sel = allu[pick]
-    n_sym = len(sel)
-    out_bytes = np.zeros((n_sym, 8), np.uint8)
-    out_lens = sel["l"].astype(np.uint8)
-    sh = (sel["l"][:, None] - 1 - np.arange(8)[None, :]) * 8
+    pick = np.lexsort((allv, alll, -allg))[:max_symbols]
+    sel_v, sel_l = allv[pick], alll[pick]
+    out_bytes = np.zeros((len(pick), 8), np.uint8)
+    sh = (sel_l[:, None] - 1 - np.arange(8)[None, :]) * 8
     ok_sh = sh >= 0
-    out_bytes[ok_sh] = ((sel["v"][:, None] >> np.where(ok_sh, sh, 0).astype(np.uint64))
+    out_bytes[ok_sh] = ((sel_v[:, None] >> np.where(ok_sh, sh, 0).astype(np.uint64))
                         & np.uint64(0xFF))[ok_sh]
-    return out_bytes, out_lens
+    return out_bytes, sel_l.astype(np.uint8)
 
 
 def _string_buffers(arr: pa.Array) -> tuple[np.ndarray, bytes]:

@@ -85,7 +85,7 @@ def langid_batch(flat: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     keeps its numpy passes; identical outputs,
     test_langid_native_parity)."""
     lib = get_lib()
-    if lib is None or n_langs > 64:
+    if lib is None or n_langs > 64 or max_word_len > 8:  # uint64 mask / key
         return None
     n_docs = len(starts)
     flat = np.ascontiguousarray(flat, np.uint8)

@@ -132,7 +132,8 @@ def train_char_lm(ds, n: int = 3, text_col: str = "text",
                              "cnt": pa.array([], pa.int64()),
                              "kind": pa.array([], pa.int8()),
                              "bucket": pa.array([], pa.int32())})
-        key = np.concatenate(keys)
+        # uint64: with every doc shorter than n only the codepoints remain
+        key = np.concatenate(keys).astype(np.uint64, copy=False)
         return pa.table({
             "key": pa.array(key.view(np.int64)),
             "cnt": pa.array(np.concatenate(cnts)),

@@ -362,18 +362,19 @@ class LangId:
     """
 
     #: docs look at their first PREFIX codepoints only (the scalar formula's
-    #: `text[:2000]`); stopwords are all < 8 codepoints, so an 8-byte packed
-    #: key identifies them exactly (see `_pack_word`).
+    #: `text[:2000]`); stopwords are at most 8 codepoints (checked in
+    #: __init__), so an 8-byte packed key identifies them exactly (see
+    #: `_pack_word`).
     PREFIX = 2000
 
     @staticmethod
     def _pack_word(w: str) -> int:
         """First 8 codepoints, each clamped to min(cp, 0xFF), zero-padded,
         as a little-endian uint64.  Exact against any token: a token longer
-        than 8 codepoints can never equal a stopword key (every stopword is
-        < 8 codepoints, so its key has a 0x00 pad where the longer token
-        has a never-zero clamped codepoint), and the 0xFF clamp value never
-        occurs in a stopword (no stopword contains U+00FF or higher)."""
+        than the longest stopword is never looked up (both scan paths skip
+        tokens past `max_word_len` <= 8 codepoints), and the 0xFF clamp
+        value never occurs in a stopword (no stopword contains U+00FF or
+        higher)."""
         bs = bytes(min(ord(ch), 0xFF) for ch in w[:8]).ljust(8, b"\0")
         return int.from_bytes(bs, "little")
 
@@ -392,6 +393,9 @@ class LangId:
         # matched (stopword-occurrence) tokens.
         self.max_word_len = max(len(w) for ws in _STOPWORDS.values()
                                 for w in ws)
+        if self.max_word_len > 8:  # keys hold 8 codepoints; longer collide
+            raise ValueError(
+                f"stopwords must be at most 8 codepoints, got {self.max_word_len}")
         self.all_keys = np.unique(np.concatenate(self.key_tables))
         self.key_lang_mask = np.zeros(
             (len(self.all_keys), len(self.langs)), bool)
@@ -487,11 +491,11 @@ class LangId:
         counts = np.bincount(doc_idx, minlength=n_docs)
         lens = tok_ends - tok_starts
         # Keys only for tokens that CAN match: a token longer than the
-        # longest stopword (max_word_len < 8 cps) packs a non-zero byte
-        # where every stopword key is zero-padded, so it never matches —
-        # exact, and it shrinks both the pack loop (max_word_len rounds,
-        # not 8) and the searchsorted input (1.4-1.5x whole-stage,
-        # order-fair interleaved A/B, outputs identical).  Lowercasing
+        # longest stopword (max_word_len <= 8 cps) never equals one, so
+        # skipping it is exact, and it shrinks both the pack loop
+        # (max_word_len rounds, not 8) and the searchsorted input
+        # (1.4-1.5x whole-stage, order-fair interleaved A/B, outputs
+        # identical).  Lowercasing
         # gathers per packed position (~sum(min(len,5)) values) instead
         # of materializing a lowercase array over every codepoint — the
         # full-width cp_lc was the stage's top cost once decode was fixed.

@@ -259,7 +259,7 @@ class EncodePartitions:
         throwaway probe table plus a second real training.  Sketches use a
         2048-row slice: plan decisions are ratio-based and stable well below
         the full sample, and KMV-hashing multi-MB html slices dominated the
-        plan cost otherwise (profiled: 0.59s -> ~0.2s per partition).
+        plan cost otherwise.
         """
         from nem_mms_ray.codecs import _fsst_native as _native
         from nem_mms_ray.codecs.fsst import _string_buffers, take_sample, train_symbols

@@ -276,6 +276,25 @@ def test_cli_winnow_and_lm(ray_session, tmp_path, capsys):
     assert out["bits_mean"] > 0
 
 
+def test_cli_lm_all_docs_shorter_than_n_prints_null(ray_session, tmp_path, capsys):
+    """No doc reaches n characters, so none is scored: the stats line must
+    stay strict JSON (null), never a bare NaN token."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    src = tmp_path / "short.parquet"
+    pq.write_table(pa.table({"doc_id": pa.array(range(3), pa.int64()),
+                             "text": pa.array(["a", "bc", ""])}), src)
+    assert main(["lm", str(src), "-o", str(tmp_path / "scored")]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    out = json.loads(capsys.readouterr().out.strip(), parse_constant=reject)
+    assert out["rows"] == 3
+    assert out["bits_mean"] is None and out["bits_p90"] is None
+
+
 def test_cli_semdedup(ray_session, tmp_path, capsys):
     import json
 

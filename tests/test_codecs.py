@@ -6,6 +6,9 @@ idiom (/root/reference/src/manage/state.rs:155-191): decode(encode(col))
 must equal col exactly, including null positions and empty-vs-null strings.
 """
 
+import functools
+import hashlib
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -330,3 +333,144 @@ def test_fsst_bucket_overflow_parity():
         enc_c = native.encode(rows, lens, data)
         assert enc_c == native._py_encode(rows, lens, data)
         assert native.decode(rows, lens, enc_c, len(data)) == data
+
+
+# ---------------------------------------------------------------------------
+# Golden FSST tables: sha256(sym_lens.tobytes() + sym_bytes.tobytes()) of
+# train_symbols on seeded corpora.  Training changes must reproduce these
+# exactly (tables, and therefore payloads and ratios, are bit-identical);
+# never regenerate them to make a change pass.
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=1)
+def _golden_corpora() -> dict[str, bytes]:
+    from nem_mms_ray.webtable import SMALL, generate_shard
+
+    out: dict[str, bytes] = {}
+    shard = generate_shard(0, 200, 0, SMALL)
+    for col in ("url", "text", "html", "lang"):
+        vals = [v for v in shard.column(col).to_pylist() if v is not None]
+        out[f"web_{col}"] = b"".join(v if isinstance(v, bytes) else v.encode() for v in vals)
+    rng = np.random.default_rng(20261017)
+    for k in (2, 16, 256):
+        alphabet = rng.choice(256, size=k, replace=False).astype(np.uint8)
+        out[f"alphabet_{k}"] = alphabet[rng.integers(0, k, 20000)].tobytes()
+    for k in (1, 2, 3, 5, 8):
+        out[f"ff_run_{k}"] = (b"\xff" * k + b"ab\xffc") * 400
+    out["ff_all"] = b"\xff" * 5000
+    # sparse 0xFF runs between words: rare enough that some generation's
+    # table escapes 0xFF, so the escape parse sees runs of every parity
+    words = [rng.integers(97, 123, rng.integers(2, 9), dtype=np.uint8).tobytes()
+             for _ in range(400)]
+    for per_mille in (2, 8):
+        parts = []
+        for _ in range(6000):
+            parts.append(words[rng.integers(len(words))] + b" ")
+            if rng.random() < per_mille / 1000:
+                parts.append(b"\xff" * int(rng.integers(1, 8)))
+        out[f"ff_sparse_{per_mille}"] = b"".join(parts)
+    # text and random bytes, shuffled in 64-byte blocks
+    base = (b"the quick brown fox jumps over the lazy dog " * 1200
+            + rng.integers(0, 256, 20000, dtype=np.uint8).tobytes())
+    blocks = np.frombuffer(base[: len(base) // 64 * 64], np.uint8).reshape(-1, 64)
+    base = blocks[rng.permutation(len(blocks))].tobytes()
+    for n in (1, 7, 4095, 65537):
+        out[f"size_{n}"] = (base * 2)[:n]
+    return out
+
+
+def _table_digest(table) -> str:
+    sym_bytes, sym_lens = table
+    return hashlib.sha256(sym_lens.tobytes() + sym_bytes.tobytes()).hexdigest()
+
+
+GOLDEN_TABLES = {
+    "web_url": "682a36b0a7b9435ed0eb492c6dcb6aa1ed6b5f647f140460f525ea48bd4539bd",
+    "web_text": "72f57dd3e6fcc91189ee77153802a45bfd431e6f0963ab3f7adb801371fe9ac1",
+    "web_html": "06b27b6dfc1057c215512cdc528893a334422cbc72f0c945c85884a3dd4cd5f8",
+    "web_lang": "3065b77a48ebda6fe92e9f452ce8d68a8fbad0c174908d266dcc899e98cc815a",
+    "alphabet_2": "ae7fc0ac4b5505a8b840f2cc7b05ac307a622308d90368248928ffaaeadc5b20",
+    "alphabet_16": "6a0f3480587162b25cc0c526f754c1e70aca0aad7d2d083ceec1e0367d056a78",
+    "alphabet_256": "47cf2f9a9e28a65c60ddf8f1b99f0466b0e037bb2d2ae6e4f458d4db8cb2ed01",
+    "ff_run_1": "10b66bfeae32f532fe156e8c7a7e3cb428b1d4171f8910ce68f741318243e0d2",
+    "ff_run_2": "cef99fdb5023b85ae8dfd5a1b56990a484b1378ec97559f1f20627b7616fceba",
+    "ff_run_3": "bbbf37f6f04fa69646eb0eea966d9565d455063d62b0ca3255cc1e5d2ce191d9",
+    "ff_run_5": "bd2a07d5e020d64b0e5eaa1916ed13a4b998b1908efbd6435126170a26c40342",
+    "ff_run_8": "ac74294072e1cbfead24e96ea7d333118111abc2f3c2956d1b89c56fd67e2229",
+    "ff_all": "7ff75282891d8941a095d140f518a9ffb4451181ebe5e9da13c1af1de1c744c9",
+    "ff_sparse_2": "73b0ff441560cb8af8fe4629c58019531dac25da3a36951c19f56d89d87db201",
+    "ff_sparse_8": "3ecefa2f69653521fd617fcd874af0d8cf508300a56ce0515323d5de41a4a716",
+    "size_1": "ce62c2f73ed0e20176208613beb326982872497ec022d5df5de818b40a30876c",
+    "size_7": "aa89c74273e75d5896f9885e49eba6585eeb4e98e732dae88dbe718584fb1c5b",
+    "size_4095": "32a02526ad572c30988eb50dcdc4bb6faee21931b56a70e6a130dc01c5f86951",
+    "size_65537": "47a040908bed0afdb6ba0c41393a7494195ebed10694c222dd02ddeebfe0bb47",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TABLES))
+def test_fsst_golden_tables(name):
+    assert _table_digest(train_symbols(_golden_corpora()[name])) == GOLDEN_TABLES[name]
+
+@pytest.mark.parametrize("name", ["web_url", "ff_sparse_2"])
+def test_fsst_training_without_compiler_matches_c(name, monkeypatch):
+    """With no C kernel, refinement encodes through `_py_encode`; the
+    reference path must train the very same table as the C path."""
+    data = _golden_corpora()[name]
+    with_c = train_symbols(data)
+    monkeypatch.setattr(native, "get_lib", lambda: None)
+    no_c = train_symbols(data)
+    assert np.array_equal(no_c[0], with_c[0]) and np.array_equal(no_c[1], with_c[1])
+    assert _table_digest(no_c) == GOLDEN_TABLES[name]
+
+
+def test_fsst_item_ids_match_sequential_parse():
+    """The vectorized escape parse equals a byte-at-a-time walk on valid
+    streams full of escaped 0xFF literals (runs of every parity)."""
+    from nem_mms_ray.codecs.fsst import _item_ids
+
+    def walk(enc: bytes) -> list[int]:
+        ids, i = [], 0
+        while i < len(enc):
+            if enc[i] == native.ESCAPE:
+                ids.append(256 + enc[i + 1])
+                i += 2
+            else:
+                ids.append(enc[i])
+                i += 1
+        return ids
+
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(1, 300))
+        codes = rng.integers(0, native.ESCAPE, n)
+        literals = np.where(rng.random(n) < 0.5, 0xFF, rng.integers(0, 256, n))
+        escaped = rng.random(n) < 0.5
+        enc = b"".join(bytes([native.ESCAPE, lit]) if esc else bytes([code])
+                       for code, lit, esc in zip(codes, literals, escaped))
+        assert _item_ids(np.frombuffer(enc, np.uint8)).tolist() == walk(enc)
+
+
+def test_fsst_refine_sums_counts_of_equal_pairs():
+    """Greedy matching yields the same bytes from two splits only where a
+    match is cut short, as at the encoder's lane boundary: there "a"+"bc"
+    spells "abc" once, beside three "ab"+"c" elsewhere.  Their counts add
+    up to the gain >= 4 bar; either split alone stays below it."""
+    from nem_mms_ray.codecs.fsst import _refine
+
+    symbols = [b"ab", b"bc", b"a", b"c", b"z"]
+    sym_bytes = np.zeros((len(symbols), 8), np.uint8)
+    for i, s in enumerate(symbols):
+        sym_bytes[i, : len(s)] = np.frombuffer(s, np.uint8)
+    sym_lens = np.array([len(s) for s in symbols], np.uint8)
+    half = 2100  # two lanes: the input is >= the dual-lane threshold
+    first = (b"z" * 100 + b"zabcz" * 3).ljust(half - 1, b"z") + b"a"
+    second = b"bc".ljust(half, b"z")
+    assert len(first + second) >= native._DUAL_MIN
+
+    def refined(data):
+        out_bytes, out_lens = _refine(data, (sym_bytes, sym_lens), 255)
+        return {bytes(row[:n]) for row, n in zip(out_bytes, out_lens)}
+
+    assert b"abc" in refined(first + second)
+    assert b"abc" not in refined(first.replace(b"zabcz", b"zzzzz", 1) + second)

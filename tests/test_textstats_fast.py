@@ -286,3 +286,22 @@ def test_token_stats_native_parity(monkeypatch):
                    lambda *a, **k: None)
         no_c = token_stats_batch(b)
     assert with_c.equals(no_c)
+
+
+def test_langid_rejects_overlong_stopword(monkeypatch):
+    """Stopword keys pack 8 codepoints; a 9-codepoint stopword would share
+    its key with its 8-codepoint prefix, so LangId refuses it instead of
+    miscounting, and the fused kernel declines such a table."""
+    from nem_mms_ray.ops import _langid_native, textstats
+
+    long_word, prefix = "abcdefghi", "abcdefgh"
+    assert LangId._pack_word(long_word) == LangId._pack_word(prefix)
+    stopwords = {**_STOPWORDS, "en": _STOPWORDS["en"] | {long_word}}
+    monkeypatch.setattr(textstats, "_STOPWORDS", stopwords)
+    with pytest.raises(ValueError, match="at most 8 codepoints"):
+        LangId()
+    empty = np.zeros(0, np.int64)
+    assert _langid_native.langid_batch(
+        np.zeros(0, np.uint8), empty, empty, np.zeros(1, np.uint8),
+        np.zeros(1, np.uint8), np.zeros(1, np.uint32), np.zeros(1, np.uint64),
+        np.zeros(1, np.uint64), 9, 1) is None
