@@ -293,7 +293,7 @@ def run_bench() -> dict:
     # --- ANN top-k over embeddings ----------------------------------------
     t0 = time.monotonic()
     emb = rd.read_parquet(f"{SF_DIR}/embeddings.parquet", columns=["vec_id", "embedding"])
-    first = next(iter(emb.iter_batches(batch_size=64, batch_format="pyarrow")))
+    first = emb.limit(64).take_batch(64, batch_format="pyarrow")
     qv = np.asarray(first.column("embedding").to_pylist()[0], np.float64)
     topk_cosine(emb, qv, k=10, concurrency=4)
     queries["ann_topk"] = round(time.monotonic() - t0, 3)

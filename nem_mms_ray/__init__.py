@@ -18,6 +18,7 @@ Layout:
   ops/        large-scale training-data operators (dedup with distributed
               pair verify, ann incl. persisted IVF index, text stats,
               composed curation, real-kernel multimodal stages)
+  _native.py  the one build/cache/load routine for the C kernels
   webtable.py deterministic Common-Crawl-style input synthesis (FIXTURES.md F1)
 """
 

@@ -1,70 +1,33 @@
-"""Build + ctypes binding for the FSST C kernels, with pure-Python fallback.
+"""ctypes binding for the FSST C kernels (`fsst_kernel.c`), with the
+pure-Python reference as the fallback.
 
-The shared library is compiled once per source hash into /tmp (scratch) and
-cached; if no C compiler is available the pure-Python reference loops are
-used (identical output, much slower).
+`nem_mms_ray._native` builds and caches the shared library; without a
+usable C compiler the reference loops below run instead (identical
+output, much slower).
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import subprocess
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from nem_mms_ray import _native
+
 ESCAPE = 255
 _SRC = Path(__file__).with_name("fsst_kernel.c")
-_BUILD_DIR = Path(os.environ.get("NEM_MMS_RAY_BUILD", "/tmp/nem_mms_ray_build"))
-
-_lib = None
-_tried = False
 
 
-def _compile() -> ctypes.CDLL | None:
-    src = _SRC.read_bytes()
-    tag = hashlib.sha256(src).hexdigest()[:16]
-    so = _BUILD_DIR / f"fsst_{tag}.so"
-    if not so.exists():
-        _BUILD_DIR.mkdir(parents=True, exist_ok=True)
-        with tempfile.NamedTemporaryFile(suffix=".so", dir=_BUILD_DIR, delete=False) as tf:
-            tmp = tf.name
-        # -march=native helps the byte-wise hot loops (~measurable on the
-        # bucket-walk compares); fall back to plain -O3 where unsupported
-        flag_sets = [["-O3", "-march=native"], ["-O3"]]
-        built = False
-        for flags in flag_sets:
-            cmd = ["cc", *flags, "-shared", "-fPIC", "-o", tmp, str(_SRC)]
-            try:
-                subprocess.run(cmd, check=True, capture_output=True, timeout=120)
-                os.replace(tmp, so)
-                built = True
-                break
-            except Exception:
-                continue
-        if not built:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return None
-    lib = ctypes.CDLL(str(so))
+def _bind(lib: ctypes.CDLL) -> None:
     u8p = ctypes.POINTER(ctypes.c_uint8)
     for fn in (lib.fsst_encode, lib.fsst_decode):
         fn.restype = ctypes.c_long
         fn.argtypes = [u8p, u8p, ctypes.c_int, u8p, ctypes.c_long, u8p]
-    return lib
 
 
 def get_lib() -> ctypes.CDLL | None:
-    global _lib, _tried
-    if not _tried:
-        _tried = True
-        _lib = _compile()
-    return _lib
+    return _native.load(_SRC, _bind)
 
 
 def _u8p(a: np.ndarray):

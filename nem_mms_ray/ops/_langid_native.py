@@ -1,25 +1,18 @@
-"""Self-compiling ctypes glue for the fused language-ID kernel
-(`langid_kernel.c`) — same pattern as `ops/_setops_native.py`: the
-shared object builds once per source hash under /tmp (cc -O3, <1s),
-every worker process reuses the cached .so, and a missing compiler
-degrades to the numpy fast path in `ops/curate.LangId` (identical
+"""ctypes binding for the fused language-ID and token-stats kernels
+(`langid_kernel.c`).  `nem_mms_ray._native` builds and caches the shared
+library; without it `ops/textstats` runs its scalar reference (identical
 output, slower)."""
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import subprocess
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from nem_mms_ray import _native
+
 _SRC = Path(__file__).with_name("langid_kernel.c")
-_BUILD_DIR = Path(tempfile.gettempdir()) / "nem_mms_ray_build"
-_LIB: ctypes.CDLL | None = None
-_TRIED = False
 
 _u8p = ctypes.POINTER(ctypes.c_uint8)
 _u32p = ctypes.POINTER(ctypes.c_uint32)
@@ -27,33 +20,7 @@ _u64p = ctypes.POINTER(ctypes.c_uint64)
 _i64p = ctypes.POINTER(ctypes.c_int64)
 
 
-def _compile() -> ctypes.CDLL | None:
-    src = _SRC.read_bytes()
-    tag = hashlib.sha256(src).hexdigest()[:16]
-    so = _BUILD_DIR / f"langid_{tag}.so"
-    if not so.exists():
-        _BUILD_DIR.mkdir(parents=True, exist_ok=True)
-        with tempfile.NamedTemporaryFile(suffix=".so", dir=_BUILD_DIR,
-                                         delete=False) as tf:
-            tmp = tf.name
-        built = False
-        for flags in (["-O3", "-march=native"], ["-O3"]):
-            cmd = ["cc", *flags, "-shared", "-fPIC", "-o", tmp, str(_SRC)]
-            try:
-                subprocess.run(cmd, check=True, capture_output=True,
-                               timeout=120)
-                os.replace(tmp, so)
-                built = True
-                break
-            except Exception:
-                continue
-        if not built:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return None
-    lib = ctypes.CDLL(str(so))
+def _bind(lib: ctypes.CDLL) -> None:
     lib.langid_batch.restype = None
     lib.langid_batch.argtypes = [
         _u8p, _i64p, _i64p, ctypes.c_long,
@@ -61,18 +28,15 @@ def _compile() -> ctypes.CDLL | None:
         _u64p, ctypes.c_long, _u64p,
         ctypes.c_long, ctypes.c_long,
         _i64p, _i64p, _u8p]
-    return lib
+    lib.token_stats_batch_scan.restype = None
+    lib.token_stats_batch_scan.argtypes = [
+        _u8p, _i64p, _i64p, ctypes.c_long,
+        _u8p, _u32p, ctypes.c_long,
+        _i64p, _i64p, _i64p, _u8p]
 
 
 def get_lib() -> ctypes.CDLL | None:
-    global _LIB, _TRIED
-    if not _TRIED:
-        _TRIED = True
-        try:
-            _LIB = _compile()
-        except Exception:
-            _LIB = None
-    return _LIB
+    return _native.load(_SRC, _bind)
 
 
 def langid_batch(flat: np.ndarray, starts: np.ndarray, ends: np.ndarray,
@@ -82,7 +46,7 @@ def langid_batch(flat: np.ndarray, starts: np.ndarray, ends: np.ndarray,
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """(n_tokens[d], hits[d, lang], unsafe[d]) over utf8 byte ranges —
     the fused scan, or None when the kernel is unavailable (the caller
-    keeps its numpy passes; identical outputs,
+    runs `LangId._py_batch`; identical outputs,
     test_langid_native_parity)."""
     lib = get_lib()
     if lib is None or n_langs > 64 or max_word_len > 8:  # uint64 mask / key
@@ -113,33 +77,17 @@ def langid_batch(flat: np.ndarray, starts: np.ndarray, ends: np.ndarray,
         n_docs, n_langs), unsafe[:n_docs].astype(bool))
 
 
-def _bind_token_stats(lib) -> bool:
-    if getattr(lib, "_ts_bound", False):
-        return True
-    try:
-        lib.token_stats_batch_scan.restype = None
-        lib.token_stats_batch_scan.argtypes = [
-            _u8p, _i64p, _i64p, ctypes.c_long,
-            _u8p, _u32p, ctypes.c_long,
-            _i64p, _i64p, _i64p, _u8p]
-        lib._ts_bound = True
-        return True
-    except AttributeError:
-        return False
-
-
 def token_stats_scan(flat: np.ndarray, starts: np.ndarray,
                      ends: np.ndarray, ws_ascii: np.ndarray,
                      mb_ws_cps: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                 np.ndarray] | None:
     """(n_tokens, n_chars, n_punct, mb_ws_doc_mask) over utf8 byte
-    ranges — ONE fused scan replacing token_stats_batch's 6-7 numpy
-    buffer passes; None when the kernel is unavailable.  Semantics are
-    the numpy path's byte rule exactly (the ws table and multibyte-\\s
-    codepoint set are passed in from ops/textstats)."""
+    ranges in one fused scan; None when the kernel is unavailable (the
+    caller runs `_token_stats_py`).  The ws table and multibyte-\\s
+    codepoint set are passed in from ops/textstats."""
     lib = get_lib()
-    if lib is None or not _bind_token_stats(lib):
+    if lib is None:
         return None
     n_docs = len(starts)
     flat = np.ascontiguousarray(flat, np.uint8)

@@ -1,57 +1,24 @@
-"""Self-compiling ctypes glue for the sorted-set intersection kernel
-(`setops_kernel.c`) — same pattern as `ops/_webextract_native.py` /
-`codecs/_fsst_native.py`: the shared object builds once per source hash
-under /tmp (cc -O3, <1s), every worker process reuses the cached .so,
-and a missing compiler degrades to a numpy fallback (identical output,
-slower)."""
+"""ctypes binding for the sorted-set intersection, MinHash and union-find
+kernels (`setops_kernel.c`).  `nem_mms_ray._native` builds and caches the
+shared library; without it the callers fall back to numpy or Python
+(identical output, slower)."""
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import subprocess
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from nem_mms_ray import _native
+
 _SRC = Path(__file__).with_name("setops_kernel.c")
-_BUILD_DIR = Path(tempfile.gettempdir()) / "nem_mms_ray_build"
-_LIB: ctypes.CDLL | None = None
-_TRIED = False
 
 _u64p = ctypes.POINTER(ctypes.c_uint64)
 _i64p = ctypes.POINTER(ctypes.c_int64)
 
 
-def _compile() -> ctypes.CDLL | None:
-    src = _SRC.read_bytes()
-    tag = hashlib.sha256(src).hexdigest()[:16]
-    so = _BUILD_DIR / f"setops_{tag}.so"
-    if not so.exists():
-        _BUILD_DIR.mkdir(parents=True, exist_ok=True)
-        with tempfile.NamedTemporaryFile(suffix=".so", dir=_BUILD_DIR,
-                                         delete=False) as tf:
-            tmp = tf.name
-        built = False
-        for flags in (["-O3", "-march=native"], ["-O3"]):
-            cmd = ["cc", *flags, "-shared", "-fPIC", "-o", tmp, str(_SRC)]
-            try:
-                subprocess.run(cmd, check=True, capture_output=True,
-                               timeout=120)
-                os.replace(tmp, so)
-                built = True
-                break
-            except Exception:
-                continue
-        if not built:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return None
-    lib = ctypes.CDLL(str(so))
+def _bind(lib: ctypes.CDLL) -> None:
     lib.intersect_count_pairs.restype = ctypes.c_long
     lib.intersect_count_pairs.argtypes = [
         _u64p, _i64p, _i64p, _i64p, ctypes.c_long, ctypes.c_double, _i64p]
@@ -67,18 +34,10 @@ def _compile() -> ctypes.CDLL | None:
     lib.union_find_edges.argtypes = [_i64p, _i64p, ctypes.c_long, _i64p]
     lib.union_find_flatten.restype = None
     lib.union_find_flatten.argtypes = [_i64p, ctypes.c_long]
-    return lib
 
 
 def get_lib() -> ctypes.CDLL | None:
-    global _LIB, _TRIED
-    if not _TRIED:
-        _TRIED = True
-        try:
-            _LIB = _compile()
-        except Exception:
-            _LIB = None
-    return _LIB
+    return _native.load(_SRC, _bind)
 
 
 def minhash_signatures(sets: list, a: np.ndarray,

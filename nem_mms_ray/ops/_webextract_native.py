@@ -1,73 +1,32 @@
-"""Self-compiling ctypes glue for the single-pass HTML extraction kernel
-(`webextract_kernel.c`) — same pattern as `codecs/_fsst_native.py`: the
-shared object builds once per source hash under /tmp (cc -O3, ~1s), every
-worker process reuses the cached .so, and a missing compiler degrades to
-`None` so callers fall back to the Arrow RE2 chain (identical output,
-slower).
+"""ctypes binding for the single-pass HTML extraction kernel
+(`webextract_kernel.c`).  `nem_mms_ray._native` builds and caches the
+shared library; without it `extract_batch` returns None and the caller
+runs the Arrow RE2 reference (identical output, slower).
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import subprocess
-import tempfile
 from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
 
+from nem_mms_ray import _native
+
 _SRC = Path(__file__).with_name("webextract_kernel.c")
-_BUILD_DIR = Path(tempfile.gettempdir()) / "nem_mms_ray_build"
-_LIB: ctypes.CDLL | None = None
-_TRIED = False
 
 _u8p = ctypes.POINTER(ctypes.c_uint8)
 _i64p = ctypes.POINTER(ctypes.c_int64)
 
 
-def _compile() -> ctypes.CDLL | None:
-    src = _SRC.read_bytes()
-    tag = hashlib.sha256(src).hexdigest()[:16]
-    so = _BUILD_DIR / f"wet_{tag}.so"
-    if not so.exists():
-        _BUILD_DIR.mkdir(parents=True, exist_ok=True)
-        with tempfile.NamedTemporaryFile(suffix=".so", dir=_BUILD_DIR,
-                                         delete=False) as tf:
-            tmp = tf.name
-        built = False
-        for flags in (["-O3", "-march=native"], ["-O3"]):
-            cmd = ["cc", *flags, "-shared", "-fPIC", "-o", tmp, str(_SRC)]
-            try:
-                subprocess.run(cmd, check=True, capture_output=True,
-                               timeout=120)
-                os.replace(tmp, so)
-                built = True
-                break
-            except Exception:
-                continue
-        if not built:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return None
-    lib = ctypes.CDLL(str(so))
+def _bind(lib: ctypes.CDLL) -> None:
     lib.wet_extract_batch.restype = ctypes.c_long
     lib.wet_extract_batch.argtypes = [_u8p, _i64p, ctypes.c_long, _u8p, _i64p]
-    return lib
 
 
 def get_lib() -> ctypes.CDLL | None:
-    global _LIB, _TRIED
-    if not _TRIED:
-        _TRIED = True
-        try:
-            _LIB = _compile()
-        except Exception:
-            _LIB = None
-    return _LIB
+    return _native.load(_SRC, _bind)
 
 
 def extract_batch(col: pa.Array | pa.ChunkedArray) -> pa.Array | None:
@@ -75,7 +34,7 @@ def extract_batch(col: pa.Array | pa.ChunkedArray) -> pa.Array | None:
     large_binary layout passes straight through as (data, offsets) — no
     per-row Python until the final decode).  Returns the extracted string
     array, or None when the kernel is unavailable or the input isn't
-    binary (caller falls back to the Arrow chain)."""
+    binary (caller runs the Arrow RE2 reference)."""
     lib = get_lib()
     if lib is None:
         return None

@@ -1,24 +1,18 @@
-"""Self-compiling ctypes glue for the winnowing selection kernel
-(`winnow_kernel.c`) — same pattern as `ops/_setops_native.py`: the shared
-object builds once per source hash under /tmp (cc -O3, <1s), every worker
-process reuses the cached .so, and a missing compiler degrades to the
-numpy path in `ops/winnow` (identical output, slower)."""
+"""ctypes binding for the winnowing selection and rolling-hash kernels
+(`winnow_kernel.c`).  `nem_mms_ray._native` builds and caches the shared
+library; without it `ops/winnow` runs its references (identical output,
+slower)."""
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import subprocess
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from nem_mms_ray import _native
+
 _SRC = Path(__file__).with_name("winnow_kernel.c")
-_BUILD_DIR = Path(tempfile.gettempdir()) / "nem_mms_ray_build"
-_LIB: ctypes.CDLL | None = None
-_TRIED = False
 
 _u64p = ctypes.POINTER(ctypes.c_uint64)
 _u32p = ctypes.POINTER(ctypes.c_uint32)
@@ -28,33 +22,7 @@ _i64p = ctypes.POINTER(ctypes.c_int64)
 MAX_WINDOW = 4096
 
 
-def _compile() -> ctypes.CDLL | None:
-    src = _SRC.read_bytes()
-    tag = hashlib.sha256(src).hexdigest()[:16]
-    so = _BUILD_DIR / f"winnow_{tag}.so"
-    if not so.exists():
-        _BUILD_DIR.mkdir(parents=True, exist_ok=True)
-        with tempfile.NamedTemporaryFile(suffix=".so", dir=_BUILD_DIR,
-                                         delete=False) as tf:
-            tmp = tf.name
-        built = False
-        for flags in (["-O3", "-march=native"], ["-O3"]):
-            cmd = ["cc", *flags, "-shared", "-fPIC", "-o", tmp, str(_SRC)]
-            try:
-                subprocess.run(cmd, check=True, capture_output=True,
-                               timeout=120)
-                os.replace(tmp, so)
-                built = True
-                break
-            except Exception:
-                continue
-        if not built:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return None
-    lib = ctypes.CDLL(str(so))
+def _bind(lib: ctypes.CDLL) -> None:
     lib.winnow_batch.restype = ctypes.c_long
     lib.winnow_batch.argtypes = [
         _u32p, _i64p, ctypes.c_long, ctypes.c_long, ctypes.c_long,
@@ -62,26 +30,19 @@ def _compile() -> ctypes.CDLL | None:
     lib.rolling_hashes.restype = ctypes.c_long
     lib.rolling_hashes.argtypes = [
         _u32p, ctypes.c_long, ctypes.c_long, ctypes.c_uint64, _u64p]
-    return lib
 
 
 def get_lib() -> ctypes.CDLL | None:
-    global _LIB, _TRIED
-    if not _TRIED:
-        _TRIED = True
-        try:
-            _LIB = _compile()
-        except Exception:
-            _LIB = None
-    return _LIB
+    return _native.load(_SRC, _bind)
 
 
 def winnow_batch(flat32: np.ndarray, lens: np.ndarray, k: int, window: int,
                  bmul: int) -> tuple[np.ndarray, np.ndarray] | None:
     """(run-deduped selected minima doc-major, per-doc counts) for a flat
     uint32 codepoint buffer, or None when the kernel is unavailable (the
-    caller keeps its numpy path).  Values are bit-identical to the numpy
-    rolling hash — the caller still owes the per-doc distinct pass."""
+    caller runs the per-doc `winnow_select` reference).  Values are
+    bit-identical to `_kgram_hashes` — the caller still owes the per-doc
+    distinct pass."""
     lib = get_lib()
     if lib is None or window > MAX_WINDOW or k < 1:
         return None

@@ -40,9 +40,13 @@ def _to_matrix(col) -> np.ndarray:
 
 
 def _pool(want: int = 4) -> int:
-    from nem_mms_ray.stages.encode_stage import default_pool_size
+    """An actor pool that reserves every CPU starves the upstream read and
+    the pipeline deadlocks (observed live on a 4-CPU session with
+    concurrency=4); always leave at least one CPU for reads/writes."""
+    import ray
 
-    return default_pool_size(want)
+    cpus = int(ray.cluster_resources().get("CPU", want + 1)) if ray.is_initialized() else want + 1
+    return max(1, min(want, cpus - 1))
 
 
 def _normalize(m: np.ndarray) -> np.ndarray:

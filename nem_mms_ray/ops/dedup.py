@@ -416,12 +416,6 @@ def _pairs_payload_metric_shuffle(pairs, payloads, pair_metric,
     return both.groupby("bucket2").map_groups(score, batch_format="pandas")
 
 
-def _pool(want: int = 4) -> int:
-    from nem_mms_ray.stages.encode_stage import default_pool_size
-
-    return default_pool_size(want)
-
-
 # ---------------------------------------------------------------------------
 # exact dedup
 # ---------------------------------------------------------------------------
@@ -742,19 +736,6 @@ def bucketed_pair_agg(pairs, pd_agg, n_buckets: int = 64,
 
 def _pd_distinct_pairs(g: pd.DataFrame) -> pd.DataFrame:
     return g.drop_duplicates(["a", "b"])[["a", "b"]]
-
-
-def minhash_candidate_pairs(ds, num_perm: int = 128, bands: int = 16,
-                            ngram: int = 3, concurrency: int | None = None,
-                            n_buckets: int = 128):
-    """Dataset[(a, b)] of LSH candidate pairs (a < b, distinct).
-
-    The distinct step is a Ray groupby (a pair may surface from several
-    bands) — the scale path when the candidate set itself is large.
-    `minhash_dedup` instead dedupes driver-side on the (small) collected
-    candidate set, saving this shuffle."""
-    pairs = _minhash_raw_pairs(ds, num_perm, bands, ngram, n_buckets)
-    return bucketed_pair_agg(pairs, _pd_distinct_pairs)
 
 
 def _gram_pairs_in_bucket(g: pd.DataFrame, id_col: str,

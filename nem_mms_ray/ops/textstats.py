@@ -22,52 +22,41 @@ _PUNCT_RE = re.compile(_PUNCT)
 _WS_RE = re.compile(r"\s+")
 
 # ---------------------------------------------------------------------------
-# Vectorized fast path (r5): LUT scans over the Arrow utf8 buffer
+# C kernel, else the scalar reference
 #
-# The scalar formulas below tokenize with Python regexes per doc — ~0.4 ms
-# per web-scale doc, which made LangId the single hottest function of the
-# flagship's gate stage (18.3 s/50k docs single-core, 56% of the label
-# pass).  Instead, each formula runs as a few numpy passes over the
-# column's raw utf8 buffer (zero-copy):
-#   - token_stats works at the BYTE level — a maximal run of
-#     non-whitespace bytes equals a run of non-whitespace codepoints
-#     because UTF-8 continuation bytes are never whitespace; the only
-#     exception is a multibyte whitespace CHARACTER (U+00A0, U+2000..,
-#     U+3000, ...), whose exact utf8 sequences are vector-searched and the
-#     few docs containing one recomputed scalar-side.
-#   - LangId decodes the prefix to a uint32 codepoint array (a handful of
-#     numpy shift/or passes — UTF-8 is self-synchronizing) and classifies
-#     each codepoint against BMP lookup tables derived at import from
-#     Python's own `re` \w and str.lower(), so the semantics ARE Python's.
-#     Docs with an astral (>BMP) codepoint or a codepoint whose lowercase
-#     expands (e.g. U+0130) fall back to the scalar formula.
-# Fast/scalar agreement is pinned by parity + fuzz tests.
+# token_stats_batch and LangId run one fused C scan over the column's raw
+# utf8 buffer (`langid_kernel.c`, via ops/_langid_native); where the
+# kernel is unavailable or declines, the scalar formulas (`_token_stats_py`,
+# `LangId._py_batch`) run per doc.  The scan's semantics are Python's by
+# construction:
+#   - token stats work at the BYTE level — a maximal run of non-whitespace
+#     bytes equals a run of non-whitespace codepoints because UTF-8
+#     continuation bytes are never whitespace; the one exception, a doc
+#     with a multibyte whitespace CHARACTER (U+00A0, U+2000.., U+3000, ...),
+#     is flagged by the kernel and recomputed by the scalar formula.
+#   - LangId classifies each codepoint against BMP lookup tables derived at
+#     import from Python's own `re` \w and str.lower().  Docs with an astral
+#     (>BMP) codepoint or a codepoint whose lowercase expands (e.g. U+0130)
+#     are flagged and recomputed by the scalar formula.
+# C/scalar agreement is pinned by parity + fuzz tests.
 # ---------------------------------------------------------------------------
 
-_ASCII_WS = np.zeros(256, np.bool_)  # Python \s / str.strip() on ASCII
-for _c in (9, 10, 11, 12, 13, 28, 29, 30, 31, 32):
-    _ASCII_WS[_c] = True
+_ASCII_WS = np.zeros(128, np.uint8)  # Python \s / str.strip() on ASCII
+_ASCII_WS[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = 1
 
-_ASCII_PUNCTCH = np.zeros(256, np.bool_)
-for _c in b".,!?;:":
-    _ASCII_PUNCTCH[_c] = True
-
-# utf8 byte sequences of every multibyte char Python's \s matches — the
-# only case where byte-level whitespace runs diverge from codepoint runs
-_MB_WS_SEQS = [chr(c).encode() for c in range(0x80, 0x10000)
-               if re.match(r"\s", chr(c))]
-# the same set as codepoints (ascending by construction) — input form of
-# the fused C scan (langid_kernel.c:token_stats_batch_scan)
-_MB_WS_CPS = np.array([ord(s.decode()) for s in _MB_WS_SEQS], np.uint32)
+# every multibyte codepoint Python's \s matches (ascending) — the only
+# case where byte-level whitespace runs diverge from codepoint runs
+_MB_WS_CPS = np.array([c for c in range(0x80, 0x10000)
+                       if re.match(r"\s", chr(c))], np.uint32)
 
 _BMP: dict = {}
 
 
 def _bmp_tables() -> dict:
     """BMP classification tables, built once per process from Python's own
-    regex engine / str.lower so fast-path semantics are Python's by
-    construction: word (\\w) and whitespace (\\s) masks, a single-codepoint
-    lowercase map, and the 'lower is one codepoint' safety mask."""
+    regex engine / str.lower so the C kernel's semantics are Python's by
+    construction: a word (\\w) mask, a single-codepoint lowercase map, and
+    the 'lower is one codepoint' safety mask."""
     if not _BMP:
         n = 0x10000
         chars = "".join(map(chr, range(n)))
@@ -135,95 +124,6 @@ def _utf8_bytes_view(col, limit: int | None = None):
     return flat, starts, ends
 
 
-def _utf8_codepoints(flat: np.ndarray, dstarts: np.ndarray,
-                     dends: np.ndarray):
-    """Vectorized UTF-8 decode: (cp uint32, cp_starts, cp_ends) where
-    cp_starts/cp_ends are per-doc ranges into cp.  Assumes valid UTF-8
-    (Arrow guarantees it for utf8 columns); doc boundaries always align
-    with codepoint boundaries."""
-    cont = (flat & 0xC0) == 0x80
-    if not cont.any():  # pure ASCII (or no multibyte at all): cp == byte
-        return (flat.astype(np.uint32), dstarts.astype(np.int64),
-                dends.astype(np.int64))
-    # Decode IN PLACE on a widened copy, then compress out continuation
-    # bytes with one boolean mask — avoids the previous version's
-    # len(flat)-sized int64 lead-index vector + fancy-gathers.  Only
-    # multibyte LEAD positions (>= 0xC0) need indexed work (at most
-    # len/4 of the 15%-non-ASCII web corpus).  Order-fair interleaved
-    # A/B on 68 MB of webtable prefixes: 1.5x at 1024-row batches, 2.0x
-    # at 4096, 4.6x on one giant batch (old code's warm best 3.44s ->
-    # 0.74s), outputs identical.
-    cp0 = flat.astype(np.uint32)
-    mb = np.nonzero(flat >= 0xC0)[0]
-    b0 = cp0[mb]
-    m2 = b0 < 0xE0
-    m3 = (b0 >= 0xE0) & (b0 < 0xF0)
-    m4 = b0 >= 0xF0
-    if m2.any():
-        i = mb[m2]
-        cp0[i] = ((b0[m2] & 0x1F) << np.uint32(6)) | (cp0[i + 1] & 0x3F)
-    if m3.any():
-        i = mb[m3]
-        cp0[i] = (((b0[m3] & 0x0F) << np.uint32(12))
-                  | ((cp0[i + 1] & 0x3F) << np.uint32(6))
-                  | (cp0[i + 2] & 0x3F))
-    if m4.any():
-        i = mb[m4]
-        cp0[i] = (((b0[m4] & 0x07) << np.uint32(18))
-                  | ((cp0[i + 1] & 0x3F) << np.uint32(12))
-                  | ((cp0[i + 2] & 0x3F) << np.uint32(6))
-                  | (cp0[i + 3] & 0x3F))
-    cp = cp0[~cont]
-    # Doc ranges into the compressed array: each byte position maps to
-    # (position - #continuation bytes strictly before it).  Doc bounds
-    # always sit on codepoint boundaries, so the map is exact there.
-    # searchsorted over the continuation POSITIONS (ncont elements) beats
-    # a len(flat)-sized cumsum on both memory and time.
-    cpos = np.nonzero(cont)[0]
-    cp_starts = dstarts - np.searchsorted(cpos, dstarts, side="left")
-    cp_ends = dends - np.searchsorted(cpos, dends, side="left")
-    return cp, cp_starts, cp_ends
-
-
-def _run_starts(mask: np.ndarray, doc_starts: np.ndarray) -> np.ndarray:
-    """Positions where a True-run begins, with runs broken at doc starts."""
-    prev = np.zeros_like(mask)
-    if len(mask):
-        prev[1:] = mask[:-1]
-        prev[doc_starts[doc_starts < len(mask)]] = False
-    return np.nonzero(mask & ~prev)[0]
-
-
-def _doc_of(pos: np.ndarray, doc_ends: np.ndarray) -> np.ndarray:
-    """Doc index of each position (starts[i] <= pos < ends[i])."""
-    return np.searchsorted(doc_ends, pos, side="right")
-
-
-def _docs_with_multibyte_ws(flat: np.ndarray, dends: np.ndarray
-                            ) -> np.ndarray:
-    """Doc indices containing any multibyte whitespace character — exact:
-    each candidate's full utf8 sequence is matched (a lead byte position is
-    always a codepoint start, so there are no false positives)."""
-    by_lead: dict[int, list[bytes]] = {}
-    for seq in _MB_WS_SEQS:
-        by_lead.setdefault(seq[0], []).append(seq)
-    found: list[np.ndarray] = []
-    for lead, seqs in by_lead.items():  # one buffer pass per distinct lead
-        pos0 = np.nonzero(flat == lead)[0]
-        if not len(pos0):
-            continue
-        for seq in seqs:
-            pos = pos0
-            for k in range(1, len(seq)):
-                pos = pos[flat[np.minimum(pos + k, len(flat) - 1)] == seq[k]]
-                if not len(pos):
-                    break
-            if len(pos):
-                found.append(pos)
-    if not found:
-        return np.zeros(0, np.int64)
-    return np.unique(_doc_of(np.concatenate(found), dends))
-
 # language-ID: tiny per-language stopword lists (public common words)
 _STOPWORDS = {
     "en": {"the", "and", "of", "to", "in", "is", "that", "for", "with", "was"},
@@ -238,8 +138,8 @@ _STOPWORDS = {
 
 def _token_stats_py(texts: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The original per-doc formulas (Python unicode semantics) —
-    (n_tokens, n_chars, n_punct) for a list of possibly-None texts.  The
-    ASCII fast path must agree with THIS bit-for-bit on ASCII input."""
+    (n_tokens, n_chars, n_punct) for a list of possibly-None texts: the
+    reference the C kernel must agree with bit-for-bit."""
     n = len(texts)
     n_tokens = np.zeros(n, np.int64)
     n_chars = np.zeros(n, np.int64)
@@ -257,27 +157,23 @@ def token_stats_batch(batch: pa.Table) -> pa.Table:
     """doc_id, n_tokens, n_chars_obs, punct_ratio.
 
     Token rule (shared with the SQL oracle): number of non-empty pieces when
-    splitting on runs of whitespace.  Fast path: byte-LUT numpy passes over
-    the Arrow buffer — whitespace-run starts (continuation bytes are never
-    whitespace, so byte runs == codepoint runs), non-continuation-byte
-    count (== codepoint count), punct-byte count (all six are ASCII).  The
-    single divergent case — a doc containing a MULTIBYTE whitespace char —
-    is detected exactly and recomputed by the scalar formulas
-    (`_token_stats_py`, identical semantics, parity-tested).
+    splitting on runs of whitespace.  C kernel, else the scalar reference:
+    one fused scan over the Arrow buffer counts whitespace-run starts
+    (continuation bytes are never whitespace, so byte runs == codepoint
+    runs), non-continuation bytes (== codepoints) and punct bytes (all six
+    are ASCII), and flags each doc containing a MULTIBYTE whitespace char;
+    flagged docs, or every doc when the kernel is unavailable, go through
+    the scalar formulas (`_token_stats_py`, parity-tested).
     """
-    import pyarrow.compute as pc
+    from nem_mms_ray.ops import _langid_native
 
     col = _as_utf8(batch.column("text"))  # once; the view's internal
     # normalize is a no-op pass-through on the result
-    flat, dstarts, dends = _utf8_bytes_view(col)
-    n_docs = len(dstarts)
-    from nem_mms_ray.ops import _langid_native
-
     native = _langid_native.token_stats_scan(
-        flat, dstarts, dends, _ASCII_WS[:128], _MB_WS_CPS)
-    if native is not None:
-        # fused C scan (one pass; test_token_stats_native_parity) — the
-        # numpy passes below are the no-compiler fallback
+        *_utf8_bytes_view(col), _ASCII_WS, _MB_WS_CPS)
+    if native is None:
+        n_tokens, n_chars, n_punct = _token_stats_py(col.to_pylist())
+    else:
         n_tokens, n_chars, n_punct, mb_mask = native
         mb_ws = np.nonzero(mb_mask)[0]
         if len(mb_ws):
@@ -285,29 +181,6 @@ def token_stats_batch(batch: pa.Table) -> pa.Table:
             n_tokens[mb_ws] = t2
             n_chars[mb_ws] = c2
             n_punct[mb_ws] = p2
-        punct_ratio = np.round(n_punct / np.maximum(n_chars, 1), 6)
-        return pa.table({
-            "doc_id": batch.column("doc_id"),
-            "n_tokens": pa.array(n_tokens.astype(np.int64)),
-            "n_chars_obs": pa.array(n_chars.astype(np.int64)),
-            "punct_ratio": pa.array(punct_ratio.astype(np.float64)),
-        })
-    tok_starts = _run_starts(~_ASCII_WS[flat], dstarts)
-    n_tokens = np.bincount(_doc_of(tok_starts, dends), minlength=n_docs)
-    # codepoint count via Arrow's C kernel (np.cumsum / np.add.reduceat
-    # over the 100 MB byte mask both measured 8-20x slower)
-    nc = pc.utf8_length(col)
-    if isinstance(nc, pa.ChunkedArray):
-        nc = nc.combine_chunks()
-    n_chars = np.asarray(nc).astype(np.int64)
-    pp = np.nonzero(_ASCII_PUNCTCH[flat])[0]
-    n_punct = np.bincount(_doc_of(pp, dends), minlength=n_docs)
-    mb_ws = _docs_with_multibyte_ws(flat, dends)
-    if len(mb_ws):
-        t2, c2, p2 = _token_stats_py(col.take(pa.array(mb_ws)).to_pylist())
-        n_tokens[mb_ws] = t2
-        n_chars[mb_ws] = c2
-        n_punct[mb_ws] = p2
     punct_ratio = np.round(n_punct / np.maximum(n_chars, 1), 6)
     return pa.table(
         {
@@ -382,38 +255,30 @@ class LangId:
         self.word = re.compile(r"[\w']+", re.UNICODE)
         self.langs = sorted(_STOPWORDS)
         self.tables = [frozenset(_STOPWORDS[lang]) for lang in self.langs]
-        self.key_tables = [
-            np.sort(np.array([self._pack_word(w) for w in _STOPWORDS[lang]],
-                             np.uint64))
-            for lang in self.langs
-        ]
-        # ONE combined distinct-key table + per-lang membership bitmask:
-        # the fast path does a single searchsorted over candidate tokens
-        # instead of one per language, and per-lang hits bincount only the
-        # matched (stopword-occurrence) tokens.
         self.max_word_len = max(len(w) for ws in _STOPWORDS.values()
                                 for w in ws)
         if self.max_word_len > 8:  # keys hold 8 codepoints; longer collide
             raise ValueError(
                 f"stopwords must be at most 8 codepoints, got {self.max_word_len}")
-        self.all_keys = np.unique(np.concatenate(self.key_tables))
-        self.key_lang_mask = np.zeros(
-            (len(self.all_keys), len(self.langs)), bool)
-        for j, keys in enumerate(self.key_tables):
-            self.key_lang_mask[np.searchsorted(self.all_keys, keys), j] = True
-        # per-key language BITMASK for the fused C kernel (langid_kernel.c)
-        self.lang_bits = np.zeros(len(self.all_keys), np.uint64)
-        for j in range(len(self.langs)):
-            self.lang_bits |= (self.key_lang_mask[:, j].astype(np.uint64)
-                               << np.uint64(j))
+        # ONE combined distinct-key table + per-key language BITMASK for
+        # the fused C kernel (langid_kernel.c): a single lookup per
+        # candidate token instead of one per language
+        bits: dict[int, int] = {}
+        for j, lang in enumerate(self.langs):
+            for w in _STOPWORDS[lang]:
+                key = self._pack_word(w)
+                bits[key] = bits.get(key, 0) | (1 << j)
+        self.all_keys = np.array(sorted(bits), np.uint64)
+        self.lang_bits = np.array([bits[k] for k in sorted(bits)], np.uint64)
         self.bmp = _bmp_tables()
 
     def _py_batch(self, texts: list) -> tuple[np.ndarray, np.ndarray]:
         """The scalar formula the DuckDB oracle mirrors — (preds, scores)
-        for a list of possibly-None texts.  Fallback for non-ASCII docs and
-        the parity reference for the fast path: winner = first lang in
-        sorted order with the (strictly) highest stopword-hit count; score
-        = round(hits / n_tokens, 6); empty or hitless docs -> ('und', 0.0)."""
+        for a list of possibly-None texts.  The fallback for docs the C
+        kernel flags or cannot run, and its parity reference: winner =
+        first lang in sorted order with the (strictly) highest stopword-hit
+        count; score = round(hits / n_tokens, 6); empty or hitless docs ->
+        ('und', 0.0)."""
         n_docs = len(texts)
         preds = np.full(n_docs, "und", dtype=object)
         scores = np.zeros(n_docs, np.float64)
@@ -430,34 +295,27 @@ class LangId:
         return preds, scores
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        """Vectorized fast path (r5; was the gate stage's hottest function
-        at 0.37 ms/doc): the 2000-codepoint prefix decodes to a uint32
-        codepoint array (numpy shift/or passes), token runs come from the
-        BMP \\w mask (plus apostrophe), match-candidate tokens (length <=
-        the longest stopword) pack their lowercased clamped codepoints
-        into a uint64 key, and hits come from ONE searchsorted against
-        the combined distinct stopword-key table + per-language bincounts
-        over the matched tokens — no per-doc Python.  Docs with an
-        astral codepoint or an
-        expanding-lowercase word char recompute via `_py_batch` (the exact
-        scalar formula).
-
-        When a compiler is present, the decode/tokenize/pack/lookup
-        passes run FUSED in one C scan (`langid_kernel.c`) — same
-        classification tables, identical outputs
-        (test_langid_native_parity); the numpy passes below are the
-        fallback."""
-        col = batch.column("text")
-        flat, bstarts, bends = _utf8_bytes_view(col, self.PREFIX)
+        """C kernel, else the scalar reference.  The kernel
+        (`langid_kernel.c`) decodes each 2000-codepoint prefix, tokenizes
+        it on the BMP \\w mask (plus apostrophe), packs candidate tokens
+        (length <= the longest stopword) into lowercased uint64 keys and
+        counts per-language hits against the combined stopword-key table
+        in one fused scan.  Docs it flags (an astral codepoint or an
+        expanding-lowercase word char), or every doc when the kernel is
+        unavailable, go through `_py_batch`, the exact scalar formula
+        (test_langid_native_parity)."""
         from nem_mms_ray.ops import _langid_native
 
+        col = _as_utf8(batch.column("text"))
         native = _langid_native.langid_batch(
-            flat, bstarts, bends, self.bmp["word"], self.bmp["safe"],
-            self.bmp["lower"], self.all_keys, self.lang_bits,
-            self.max_word_len, len(self.langs))
-        if native is not None:
+            *_utf8_bytes_view(col, self.PREFIX), self.bmp["word"],
+            self.bmp["safe"], self.bmp["lower"], self.all_keys,
+            self.lang_bits, self.max_word_len, len(self.langs))
+        if native is None:
+            preds, scores = self._py_batch(col.to_pylist())
+        else:
             counts, hits, doc_unsafe = native
-            best_li = hits.argmax(axis=1)
+            best_li = hits.argmax(axis=1)  # first max = sorted-lang tiebreak
             best = hits[np.arange(len(counts)), best_li]
             langs = np.asarray(self.langs, dtype=object)
             preds = np.where(best > 0, langs[best_li], "und")
@@ -468,68 +326,6 @@ class LangId:
                 p2, s2 = self._py_batch(col.take(pa.array(fb)).to_pylist())
                 preds[fb] = p2
                 scores[fb] = s2
-            return pa.table({
-                "doc_id": batch.column("doc_id"),
-                "lang_pred": pa.array(preds.tolist(), type=pa.string()),
-                "lang_score": pa.array(scores, type=pa.float64()),
-            })
-        cp, dstarts, dends = _utf8_codepoints(flat, bstarts, bends)
-        n_docs = len(dstarts)
-        bmp = self.bmp
-        cp_c = np.minimum(cp, 0xFFFF)
-        astral = cp > 0xFFFF
-        wordm = bmp["word"][cp_c] & ~astral
-        m = wordm | (cp == 0x27)  # [\w']+
-        tok_starts = _run_starts(m, dstarts)
-        nxt = np.zeros_like(m)
-        if len(m):
-            nxt[:-1] = m[1:]
-            last = dends[dends > dstarts] - 1
-            nxt[last] = False
-        tok_ends = np.nonzero(m & ~nxt)[0] + 1
-        doc_idx = _doc_of(tok_starts, dends)
-        counts = np.bincount(doc_idx, minlength=n_docs)
-        lens = tok_ends - tok_starts
-        # Keys only for tokens that CAN match: a token longer than the
-        # longest stopword (max_word_len <= 8 cps) never equals one, so
-        # skipping it is exact, and it shrinks both the pack loop
-        # (max_word_len rounds, not 8) and the searchsorted input
-        # (1.4-1.5x whole-stage, order-fair interleaved A/B, outputs
-        # identical).  Lowercasing
-        # gathers per packed position (~sum(min(len,5)) values) instead
-        # of materializing a lowercase array over every codepoint — the
-        # full-width cp_lc was the stage's top cost once decode was fixed.
-        cand = lens <= self.max_word_len
-        ctok = tok_starts[cand]
-        clens = lens[cand]
-        cdoc = doc_idx[cand]
-        lower = bmp["lower"]
-        key = np.zeros(len(ctok), np.uint64)
-        for k in range(self.max_word_len):
-            msk = clens > k
-            lc = np.minimum(lower[cp_c[ctok[msk] + k]], 0xFF)
-            key[msk] |= lc.astype(np.uint64) << np.uint64(8 * k)
-        all_keys = self.all_keys
-        pos = np.minimum(np.searchsorted(all_keys, key), len(all_keys) - 1)
-        memb = all_keys[pos] == key
-        kidx = pos[memb]
-        mdoc = cdoc[memb]
-        hits = np.zeros((n_docs, len(self.langs)), np.int64)
-        for li in range(len(self.langs)):
-            hits[:, li] = np.bincount(mdoc[self.key_lang_mask[kidx, li]],
-                                      minlength=n_docs)
-        best_li = hits.argmax(axis=1)  # first max = sorted-lang tiebreak
-        best = hits[np.arange(n_docs), best_li]
-        langs = np.asarray(self.langs, dtype=object)
-        preds = np.where(best > 0, langs[best_li], "und")
-        safe = np.maximum(counts, 1)
-        scores = np.round(np.where(best > 0, best / safe, 0.0), 6)
-        unsafe = astral | (wordm & ~bmp["safe"][cp_c])
-        if unsafe.any():
-            fb = np.unique(_doc_of(np.nonzero(unsafe)[0], dends))
-            p2, s2 = self._py_batch(col.take(pa.array(fb)).to_pylist())
-            preds[fb] = p2
-            scores[fb] = s2
         return pa.table(
             {
                 "doc_id": batch.column("doc_id"),

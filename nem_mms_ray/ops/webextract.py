@@ -31,19 +31,17 @@ Scale shape: a pure map_batches stage (zero shuffle, zero state — plain
 task pool, no actor pool needed since there is nothing to set up), so it
 pipelines with the encode stage that typically follows.
 
-Binary html runs the SAME chain directly on the raw bytes (Arrow's RE2
-kernels accept binary in byte mode) and lossy-decodes only the extracted
-text at the end: in UTF-8, continuation bytes are >= 0x80 and can never
-alias the ASCII metacharacters (< > & ;), so byte-mode extraction equals
+Binary html: C kernel, else the scalar reference.  The single-pass C
+kernel (`webextract_kernel.c`, via ops/_webextract_native) extracts the
+whole binary column in one call; without it the SAME rule chain runs
+byte-mode in Arrow (`extract_bytes_array` — RE2 accepts binary) and only
+the extracted text is lossy-decoded (`lossy_decode`).  In UTF-8,
+continuation bytes are >= 0x80 and can never alias the ASCII
+metacharacters (< > & ;), so byte-mode extraction equals
 decode-then-extract on every valid input — and on invalid bytes (real
 Common Crawl contains them; so do this repo's sliced webtable blobs) it
 stays deterministic and vectorized instead of dropping to a per-row
-Python decode of the full html.  The binary hot path additionally fuses
-the whitespace/trim step into the per-row bytes (see
-`_extract_fused_binary`); the final decode is ONE
-bytes.decode("utf-8","replace") over the NUL-joined batch (C speed),
-split back per row; rows containing a genuine 0x00 take the per-row
-path (the join sentinel would be ambiguous).
+Python decode of the full html.
 """
 
 from __future__ import annotations
@@ -59,12 +57,10 @@ logger = logging.getLogger(__name__)
 #: valid for Arrow and DuckDB alike (no backreferences, inline flags ok).
 #: ALL four structural rules (script/style blocks, comments, tags) are ONE
 #: alternation in ONE pass: each regex pass scans and copies the full
-#: payload, so pass count is the main throughput lever (A/B on the sf0.1
-#: webtable html: two passes 25 MB/s/core, merged 37 MB/s/core with the
-#: fused decode below).  Alternation order is load-bearing: RE2, DuckDB
-#: and Python `re` all use leftmost-FIRST alternative semantics, so at a
-#: `<script`/`<style`/`<!--` position the whole block is consumed before
-#: the bare-tag rule can see it.
+#: payload, so pass count is the main throughput lever.  Alternation order
+#: is load-bearing: RE2, DuckDB and Python `re` all use leftmost-FIRST
+#: alternative semantics, so at a `<script`/`<style`/`<!--` position the
+#: whole block is consumed before the bare-tag rule can see it.
 _REGEX_RULES: tuple[tuple[str, str], ...] = (
     (r"(?is)<script[^>]*>.*?</script>|<style[^>]*>.*?</style>"
      r"|<!--.*?-->|<[^>]*>",
@@ -140,32 +136,14 @@ def lossy_decode(col) -> pa.Array:
                     pa.string())
 
 
-def _extract_fused_binary(col) -> pa.Array:
-    """The hot path for binary html: regex + entity passes run byte-mode
-    in Arrow, then whitespace-collapse + trim + decode FUSE into the
-    per-row bytes step — `b" ".join(b.split())` is one C pass over the
-    already-shrunk extracted text and replaces two more full-width RE2
-    passes (`bytes.split()` splits on exactly the six ASCII whitespace
-    bytes of _WS_PATTERN, and join+drop-edges == collapse+trim).
-    Byte-identical to lossy_decode(extract_bytes_array(col)); A/B: 25 ->
-    37 MB/s/core on the sf0.1 webtable html."""
-    a = col
-    for pat, rep in _REGEX_RULES:
-        a = pc.replace_substring_regex(a, pattern=pat, replacement=rep)
-    for ent, rep in _ENTITY_RULES:
-        a = pc.replace_substring(a, pattern=ent, replacement=rep)
-    if isinstance(a, pa.ChunkedArray):
-        a = a.combine_chunks()
-    bufs = [v.as_py() for v in a]
-    present = [b" ".join(b.split()) for b in bufs if b is not None]
-    if any(b"\x00" in b for b in present):
-        logger.info("extract: NUL byte in payload, per-row decode")
-        dec = iter([b.decode("utf-8", "replace") for b in present])
-    else:
-        joined = b"\x00".join(present)
-        dec = iter(joined.decode("utf-8", "replace").split("\x00"))
-    return pa.array([None if b is None else next(dec) for b in bufs],
-                    pa.string())
+def extract_binary(col) -> pa.Array:
+    """Extract a BINARY html column on its raw bytes and decode only the
+    (much smaller) text: the C kernel, else the byte-identical Arrow
+    chain."""
+    from nem_mms_ray.ops._webextract_native import extract_batch
+
+    text = extract_batch(col)
+    return lossy_decode(extract_bytes_array(col)) if text is None else text
 
 
 def extract_text(ds, html_col: str = "html", out_col: str = "text",
@@ -180,14 +158,7 @@ def extract_text(ds, html_col: str = "html", out_col: str = "text",
     def run(t: pa.Table) -> pa.Table:
         col = t.column(html_col)
         if pa.types.is_binary(col.type) or pa.types.is_large_binary(col.type):
-            # extract on raw bytes, decode only the (much smaller) text.
-            # C single-pass kernel when a compiler exists (~10x the RE2
-            # chain); the fused Arrow chain is the byte-identical fallback.
-            from nem_mms_ray.ops._webextract_native import extract_batch
-
-            text = extract_batch(col)
-            if text is None:
-                text = _extract_fused_binary(col)
+            text = extract_binary(col)
         else:
             text = extract_text_array(col)
         if out_col in t.column_names:

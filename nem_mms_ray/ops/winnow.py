@@ -180,79 +180,27 @@ def _perdoc_unique(sel: np.ndarray, sdoc: np.ndarray, ndocs: int
 
 def _batch_winnow_sets(texts, k: int, window: int
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """(doc_idx, fp) of every doc's distinct selected fingerprints — the
-    whole-batch fast path, set-identical per doc to `winnow_select`
-    (test_flat_fast_path_parity; row order is NOT doc-major — the
-    consumers bucket/bincount, so order is free).  Shape: one flat encode,
-    one rolling-hash pass, a log-doubling windowed min (O(log w) full
-    passes, no w-wide temp), a diff-trick mask for cross-doc windows, an
-    adjacent-run pre-dedup (consecutive windows usually share their min —
-    that is the point of winnowing), then per-doc np.unique over the
-    pre-sliced segments (measured ~7x cheaper than a global lexsort).
-    2.1x over the per-doc loop on 1.2 KB docs, 3.5x on 300 B docs
-    (BASELINE.md r5).  The C kernel (`winnow_kernel.c`) replaces the
-    hash+min+dedup middle with one fused pass when a compiler is present
-    (bit-identical values — Rabin-Karp update of the same polynomial;
-    test_native_kernel_parity) and the residual wall becomes the encode +
-    per-doc unique tail."""
+    """(doc_idx, fp) of every doc's distinct selected fingerprints,
+    set-identical per doc to `winnow_select`.  C kernel, else the scalar
+    reference: the kernel (`winnow_kernel.c`) runs the rolling hash,
+    windowed min and adjacent-run dedup over the whole batch in one fused
+    pass (bit-identical values — Rabin-Karp update of the same polynomial;
+    test_native_kernel_parity), leaving a per-doc np.unique tail; without
+    it each doc goes through `winnow_select`."""
     ndocs = len(texts)
-    flat, lens = _flat_corpus(texts)
     from nem_mms_ray.ops import _winnow_native
 
+    flat, lens = _flat_corpus(texts)
     native = _winnow_native.winnow_batch(flat, lens, k, window, int(_B))
     if native is not None:
         sel, cnts = native
         sdoc = np.repeat(np.arange(ndocs, dtype=np.int64), cnts)
         return _perdoc_unique(sel, sdoc, ndocs)
-    h = _flat_hashes(flat, k)
-    pos, _, nh = _valid_positions(lens, k)
-    hv = h[pos]  # per-doc k-gram hash runs, concatenated
-    cum = np.cumsum(nh) - nh
-    w = min(window, int(nh.max())) if len(nh) else window
-    empty = (np.zeros(0, np.int64), np.zeros(0, np.uint64))
-    if w > 1:
-        nwin = len(hv) - w + 1
-        if nwin <= 0:
-            sel = sdoc = None  # every doc is truncated (nh < w)
-        else:
-            # windowed min by doubling: mm[i] = min(hv[i : i+p])
-            mm = hv.copy()
-            p = 1
-            while p * 2 <= w:
-                np.minimum(mm[:-p], mm[p:], out=mm[:len(mm) - p])
-                p *= 2
-            m = (np.minimum(mm[:nwin], mm[w - p:w - p + nwin])
-                 if p < w else mm[:nwin])
-            # drop windows crossing a doc boundary: mark each doc's
-            # trailing invalid run once (diff trick), not per position
-            wn = np.maximum(nh - w + 1, 0)
-            bad = np.zeros(nwin + 1, np.int32)
-            np.add.at(bad, np.minimum(cum + wn, nwin), 1)
-            np.add.at(bad, np.minimum(cum + nh, nwin), -1)
-            sel = m[np.cumsum(bad[:-1]) == 0]
-            sdoc = np.repeat(np.arange(ndocs, dtype=np.int64), wn)
-    else:
-        sel = hv
-        sdoc = np.repeat(np.arange(ndocs, dtype=np.int64), nh)
-    if sel is not None and len(sel):
-        # adjacent-run pre-dedup: one cheap pass drops ~(w-1)/(w+1) of
-        # rows before the per-doc unique below
-        run = np.empty(len(sel), np.bool_)
-        run[0] = True
-        run[1:] = (sel[1:] != sel[:-1]) | (sdoc[1:] != sdoc[:-1])
-        sdoc, sel = _perdoc_unique(sel[run], sdoc[run], ndocs)
-    elif sel is None:
-        sdoc, sel = empty
-    # truncated docs (0 < nh < w) keep their global min — rare: only docs
-    # shorter than k+w-1 codepoints; tiny loop, one fp each
-    if w > 1:
-        short = np.nonzero((nh > 0) & (nh < w))[0]
-        if len(short):
-            mins = np.array([hv[cum[d]:cum[d] + nh[d]].min()
-                             for d in short], np.uint64)
-            sel = np.concatenate([sel, mins])
-            sdoc = np.concatenate([sdoc, short])
-    return sdoc, sel
+    sets = [winnow_select(_codepoints(t), k, window) for t in texts]
+    sdoc = np.repeat(np.arange(ndocs, dtype=np.int64),
+                     [len(s) for s in sets])
+    fps = np.concatenate(sets) if sets else np.zeros(0, np.uint64)
+    return sdoc, fps
 
 
 def _winnow_explode(batch: pa.Table, k: int, window: int, id_col: str,

@@ -6,7 +6,7 @@ reference's round-trip tests (/root/reference/src/manage/state.rs:155-191)
 and its parsed-record exact-equality tests
 (/root/reference/src/flatfile.rs:644-773).
 
-`VerifyPartitions` is an actor-pool stage over the same partition specs used
+`VerifyPartitions` is a Ray-task stage over the same partition specs used
 for encode: each task decodes its encoded file chunk by chunk and compares
 against a fresh read of the same input row groups, so verification is as
 shuffle-free and streaming as the encode itself.
@@ -358,12 +358,10 @@ def verify_files(
     out_dir: str | Path,
     columns: list[str] | None = None,
     target_bytes: int | None = None,
-    concurrency: int | tuple[int, int] | None = None,
-    use_actors: bool = False,
 ):
     """Round-trip verification as a Ray pipeline over the encode's partitioning.
 
-    Task mode by default for the same reason as encode_files (see there).
+    Runs as Ray tasks for the same reason as encode_files (see there).
     """
     import functools
 
@@ -373,20 +371,6 @@ def verify_files(
 
     specs = plan_partitions(input_paths, target_bytes or DEFAULT_TARGET_BYTES)
     ds = rd.from_items([s.to_row() for s in specs], override_num_blocks=len(specs))
-    if use_actors:
-        import ray
-
-        if concurrency is None:
-            ncpu = int(ray.cluster_resources().get("CPU", 8))
-            concurrency = max(2, min(len(specs), ncpu))
-        return ds.map_batches(
-            VerifyPartitions,
-            fn_constructor_kwargs={"out_dir": str(out_dir), "columns": columns},
-            batch_size=1,
-            batch_format="pyarrow",
-            concurrency=concurrency,
-            num_cpus=1,
-        )
     fn = functools.partial(
         _verify_task,
         out_dir=str(out_dir),

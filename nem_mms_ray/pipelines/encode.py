@@ -4,11 +4,11 @@ Ray-Data-native shape (SURVEY.md §3.1 target lifecycle):
 
     driver: plan_partitions(...)            # metadata only, deterministic ids
     ray.data.from_items(specs)              # Dataset of partition specs
-      .map_batches(EncodePartitions,        # actor pool, batch = one spec
-                   concurrency=N, num_cpus=1)
+      .map_batches(_encode_task,            # Ray tasks, batch = one spec
+                   num_cpus=1)
     -> Dataset of per-partition metric rows # consumed small
 
-Each actor task streams its partition through pyarrow record batches
+Each task streams its partition through pyarrow record batches
 (bounded memory), runs the sampling pass (sketches -> codec plan, FSST
 symbol tables trained ONCE per partition and reused across batches — the
 stateful-stage contract from BASELINE.json:north_star), encodes column
@@ -466,19 +466,15 @@ def encode_files(
     out_dir: str | Path,
     columns: list[str] | None = None,
     target_bytes: int = DEFAULT_TARGET_BYTES,
-    concurrency: int | tuple[int, int] | None = None,
-    use_actors: bool = False,
 ):
     """Build the encode pipeline; returns a lazy Dataset of metric rows.
 
     Consume with .to_pandas()/.take_all() (tiny: one row per partition) —
     the heavy data streams worker-side only.
 
-    `use_actors=True` runs the stage as an explicit actor pool; the default
-    task mode keeps identical per-partition-state semantics (plan + FSST
-    tables built once per partition inside the task) while letting Ray's
-    warm worker processes amortize imports — better for short jobs and for
-    elasticity; actor pools win when an actor carries cross-partition state.
+    The stage runs as Ray tasks: per-partition state (plan + FSST tables)
+    is built once per partition inside the task, and Ray's warm worker
+    processes amortize imports (`_encode_task`).
     """
     import functools
 
@@ -490,22 +486,8 @@ def encode_files(
     m.check_run_header([str(p) for p in input_paths], target_bytes)
     m.write_run_header([str(p) for p in input_paths], target_bytes, len(specs))
     # one block per spec: from_items packs everything into one block, which
-    # would serialize the whole encode behind a single actor task
+    # would serialize the whole encode behind a single task
     ds = rd.from_items([s.to_row() for s in specs], override_num_blocks=len(specs))
-    if use_actors:
-        import ray
-
-        if concurrency is None:
-            ncpu = int(ray.cluster_resources().get("CPU", 8))
-            concurrency = max(2, min(len(specs), ncpu))
-        return ds.map_batches(
-            EncodePartitions,
-            fn_constructor_kwargs={"out_dir": str(out_dir), "columns": columns},
-            batch_size=1,
-            batch_format="pyarrow",
-            concurrency=concurrency,
-            num_cpus=1,
-        )
     fn = functools.partial(
         _encode_task,
         out_dir=str(out_dir),

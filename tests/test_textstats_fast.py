@@ -1,12 +1,12 @@
-"""Parity suite for the r5 vectorized textstats fast paths.
+"""Parity suite for the textstats C kernels.
 
-`token_stats_batch` and `LangId.__call__` run byte/codepoint-LUT numpy
-passes over the Arrow utf8 buffer; these tests pin them bit-for-bit
-against independent scalar implementations of the published formulas
-(Python `re` \\w / \\s semantics, `str.lower`, `text[:2000]` prefix) over
-adversarial and fuzzed inputs: multibyte scripts, multibyte whitespace,
-astral codepoints, expanding-lowercase chars, nulls, chunked/sliced and
-large_string arrays.
+`token_stats_batch` and `LangId.__call__` run one fused C scan over the
+Arrow utf8 buffer (or the scalar reference without a compiler); these
+tests pin them bit-for-bit against independent scalar implementations of
+the published formulas (Python `re` \\w / \\s semantics, `str.lower`,
+`text[:2000]` prefix) over adversarial and fuzzed inputs: multibyte
+scripts, multibyte whitespace, astral codepoints, expanding-lowercase
+chars, nulls, chunked/sliced and large_string arrays.
 """
 
 from __future__ import annotations
@@ -203,35 +203,8 @@ def test_text_column_layouts_dictionary_and_errors():
                                     "text": pa.array([7], pa.int64())}))
 
 
-def test_utf8_codepoints_decode_paths():
-    """Pins both branches of `_utf8_codepoints` against Python's own ord():
-    the pure-ASCII early return (codepoints == bytes) and the general
-    widen + continuation-mask-compress path, across prefix limits that cut
-    mid-string (never mid-codepoint: utf8_slice_codeunits slices cps)."""
-    from nem_mms_ray.ops.textstats import _utf8_bytes_view, _utf8_codepoints
-
-    ascii_docs = ["plain ascii", "", "x", "the and of to"]
-    mixed_docs = ascii_docs + [
-        "héllo wörld", "это текст", "日本語テキスト",
-        "emoji \U0001F600\U0001F680 end", "\U0010FFFF", "é" * 9,
-        "mixed 漢字 and latin words",
-    ]
-    for docs in (ascii_docs, mixed_docs):
-        col = pa.array(docs, pa.string())
-        for limit in (None, 2000, 4, 1):
-            flat, s, e = _utf8_bytes_view(col, limit)
-            cp, cs, ce = _utf8_codepoints(flat, s, e)
-            for i, d in enumerate(docs):
-                want = [ord(ch) for ch in (d if limit is None else d[:limit])]
-                assert cp[cs[i]:ce[i]].tolist() == want, (docs is mixed_docs, limit, i, d)
-    # ASCII early return really is the identity widen
-    flat, s, e = _utf8_bytes_view(pa.array(ascii_docs), None)
-    cp, cs, ce = _utf8_codepoints(flat, s, e)
-    assert len(cp) == len(flat) and (cp == flat).all()
-
-
 def test_langid_native_parity(monkeypatch):
-    """Fused C langid scan == numpy fast path, row-for-row, on fuzzed
+    """Fused C langid scan == the scalar reference, row-for-row, on fuzzed
     unicode including astral codepoints, expanding-lowercase chars
     (İ, ß), apostrophe runs, overlong tokens, and null/empty docs."""
     import pyarrow as pa
@@ -261,7 +234,7 @@ def test_langid_native_parity(monkeypatch):
 
 
 def test_token_stats_native_parity(monkeypatch):
-    """Fused C token-stats scan == numpy byte-LUT path, row-for-row, on
+    """Fused C token-stats scan == the scalar reference, row-for-row, on
     fuzzed unicode including multibyte whitespace (U+3000, NBSP-family),
     punct runs, and null/empty docs."""
     import pyarrow as pa

@@ -268,9 +268,9 @@ def test_winnow_dedup_endgame(ray_session):
 
 
 def test_native_kernel_parity(monkeypatch):
-    """C kernel path == numpy path, row-for-row, on fuzzed unicode (the
-    setops-kernel convention: force the fallback by monkeypatching the
-    glue, compare both whole-batch outputs)."""
+    """C kernel path == the per-doc reference, row-for-row, on fuzzed
+    unicode (the setops-kernel convention: force the fallback by
+    monkeypatching the glue, compare both whole-batch outputs)."""
     from nem_mms_ray.ops import _winnow_native
     from nem_mms_ray.ops.winnow import _batch_winnow_sets
 
@@ -288,7 +288,7 @@ def test_native_kernel_parity(monkeypatch):
             mp.setattr(_winnow_native, "winnow_batch",
                        lambda *a, **kw: None)
             no_c = _batch_winnow_sets(texts, k, w)
-        # numpy path appends truncated docs out of order — compare sorted
+        # compare as sorted (doc, fp) rows: row order is unconstrained
         oc = np.lexsort((with_c[1], with_c[0]))
         on = np.lexsort((no_c[1], no_c[0]))
         assert np.array_equal(with_c[0][oc], no_c[0][on]), (k, w)
