@@ -70,6 +70,8 @@ def ensure_webtable(rows: int) -> Path:
 
 
 def run_bench() -> dict:
+    """Run the bench and print its result as one JSON line, flushed
+    before Ray shuts down: a crash in `ray.shutdown()` cannot lose it."""
     import ray
 
     # capacity probe BEFORE ray.init: the probe forks worker processes,
@@ -79,6 +81,34 @@ def run_bench() -> dict:
     probe = _effective_cores()
     ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False,
              logging_level="ERROR")
+    try:
+        result = _bench(probe)
+        print(json.dumps(result), flush=True)
+    finally:
+        ray.shutdown()
+        shutil.rmtree(BENCH_OUT, ignore_errors=True)  # don't hold tmpfs memory
+    return result
+
+
+def _summary(queries: dict, sf: float, probe: float, extras: dict) -> dict:
+    return {
+        "metric": "bench_total_sec",
+        "value": round(sum(queries.values()), 3),
+        "unit": "sec",
+        "queries": queries,
+        "sf": sf,
+        "num_cpus": NUM_CPUS,
+        # the sandbox shares CPUs between tenants: a sample is only
+        # interpretable against BASELINE.md's bands next to the co-tenant
+        # load it ran under (probe ~10+ quiet, <4 heavily loaded)
+        "effective_cores_probe": probe,
+        **extras,
+    }
+
+
+def _bench(probe: float) -> dict:
+    """The timed sections inside the caller's Ray session."""
+    import ray
     from ray.data import DataContext
 
     ctx = DataContext.get_current()
@@ -155,13 +185,7 @@ def run_bench() -> dict:
         extras["web_input_bytes"] = sum(
             Path(p).stat().st_size for p in web_paths)
         if not (ONLY - {"web_flagship"}):
-            ray.shutdown()
-            shutil.rmtree(BENCH_OUT, ignore_errors=True)
-            total = round(sum(queries.values()), 3)
-            return {"metric": "bench_total_sec", "value": total,
-                    "unit": "sec", "queries": queries, "sf": sf,
-                    "num_cpus": NUM_CPUS,
-                    "effective_cores_probe": probe, **extras}
+            return _summary(queries, sf, probe, extras)
 
     # --- flagship: encode the webtable ------------------------------------
     # best-of-N: this sandbox's co-tenant load swings single runs ~6x
@@ -194,12 +218,7 @@ def run_bench() -> dict:
     extras["roundtrip_ok"] = bool(v["ok"].all())
 
     if ONLY and not (ONLY - {"encode_webtable", "verify_webtable"}):
-        ray.shutdown()
-        shutil.rmtree(BENCH_OUT, ignore_errors=True)
-        total = round(sum(queries.values()), 3)
-        return {"metric": "bench_total_sec", "value": total, "unit": "sec",
-                "queries": queries, "sf": sf, "num_cpus": NUM_CPUS,
-                "effective_cores_probe": probe, **extras}
+        return _summary(queries, sf, probe, extras)
 
     # --- encode the sf tables (documents + lineitem + events) -------------
     enc2 = BENCH_OUT / "encoded_sf"
@@ -298,23 +317,7 @@ def run_bench() -> dict:
     topk_cosine(emb, qv, k=10, concurrency=4)
     queries["ann_topk"] = round(time.monotonic() - t0, 3)
 
-    ray.shutdown()
-    shutil.rmtree(BENCH_OUT, ignore_errors=True)  # don't hold tmpfs memory
-
-    total = round(sum(queries.values()), 3)
-    return {
-        "metric": "bench_total_sec",
-        "value": total,
-        "unit": "sec",
-        "queries": queries,
-        "sf": sf,
-        "num_cpus": NUM_CPUS,
-        # the sandbox shares CPUs between tenants: a sample is only
-        # interpretable against BASELINE.md's bands next to the co-tenant
-        # load it ran under (probe ~10+ quiet, <4 heavily loaded)
-        "effective_cores_probe": probe,
-        **extras,
-    }
+    return _summary(queries, sf, probe, extras)
 
 
 def _effective_cores(n: int = 16) -> float:
@@ -395,8 +398,9 @@ def run_scaling() -> dict:
                 [sys.executable, __file__], env=env, capture_output=True,
                 text=True, cwd=str(Path(__file__).parent),
             )
-            if proc.returncode == 0:
-                return json.loads(proc.stdout.strip().splitlines()[-1])
+            if proc.returncode == 0:  # the last JSON line: Ray may log after it
+                return json.loads(next(ln for ln in reversed(proc.stdout.splitlines())
+                                       if ln.startswith("{")))
             print(f"scaling child (ncpu={ncpu}) attempt {attempt} exited "
                   f"{proc.returncode}; stderr tail:\n"
                   + "\n".join(proc.stderr.splitlines()[-15:]),
@@ -459,4 +463,4 @@ if __name__ == "__main__":
     if "--scaling" in sys.argv:
         print(json.dumps(run_scaling()))
     else:
-        print(json.dumps(run_bench()))
+        run_bench()  # prints its own JSON line before Ray shuts down

@@ -298,7 +298,8 @@ def cmd_web(args) -> int:
 
 
 def cmd_describe(args) -> int:
-    """Codec registry + manifest metrics — no Ray session needed.
+    """Codec registry + which C kernels loaded (`native`) + manifest
+    metrics — no Ray session needed.
     --fsck reconciles the manifest against the on-disk encoded files
     (the reference's `manage update`, implemented: main.rs:148-150 stubs
     it); --repair deletes stale records/orphans so resume re-encodes."""
@@ -317,7 +318,9 @@ def cmd_describe(args) -> int:
         print(json.dumps(rep, indent=2))
         return 0 if rep["clean"] or args.repair else 1
 
-    out = {"codecs": {}}
+    from nem_mms_ray import _native
+
+    out = {"codecs": {}, "native": _native.status()}
     for name in sorted(REGISTRY):
         c = REGISTRY[name]
         doc = (c.__doc__ or "").strip().splitlines()
@@ -565,7 +568,7 @@ def main(argv: list[str] | None = None) -> int:
     pdc.add_argument("--num-cpus", type=int, default=None)
     pdc.set_defaults(fn=cmd_decode)
 
-    pd_ = sub.add_parser("describe", help="codec registry + manifest metrics")
+    pd_ = sub.add_parser("describe", help="codec registry + native kernels + manifest metrics")
     pd_.add_argument("out_dir", nargs="?", default=None)
     pd_.add_argument("--fsck", action="store_true",
                      help="reconcile manifest vs on-disk encoded files"

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import importlib
 import logging
 import os
 import platform
@@ -97,3 +98,17 @@ def load(src: Path, bind: Callable[[ctypes.CDLL], None]) -> ctypes.CDLL | None:
             lib = None
         _LIBS[src] = lib
     return _LIBS[src]
+
+
+def status() -> dict[str, bool]:
+    """{kernel stem: loaded} for every `*_kernel.c` in the package, each
+    loaded (built on first use) through its binding module, the
+    `_<name>_native.py` beside it.  False means its callers run the
+    scalar reference."""
+    pkg = Path(__file__).parent
+    out = {}
+    for src in sorted(pkg.rglob("*_kernel.c")):
+        binding = src.with_name(f"_{src.stem.removesuffix('_kernel')}_native")
+        module = ".".join(binding.relative_to(pkg.parent).parts)
+        out[src.stem] = importlib.import_module(module).get_lib() is not None
+    return out

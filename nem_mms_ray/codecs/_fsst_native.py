@@ -157,13 +157,15 @@ def decode(sym_bytes: np.ndarray, sym_lens: np.ndarray, enc: bytes, out_size: in
 _DUAL_MIN = 4096
 
 
-_NLANE = 2  # keep in sync with NLANE in fsst_kernel.c
+# Lane count of the C kernel's split: `fsst_encode` cuts at `split = n / 2`
+# (fsst_kernel.c has no named constant for it; keep the two in sync)
+_NLANE = 2
 
 
 def _py_encode(sym_bytes: np.ndarray, sym_lens: np.ndarray, data: bytes) -> bytes:
     if len(data) >= _DUAL_MIN:
         # mirror of the C kernel's lane split (no recursion): encode each
-        # quarter as an independent span — matches cannot cross boundaries
+        # half as an independent span — matches cannot cross boundaries
         q = len(data) // _NLANE
         cuts = [L * q for L in range(_NLANE)] + [len(data)]
         return b"".join(

@@ -71,7 +71,7 @@ class AlpCodec(Codec):
     def decode(self, ec: EncodedColumn) -> pa.Array:
         typ = dtypes.type_from_str(ec.dtype)
         np_t = np.float64 if typ.bit_width == 64 else np.float32
-        ints = unpack_bits(ec.payload, ec.n, ec.params["width"]).astype(np.int64)
+        ints = unpack_bits(ec.payload, ec.n, ec.params["width"]).view(np.int64)
         ints += np.int64(ec.params["base"])
         # same expression the encoder verified bit-equality against
         v = (ints.astype(np.float64) / (10.0 ** ec.params["exp"])).astype(np_t)

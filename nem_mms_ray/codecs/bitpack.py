@@ -7,15 +7,29 @@ index/length packer inside dict, rle and fsst.
 The decode side must reproduce values bit-identically including the
 reference's checked-narrowing semantics (/root/reference/src/flatfile.rs:573-587):
 we never change the logical type, only the physical width of the deltas.
+
+`pack_bits`/`unpack_bits` carry every packed stream in the engine (these
+codecs' payloads, alp's, dict indices, rle run lengths, fsst string
+lengths).  They run the word-at-a-time C kernel in `bitpack_kernel.c`
+(bound by `_bitpack_native`) on little-endian hosts, and otherwise the
+numpy reference `_pack_bits_ref`/`_unpack_bits_ref`, which builds the
+n x width bit matrix.  Both write the same bytes: value i in bits
+[i*width, (i+1)*width) of a little-endian bit stream, ceil(n*width/8)
+bytes in all.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 import pyarrow as pa
 
 from nem_mms_ray import dtypes
+from nem_mms_ray.codecs import _bitpack_native
 from nem_mms_ray.codecs.base import Codec, EncodedColumn, register
+
+_LITTLE_ENDIAN = sys.byteorder == "little"
 
 
 def bit_width(max_delta: int) -> int:
@@ -23,20 +37,55 @@ def bit_width(max_delta: int) -> int:
     return int(max_delta).bit_length() if max_delta > 0 else 0
 
 
+def _kernel():
+    return _bitpack_native.get_lib() if _LITTLE_ENDIAN else None
+
+
 def pack_bits(values: np.ndarray, width: int) -> bytes:
-    """Pack non-negative uint64 values into `width`-bit little-endian fields."""
+    """Pack the low `width` bits of each value (read as uint64) into
+    `width`-bit little-endian fields: ceil(len(values)*width/8) bytes."""
     if width == 0 or len(values) == 0:
         return b""
+    lib = _kernel()
+    if lib is None:
+        return _pack_bits_ref(values, width)
+    v = np.ascontiguousarray(values, dtype=np.uint64)
+    out = np.empty((len(v) * width + 7) // 8, np.uint8)
+    lib.bp_pack(v.ctypes.data, len(v), width, out.ctypes.data)
+    return out.tobytes()
+
+
+def unpack_bits(buf: bytes, n: int, width: int) -> np.ndarray:
+    """Inverse of pack_bits -> a fresh uint64 ndarray of length n.  Raises
+    ValueError when `buf` is shorter than the ceil(n*width/8) bytes that
+    pack_bits writes (a truncated payload) or `width` is outside 0..64."""
+    if not 0 <= width <= 64:
+        raise ValueError(f"bit width {width} outside 0..64")
+    if width == 0 or n == 0:
+        return np.zeros(n, dtype=np.uint64)
+    need = (n * width + 7) // 8
+    if len(buf) < need:
+        raise ValueError(f"bit-packed stream truncated: {len(buf)} bytes "
+                         f"for {n} values of {width} bits need {need}")
+    lib = _kernel()
+    if lib is None:
+        return _unpack_bits_ref(buf, n, width)
+    src = np.frombuffer(buf, np.uint8)
+    out = np.empty(n, np.uint64)
+    lib.bp_unpack(src.ctypes.data, len(src), n, width, out.ctypes.data)
+    return out
+
+
+def _pack_bits_ref(values: np.ndarray, width: int) -> bytes:
+    """Numpy reference for pack_bits (width > 0, values non-empty)."""
     v = values.astype(np.uint64, copy=False)
     shifts = np.arange(width, dtype=np.uint64)
     bits = ((v[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
     return np.packbits(bits.ravel(), bitorder="little").tobytes()
 
 
-def unpack_bits(buf: bytes, n: int, width: int) -> np.ndarray:
-    """Inverse of pack_bits -> uint64 ndarray of length n."""
-    if width == 0 or n == 0:
-        return np.zeros(n, dtype=np.uint64)
+def _unpack_bits_ref(buf: bytes, n: int, width: int) -> np.ndarray:
+    """Numpy reference for unpack_bits (width > 0, n > 0, buf long enough)."""
     bits = np.unpackbits(
         np.frombuffer(buf, np.uint8), count=n * width, bitorder="little"
     ).reshape(n, width)
@@ -105,7 +154,7 @@ class ForBitpackCodec(Codec):
         raw = deltas + np.uint64(base & 0xFFFFFFFFFFFFFFFF)  # wraps mod 2^64
         ivt = dtypes.int_view_type(typ)
         np_t = np.dtype(str(ivt) if pa.types.is_integer(ivt) else "int64")
-        v = raw.astype(np.int64).astype(np_t) if np_t.kind == "i" else raw.astype(np_t)
+        v = raw.view(np.int64).astype(np_t) if np_t.kind == "i" else raw.astype(np_t)
         out = pa.array(v, type=ivt)
         if not typ.equals(ivt):
             out = out.view(typ)
@@ -208,7 +257,7 @@ class DeltaBitpackCodec(Codec):
                 vals[1:] = vals[0] + deltas
         ivt = dtypes.int_view_type(typ)
         np_t = np.dtype(str(ivt)) if pa.types.is_integer(ivt) else np.dtype("int64")
-        v = vals.astype(np.int64).astype(np_t) if np_t.kind == "i" else vals.astype(np_t)
+        v = vals.view(np.int64).astype(np_t) if np_t.kind == "i" else vals.astype(np_t)
         out = pa.array(v, type=ivt)
         if not typ.equals(ivt):
             out = out.view(typ)

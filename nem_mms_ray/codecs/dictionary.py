@@ -80,7 +80,7 @@ class DictCodec(Codec):
 
     def decode(self, ec: EncodedColumn) -> pa.Array:
         idx_packed, child_b = dtypes.unpack_sections(ec.payload)
-        indices = unpack_bits(idx_packed, ec.n, ec.params["width"]).astype(np.int64)
+        indices = unpack_bits(idx_packed, ec.n, ec.params["width"]).view(np.int64)
         values = ec_from_bytes(child_b)
         dict_values = get_codec(values.codec).decode(values)
         out = dict_values.take(pa.array(indices, type=pa.int64()))

@@ -315,7 +315,7 @@ class FsstCodec(Codec):
     def decode(self, ec: EncodedColumn) -> pa.Array:
         typ = dtypes.type_from_str(ec.dtype)
         sym_lens_b, sym_bytes_b, stream, lengths_packed = dtypes.unpack_sections(ec.payload)
-        lengths = unpack_bits(lengths_packed, ec.n, ec.params["len_width"]).astype(np.int64)
+        lengths = unpack_bits(lengths_packed, ec.n, ec.params["len_width"]).view(np.int64)
         if ec.params["raw"]:
             data = stream
         else:

@@ -69,7 +69,7 @@ class RleCodec(Codec):
     def decode(self, ec: EncodedColumn) -> pa.Array:
         len_packed, child_b = dtypes.unpack_sections(ec.payload)
         runs = ec.params["runs"]
-        lengths = unpack_bits(len_packed, runs, ec.params["width"]).astype(np.int64)
+        lengths = unpack_bits(len_packed, runs, ec.params["width"]).view(np.int64)
         child = ec_from_bytes(child_b)
         values = get_codec(child.codec).decode(child)
         idx = np.repeat(np.arange(runs, dtype=np.int64), lengths)

@@ -28,6 +28,9 @@ def test_cli_gen_encode_verify_describe(ray_session, tmp_path, capsys):
                                    "dict", "rle", "fsst"}
     assert desc["manifest"]["rows"] == 2000
     assert desc["columns"]["lang"]["codec"] == "dict"
+    assert set(desc["native"]) == {"bitpack_kernel", "fsst_kernel", "langid_kernel",
+                                   "setops_kernel", "webextract_kernel", "winnow_kernel"}
+    assert all(isinstance(v, bool) for v in desc["native"].values())
 
     # decode back to plain parquet; full content equality with the input
     import pyarrow.parquet as pq

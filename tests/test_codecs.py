@@ -8,6 +8,7 @@ must equal col exactly, including null positions and empty-vs-null strings.
 
 import functools
 import hashlib
+import json
 
 import numpy as np
 import pyarrow as pa
@@ -15,6 +16,7 @@ import pytest
 
 from nem_mms_ray.codecs import REGISTRY, decode_column, get_codec
 from nem_mms_ray.codecs import _fsst_native as native
+from nem_mms_ray.codecs import bitpack
 from nem_mms_ray.codecs.bitpack import bit_width, pack_bits, unpack_bits
 from nem_mms_ray.codecs.fsst import train_symbols
 
@@ -136,6 +138,69 @@ def test_bitpack_widths(width):
     out = unpack_bits(buf, n, width)
     assert np.array_equal(out, vals)
     assert len(buf) == (n * width + 7) // 8
+
+
+PARITY_SIZES = [0, 1, 7, 63, 64, 65, 4095, 65536]
+
+
+def _parity_values(n: int, seed: int) -> np.ndarray:
+    """Full-range uint64 values: every bit above `width` is set somewhere."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True)
+
+
+@pytest.mark.parametrize("n", PARITY_SIZES)
+def test_bitpack_kernel_matches_reference(n):
+    """The C packer writes the numpy reference's bytes for every width,
+    stores only the low `width` bits, and unpacks them back."""
+    if bitpack._kernel() is None:
+        pytest.skip("no C compiler in this environment")
+    for width in range(65):
+        vals = _parity_values(n, 1000 * n + width)
+        low = vals if width == 64 else vals & np.uint64((1 << width) - 1)
+        buf = pack_bits(vals, width)
+        assert len(buf) == (n * width + 7) // 8, (n, width)
+        out = unpack_bits(buf, n, width)
+        assert out.dtype == np.uint64 and np.array_equal(out, low), (n, width)
+        if n and width:
+            assert buf == bitpack._pack_bits_ref(vals, width), (n, width)
+            assert np.array_equal(bitpack._unpack_bits_ref(buf, n, width), low)
+
+
+def test_bitpack_kernel_int64_and_strided_inputs():
+    """int64 input (negative values included, read as their two's
+    complement) and a strided view pack like a contiguous uint64 copy."""
+    if bitpack._kernel() is None:
+        pytest.skip("no C compiler in this environment")
+    rng = np.random.default_rng(5)
+    signed = rng.integers(-2**40, 2**40, 4099)
+    base = _parity_values(8192, 6)
+    for vals in (signed, np.abs(signed), base[::3], base[::-2]):
+        for width in (1, 13, 41, 64):
+            want = bitpack._pack_bits_ref(np.ascontiguousarray(vals).astype(np.uint64), width)
+            assert pack_bits(vals, width) == want, width
+            assert bitpack._pack_bits_ref(vals, width) == want, width
+
+
+@pytest.mark.parametrize("reference", [False, True])
+def test_truncated_payload_raises(reference, monkeypatch):
+    """A packed stream shorter than ceil(n*width/8) bytes raises rather
+    than decoding zero-padded values, in unpack_bits and in a codec."""
+    if reference:
+        monkeypatch.setattr(bitpack, "_kernel", lambda: None)
+    buf = pack_bits(np.arange(100, dtype=np.uint64), 7)
+    assert len(buf) == 88
+    with pytest.raises(ValueError, match="truncated"):
+        unpack_bits(buf[:40], 100, 7)
+    with pytest.raises(ValueError, match="truncated"):
+        unpack_bits(buf[:-1], 100, 7)
+    assert np.array_equal(unpack_bits(buf, 100, 7), np.arange(100))
+    with pytest.raises(ValueError, match="outside"):
+        unpack_bits(buf, 10, 65)
+    ec = get_codec("for").encode(pa.array(np.arange(1000) * 3 + 17, pa.int64()))
+    ec.payload = ec.payload[: len(ec.payload) // 2]
+    with pytest.raises(ValueError, match="truncated"):
+        decode_column(ec)
 
 
 def test_bit_width():
@@ -474,3 +539,85 @@ def test_fsst_refine_sums_counts_of_equal_pairs():
 
     assert b"abc" in refined(first + second)
     assert b"abc" not in refined(first.replace(b"zabcz", b"zzzzz", 1) + second)
+
+
+# ---------------------------------------------------------------------------
+# Golden payloads: sha256(payload + sorted params JSON) of every codec that
+# bit-packs (for/bitpack/delta/alp payloads, dict indices, rle run lengths,
+# fsst string lengths) on seeded columns.  Recorded before the packer moved
+# to C; any packer change must reproduce them (the on-disk format), so
+# never regenerate them to make a change pass.
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=1)
+def _golden_columns() -> dict[str, tuple[str, pa.Array]]:
+    from nem_mms_ray.webtable import SMALL, generate_shard
+
+    rng = np.random.default_rng(20261018)
+    n = 70_000  # more than one 64-bit word per field at every width
+    nulls = rng.random(n) < 0.05
+    ints = rng.integers(-1_000_000, 1_000_000, n)
+    days = 1_600_000_000_000_000 + rng.integers(0, 4000, n) * 86_400_000_000
+    ts = np.cumsum(rng.integers(900, 1100, n)) + 1_700_000_000_000_000
+    shard = generate_shard(5, 600, 0, SMALL)
+    words = np.array(["alpha", "beta", "gamma", "delta", "epsilon", "zeta"])
+    return {
+        "for_int64": ("for", pa.array(ints, pa.int64(), mask=nulls)),
+        "for_days": ("for", pa.array(days, pa.timestamp("us"))),
+        "for_full_range": ("for", pa.array(
+            rng.integers(-2**63, 2**63 - 1, 4099, dtype=np.int64, endpoint=True))),
+        "for_int16": ("for", pa.array(rng.integers(-300, 300, 999).astype(np.int16))),
+        "bitpack_small": ("bitpack", pa.array(rng.integers(0, 6, n), pa.int64())),
+        "bitpack_uint64": ("bitpack", pa.array(
+            rng.integers(0, 2**64 - 1, 3001, dtype=np.uint64, endpoint=True))),
+        "delta_ts": ("delta", pa.array(ts, pa.timestamp("us"))),
+        "delta_mixed": ("delta", pa.array(ints, pa.int64(), mask=nulls)),
+        "alp_prices": ("alp", pa.array(rng.integers(0, 10**7, n) / 100.0, mask=nulls)),
+        "alp_float32": ("alp", pa.array(
+            (rng.integers(-500, 500, 5000) / 4.0).astype(np.float32))),
+        "dict_strings": ("dict", pa.array(words[rng.integers(0, len(words), n)])),
+        "dict_ints": ("dict", pa.array(rng.integers(0, 3000, n) * 7919, pa.int64())),
+        "rle_strings": ("rle", pa.array(np.repeat(
+            words[rng.integers(0, len(words), 2000)], rng.integers(1, 60, 2000)))),
+        "rle_ints": ("rle", pa.array(np.repeat(
+            rng.integers(0, 9, 5000), rng.integers(1, 9, 5000)), pa.int32())),
+        "fsst_text": ("fsst", shard.column("text").combine_chunks()),
+        "fsst_url": ("fsst", shard.column("url").combine_chunks()),
+    }
+
+
+def _payload_digest(ec) -> str:
+    params = json.dumps(ec.params, sort_keys=True).encode()
+    return hashlib.sha256(ec.payload + params).hexdigest()
+
+
+GOLDEN_PAYLOADS = {
+    "alp_float32": "32fcf01a7e1d266522a752b7732483857e7f6915a30037b5def53a2c2fba3b47",
+    "alp_prices": "070dfbcb83612856d0593fcb77d7a5958e2e4da2f74f22f4c24b1749f5253a3e",
+    "bitpack_small": "48b55ed76ab7aa29fbdf62df4dcf04e743ff4794ae83f7c908721b55929460ab",
+    "bitpack_uint64": "366d3a3143f52e8a11d9544c9034de142412b5a33ca62a086070eec98ca75d4d",
+    "delta_mixed": "fd6bf75e12e7df085fe660028e77bcf9204610787aff7b0a5591e3ea15f7d869",
+    "delta_ts": "2044ad12afb4b7ce2edbcb44eaaa74dd01f8f3ebdc01f39da07d2cbb10d50e7f",
+    "dict_ints": "436a73b970645625488be47d31f0941f22462fc269cad5e3ab20d4e4e71bf05c",
+    "dict_strings": "447642422560cf1a6a5ba85ed41e81e43598cba2290a2cef77d9c28ee65d98f6",
+    "for_days": "8e4527ae9d0a2b21f549dfc09ae347a56091ed75084d6c98e765a78e91a6183a",
+    "for_full_range": "c8888008214d6765b192ad0d880787b18350c268d3b86601b75b2272bdd6f64c",
+    "for_int16": "5d29ed4ed9c7c114983312bed342c82f04b1727bacedaba260cc35b851b9366c",
+    "for_int64": "556445b20ccd35acfb12290e2058463330886c7372435a5c7f5888c63a58487c",
+    "fsst_text": "df86fefacf98723e12f83b8ce2c08544525608662c4dd8e3eee3160ebf84272f",
+    "fsst_url": "13de4f8906d2d530dc9fa395088abda5e739ac92db57f509181d1f275f9de1f3",
+    "rle_ints": "69ebad49811bfe8ee3ee8762a5b78a36012fee6501f8ac1144dffd220d79352e",
+    "rle_strings": "4849d0c7fd6839c8c552ca0b54b04f3244016ac6bfbf255e96cacdbefef09fed",
+}
+
+
+@pytest.mark.parametrize("reference", [False, True])
+@pytest.mark.parametrize("name", sorted(GOLDEN_PAYLOADS))
+def test_golden_payloads(name, reference, monkeypatch):
+    if reference:
+        monkeypatch.setattr(bitpack, "_kernel", lambda: None)
+    codec, arr = _golden_columns()[name]
+    ec = get_codec(codec).encode(arr)
+    assert _payload_digest(ec) == GOLDEN_PAYLOADS[name]
+    assert decode_column(ec).equals(arr)

@@ -12,6 +12,7 @@ import pytest
 
 from nem_mms_ray import _native
 from nem_mms_ray.codecs import _fsst_native
+from nem_mms_ray.codecs.bitpack import pack_bits, unpack_bits
 from nem_mms_ray.codecs.fsst import train_symbols
 from nem_mms_ray.ops import _webextract_native
 from nem_mms_ray.ops.textstats import LangId, token_stats_batch
@@ -19,7 +20,8 @@ from nem_mms_ray.ops.webextract import extract_binary
 from nem_mms_ray.ops.winnow import _batch_winnow_sets
 from nem_mms_ray.webtable import SMALL, generate_shard
 
-LOADERS = ("nem_mms_ray.codecs._fsst_native", "nem_mms_ray.ops._langid_native",
+LOADERS = ("nem_mms_ray.codecs._bitpack_native", "nem_mms_ray.codecs._fsst_native",
+           "nem_mms_ray.ops._langid_native",
            "nem_mms_ray.ops._setops_native", "nem_mms_ray.ops._webextract_native",
            "nem_mms_ray.ops._winnow_native")
 
@@ -56,7 +58,12 @@ def _outputs(shard: pa.Table, table) -> dict:
     docs = pa.table({"doc_id": pa.array(range(shard.num_rows), pa.int64()),
                      "text": shard.column("text")})
     texts = docs.column("text").to_pylist()
+    lengths = np.array([len(t or "") for t in texts], np.int64)
+    packed = {w: pack_bits(lengths, w) for w in (3, 17, 64)}
     return {
+        "pack_bits": packed,
+        "unpack_bits": {w: unpack_bits(b, len(lengths), w).tobytes()
+                        for w, b in packed.items()},
         "fsst_encode": enc,
         "fsst_decode": _fsst_native.decode(*table, enc, len(data)),
         "token_stats": token_stats_batch(docs),
