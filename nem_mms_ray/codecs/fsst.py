@@ -31,6 +31,7 @@ TRAIN_SAMPLE_BYTES = 1 << 16  # 64 KiB — FSST trains well on small samples
 # (measured on the FIXTURES webtable: 64K/3-gen matches 128K/3-gen ratio
 # within 1% at half the training cost; 2-gen loses 15-30% ratio on html)
 _GRAM_LENGTHS = (2, 3, 4, 5, 6, 8)
+MIN_RATIO = 1 / 8  # encoded/input bytes floor: one code covers <= 8 bytes
 
 
 def take_sample(data: bytes, cap: int = TRAIN_SAMPLE_BYTES) -> bytes:
@@ -83,15 +84,24 @@ def _train_gen1(sample: bytes, max_symbols: int = MAX_SYMBOLS) -> tuple[np.ndarr
     cand_len.append(np.full(len(present), 1, np.int64))
     cand_val.append(present.astype(np.uint64))
 
-    # incremental big-endian packing: vals_L = (vals_{L-1} << 8) | arr[L-1:]
-    vals = arr.astype(np.uint64)
-    for L in range(2, max(_GRAM_LENGTHS) + 1):
-        if len(arr) < L:
+    # one sort serves every gram length: each position's 8 bytes (zero
+    # padded past the end) as a big-endian value, sorted once; the L-byte
+    # prefixes of sorted values are sorted too, so their runs count the
+    # L-grams.  The last L-1 positions have no L-gram: their padded
+    # prefixes are subtracted from the counts.
+    n = len(arr)
+    srt = np.sort(_gram_values(arr))
+    for L in _GRAM_LENGTHS:
+        if n < L:
             break
-        vals = (vals[:-1] << np.uint64(8)) | arr[L - 1 :]
-        if L not in _GRAM_LENGTHS:
-            continue
-        uniq, cnt = np.unique(vals, return_counts=True)
+        pre = srt >> np.uint64(8 * (8 - L))
+        first = np.ones(n, bool)
+        first[1:] = pre[1:] != pre[:-1]
+        starts = np.flatnonzero(first)
+        uniq = pre[starts]
+        cnt = np.diff(np.append(starts, n))
+        tail = _gram_values(arr[n - L + 1 :]) >> np.uint64(8 * (8 - L))
+        np.subtract.at(cnt, np.searchsorted(uniq, tail), 1)
         gain = cnt.astype(np.int64) * (L - 1)
         # keep only candidates that plausibly pay for a code slot
         keep = gain >= max(8, L * 2)
@@ -115,6 +125,15 @@ def _train_gen1(sample: bytes, max_symbols: int = MAX_SYMBOLS) -> tuple[np.ndarr
     valid = shifts >= 0
     sym_bytes[valid] = ((vals[:, None] >> np.where(valid, shifts, 0).astype(np.uint64)) & np.uint64(0xFF))[valid]
     return sym_bytes, lens.astype(np.uint8)
+
+
+def _gram_values(arr: np.ndarray) -> np.ndarray:
+    """Big-endian uint64 of the 8 bytes starting at each position of `arr`,
+    zero padded past its end."""
+    padded = np.zeros(len(arr) + 7, np.uint8)
+    padded[: len(arr)] = arr
+    be = np.ndarray((len(arr),), ">u8", padded, strides=(1,))
+    return be.astype(np.uint64)
 
 
 def _item_ids(enc: np.ndarray) -> np.ndarray:

@@ -27,13 +27,44 @@ from pathlib import Path
 TARGET_BLOCK_BYTES = 128 << 20
 
 
+def _remote(path: str):
+    """(filesystem, path) of a `scheme://` URI; None for a local path."""
+    if "://" not in path:
+        return None
+    from pyarrow import fs
+
+    return fs.FileSystem.from_uri(path)
+
+
 def _expand(path_or_paths) -> list[str]:
     if isinstance(path_or_paths, (str, Path)):
+        remote = _remote(str(path_or_paths))
+        if remote is not None:
+            from pyarrow import fs
+
+            filesystem, path = remote
+            if filesystem.get_file_info(path).type != fs.FileType.Directory:
+                return [str(path_or_paths)]
+            base = str(path_or_paths).rstrip("/")
+            return sorted(f"{base}/{info.base_name}"
+                          for info in filesystem.get_file_info(fs.FileSelector(path))
+                          if info.base_name.endswith(".parquet"))
         p = Path(path_or_paths)
         if p.is_dir():
             return sorted(str(f) for f in p.glob("*.parquet"))
         return [str(p)]
     return [str(p) for p in path_or_paths]
+
+
+def _file_bytes(path: str) -> int:
+    remote = _remote(path)
+    if remote is None:
+        return Path(path).stat().st_size
+    filesystem, p = remote
+    info = filesystem.get_file_info(p)
+    if info.size is None:  # missing (or a directory): fail like stat() does
+        raise FileNotFoundError(path)
+    return info.size
 
 
 def sized_num_blocks(paths: list[str],
@@ -43,8 +74,9 @@ def sized_num_blocks(paths: list[str],
 
     File size (compressed, all columns) is the proxy even under column
     pruning — it errs toward MORE blocks, never fewer, so a pruned read
-    can only end up finer-grained than the target, not coarser."""
-    total = sum(Path(p).stat().st_size for p in paths)
+    can only end up finer-grained than the target, not coarser.  Paths
+    may be local or `scheme://` URIs (sized through `pyarrow.fs`)."""
+    total = sum(_file_bytes(str(p)) for p in paths)
     if min_blocks is None:
         import ray
 
@@ -63,5 +95,11 @@ def read_parquet_sized(path_or_paths, columns: list[str] | None = None,
 
     paths = _expand(path_or_paths)
     n = sized_num_blocks(paths, target_block_bytes, min_blocks)
+    remote = [_remote(p) for p in paths]
+    if remote and all(remote) and "filesystem" not in kw:
+        # Ray resolves every later path against the first path's
+        # filesystem, which refuses a second local `file://` URI
+        kw["filesystem"] = remote[0][0]
+        paths = [p for _, p in remote]
     return rd.read_parquet(paths, columns=columns,
                            override_num_blocks=n, **kw)

@@ -35,7 +35,7 @@ def _decode_table_chunks(tbl: pa.Table, columns=None, keep_chunks=None):
     import numpy as np
 
     def _binary_views(col):
-        arr = col.combine_chunks()
+        arr = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
         odt = np.int64 if pa.types.is_large_binary(arr.type) else np.int32
         bufs = arr.buffers()
         offs = np.frombuffer(
@@ -326,8 +326,7 @@ class VerifyPartitions:
                 for _ci, chunk in iter_decoded_chunks(enc_path, self.columns):
                     sl = orig.slice(offset, chunk.num_rows)
                     for name in sl.column_names:
-                        if not sl.column(name).combine_chunks().equals(
-                                chunk.column(name).combine_chunks()):
+                        if not sl.column(name).equals(chunk.column(name)):
                             mismates.add(name)
                     offset += chunk.num_rows
             out.append(

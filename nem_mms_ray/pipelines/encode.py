@@ -9,12 +9,13 @@ Ray-Data-native shape (SURVEY.md §3.1 target lifecycle):
     -> Dataset of per-partition metric rows # consumed small
 
 Each task streams its partition through pyarrow record batches
-(bounded memory), runs the sampling pass (sketches -> codec plan, FSST
-symbol tables trained ONCE per partition and reused across batches — the
-stateful-stage contract from BASELINE.json:north_star), encodes column
-chunks, and writes one encoded parquet file + one manifest lineage record
-atomically.  Encode is deliberately shuffle-free: partition independence is
-the design (SURVEY.md §7.3).
+(bounded memory) and reads its input once: the first batches also feed the
+sampling pass (sketches -> codec plan, FSST symbol tables trained ONCE per
+partition and reused across batches — the stateful-stage contract from
+BASELINE.json:north_star; no training for a column FSST cannot win).  It
+then encodes column chunks and writes one encoded parquet file + one
+manifest lineage record atomically.  Encode is deliberately shuffle-free:
+partition independence is the design (SURVEY.md §7.3).
 
 This mirrors the reference's parse lifecycle (expand -> classify -> segment
 -> pivot -> route -> write, /root/reference/src/main.rs:92-100,
@@ -29,7 +30,7 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +38,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from nem_mms_ray import dtypes
-from nem_mms_ray.codecs import EncodedColumn, get_codec
-from nem_mms_ray.selector import plan_for_sketches
+from nem_mms_ray.codecs import EncodedColumn, fsst, get_codec
+from nem_mms_ray.selector import plan_for_sketches, select_codec
 from nem_mms_ray.state.manifest import Manifest, PartitionRecord
 from nem_mms_ray.stats import sketch_array
 
@@ -231,6 +232,22 @@ def _string_successor(p: str) -> str:
     return ""
 
 
+def _fsst_can_win(sk) -> bool:
+    """Whether the selector could pick FSST for this sketch at any ratio
+    training might measure.  One code byte covers at most 8 input bytes, so
+    a measured ratio is >= `fsst.MIN_RATIO`, and FSST's estimate only grows
+    with the ratio: if it loses at that floor, training cannot change the
+    plan."""
+    return select_codec(replace(sk, fsst_ratio=fsst.MIN_RATIO)).codec == "fsst"
+
+
+def _drain(head: list, rest):
+    """`head`'s batches, each released once taken, then the rest."""
+    while head:
+        yield head.pop(0)
+    yield from rest
+
+
 class EncodePartitions:
     """Actor-pool callable over partition-spec rows (batch_format='pyarrow').
 
@@ -249,37 +266,30 @@ class EncodePartitions:
         self.manifest.init()
 
     # -- sampling pass ------------------------------------------------------
-    def _plan(self, pf: pq.ParquetFile, row_groups: list[int]):
-        """Sketch + train on the partition's first rows, ONCE per column.
+    def _plan(self, sample: pa.Table):
+        """Sketch + train on the partition's sample rows, ONCE per column.
 
-        String columns train their real FSST symbol table here and measure
-        the realized ratio on the training sample — one training pass feeds
-        both the selector (via sketch.fsst_ratio) and the encode stage (the
-        table is reused for every batch of the partition), instead of a
-        throwaway probe table plus a second real training.  Sketches use a
-        2048-row slice: plan decisions are ratio-based and stable well below
-        the full sample, and KMV-hashing multi-MB html slices dominated the
-        plan cost otherwise.
+        `sample` is the first `sample_rows` rows of the partition's first
+        row group, cut from the batches the encode loop reads (the file is
+        read once).  String columns train their real FSST symbol table
+        here and measure the realized ratio on the training sample — one
+        training pass feeds both the selector (via sketch.fsst_ratio) and
+        the encode stage (the table is reused for every batch of the
+        partition).  A column whose sketch already rules FSST out at its
+        best possible ratio (`_fsst_can_win`) is not trained: the plan is
+        the same either way.  Sketches use a 2048-row slice: plan decisions
+        are ratio-based and stable well below the full sample, and
+        KMV-hashing multi-MB html slices dominated the plan cost otherwise.
         """
         from nem_mms_ray.codecs import _fsst_native as _native
-        from nem_mms_ray.codecs.fsst import _string_buffers, take_sample, train_symbols
-
         from nem_mms_ray.selector import ColumnPlan
 
-        try:
-            first = next(pf.iter_batches(batch_size=self.sample_rows,
-                                         row_groups=row_groups[:1],
-                                         columns=self.columns))
-            sample = pa.Table.from_batches([first])
-        except StopIteration:  # zero-row partition: plan from empty columns
-            sample = pf.schema_arrow.empty_table()
-            if self.columns:
-                sample = sample.select(list(self.columns))
         sketches = {}
         trained = {}
         ipc_cols = []
         for name in sample.column_names:
-            arr = sample.column(name).combine_chunks()
+            col = sample.column(name)
+            arr = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
             try:
                 sk = sketch_array(name, arr.slice(0, min(len(arr), 2048)),
                                   with_fsst_probe=False)
@@ -291,18 +301,17 @@ class EncodePartitions:
             # train even on small columns (cheap): prefix-heavy short string
             # columns (ids, names) compress well and the measured ratio beats
             # the blind 0.6 default in the fsst estimate
-            if dtypes.is_string_like(arr.type) and sk.value_bytes >= 512:
+            if (dtypes.is_string_like(arr.type) and sk.value_bytes >= 512
+                    and _fsst_can_win(sk)):
                 # buffer-extract only ~4x the training cap, not the whole
                 # multi-MB sample column (tobytes on it dominated the plan)
-                from nem_mms_ray.codecs.fsst import TRAIN_SAMPLE_BYTES
-
                 avg = max(1, sk.value_bytes // max(1, sk.n - sk.nulls))
-                need = min(len(arr), max(256, (4 * TRAIN_SAMPLE_BYTES) // avg))
+                need = min(len(arr), max(256, (4 * fsst.TRAIN_SAMPLE_BYTES) // avg))
                 idx = np.linspace(0, len(arr) - 1, need).astype(np.int64)
-                _, data = _string_buffers(dtypes.fill_nulls(arr.take(idx)))
+                _, data = fsst._string_buffers(dtypes.fill_nulls(arr.take(idx)))
                 if len(data):
-                    s = take_sample(bytes(data))
-                    syms = train_symbols(s)
+                    s = fsst.take_sample(bytes(data))
+                    syms = fsst.train_symbols(s)
                     trained[name] = syms
                     sk.fsst_ratio = len(_native.encode(*syms, s)) / max(1, len(s))
             sketches[name] = sk
@@ -354,7 +363,27 @@ class EncodePartitions:
             return PartitionResult(pid=spec.pid, skipped=True)
 
         pf = pq.ParquetFile(spec.path)
-        plans, symbols = self._plan(pf, spec.row_groups)
+        bpr = _rows_per_batch(spec.approx_bytes, spec.rows)
+        batches = pf.iter_batches(batch_size=bpr, row_groups=spec.row_groups,
+                                  columns=self.columns)
+        # the plan's sample is the first rows of the first row group, taken
+        # from the batches the encode loop then encodes: one read per file
+        need = min(self.sample_rows, pf.metadata.row_group(spec.row_groups[0]).num_rows)
+        head, got = [], 0
+        while got < need:
+            rb = next(batches, None)
+            if rb is None:
+                break
+            head.append(rb)
+            got += rb.num_rows
+        if head:
+            sample = pa.Table.from_batches(head).slice(0, need)
+        else:  # zero-row partition: plan from empty columns
+            sample = pf.schema_arrow.empty_table()
+            if self.columns:
+                sample = sample.select(list(self.columns))
+        plans, symbols = self._plan(sample)
+        del sample  # so each head batch is freed once it is encoded
 
         col_bytes: dict[str, list[int]] = {}
         rows = 0
@@ -370,11 +399,7 @@ class EncodePartitions:
             # zstd-3 1.2MB/56ms) — level 3 is the ratio/speed knee
             writer = pq.ParquetWriter(tmp, ENCODED_SCHEMA, compression="zstd",
                                       compression_level=3)
-            bpr = _rows_per_batch(spec.approx_bytes, spec.rows)
-            for chunk_idx, rb in enumerate(
-                pf.iter_batches(batch_size=bpr, row_groups=spec.row_groups,
-                                columns=self.columns)
-            ):
+            for chunk_idx, rb in enumerate(_drain(head, batches)):
                 out_rows = []
                 for name, arr in zip(rb.schema.names, rb.columns):
                     ec = self._encode_chunk(name, arr, plans, symbols)

@@ -442,6 +442,18 @@ def _golden_corpora() -> dict[str, bytes]:
     base = blocks[rng.permutation(len(blocks))].tobytes()
     for n in (1, 7, 4095, 65537):
         out[f"size_{n}"] = (base * 2)[:n]
+    # generation 1's last L-1 positions hold no L-gram; zero padding makes
+    # them look like grams ending in 0x00, so corpora ending in (or made
+    # of) 0x00 catch a miscounted tail
+    for n in range(1, 10):
+        out[f"tail_len_{n}"] = (b"ab\x00" * 3)[:n]
+    fox = b"the quick brown fox jumps over the lazy dog " * 40
+    for k in (1, 3, 8):
+        out[f"tail_zeros_{k}"] = fox + b"\x00" * k
+    for k in (4, 9, 500):
+        out[f"tail_a00_{k}"] = b"a\x00" * k
+    for n in (8, 9, 5000):
+        out[f"tail_all_zero_{n}"] = b"\x00" * n
     return out
 
 
@@ -470,6 +482,24 @@ GOLDEN_TABLES = {
     "size_7": "aa89c74273e75d5896f9885e49eba6585eeb4e98e732dae88dbe718584fb1c5b",
     "size_4095": "32a02526ad572c30988eb50dcdc4bb6faee21931b56a70e6a130dc01c5f86951",
     "size_65537": "47a040908bed0afdb6ba0c41393a7494195ebed10694c222dd02ddeebfe0bb47",
+    "tail_len_1": "ba9a4940c22297276cb5228cc2c37e174ae2a00e6e864373a833f5acd5ced455",
+    "tail_len_2": "840abeabcd406555c170ed2250ced24cc394fc36487ad078ef2e4c4c038c37e4",
+    "tail_len_3": "98f6cf85d53b4e22b147a75501e1574e37c9bafec48efa1f1e03605848bc4062",
+    "tail_len_4": "977e4765c17db4e862aad43de8d02dc34dfe616d321ee7b1052f5a6311890e87",
+    "tail_len_5": "0ea6157243b4b1078ea2cafd617d0dce627e9af29a1dc4aefe1bca7abaa48610",
+    "tail_len_6": "98f6cf85d53b4e22b147a75501e1574e37c9bafec48efa1f1e03605848bc4062",
+    "tail_len_7": "977e4765c17db4e862aad43de8d02dc34dfe616d321ee7b1052f5a6311890e87",
+    "tail_len_8": "0ea6157243b4b1078ea2cafd617d0dce627e9af29a1dc4aefe1bca7abaa48610",
+    "tail_len_9": "98f6cf85d53b4e22b147a75501e1574e37c9bafec48efa1f1e03605848bc4062",
+    "tail_zeros_1": "003cd4f83b5ae6a2ee8d8932cf5f08c468bd11fc7babfb4380987783ed4b6edd",
+    "tail_zeros_3": "003cd4f83b5ae6a2ee8d8932cf5f08c468bd11fc7babfb4380987783ed4b6edd",
+    "tail_zeros_8": "a7912fcc14a86315391fa5e590dd5b96dd785ef3f46fc197d23d7900277ca8a7",
+    "tail_a00_4": "ddcaec6f36c6443c98ea175a88416cab10d6eb7d0656f2da495c80788b3bcb47",
+    "tail_a00_9": "1e6f3a3e1a97c0a62c58f723107ac24c368ef8346dae9b9a897d5347d6c5acfb",
+    "tail_a00_500": "bfc66fbc27a60df4b045a1054a8674c2350acd7cd2fc2071814a08186013528c",
+    "tail_all_zero_8": "13b2ea29e1926f9e95229bad3760db4f4f6faf5dc07d26543be2ed6a1ace2259",
+    "tail_all_zero_9": "a2d97e1d96e7e41a1bdbafc19d3179736539d95addd1abe79a95d1e5ce356b4a",
+    "tail_all_zero_5000": "964e47db35f597c9abb8f0a379fbdf3197fc8502a1dcc9393683fa2ebda7f141",
 }
 
 

@@ -1,0 +1,201 @@
+"""Per-partition planning: the encoded bytes it must reproduce, and the
+FSST training it may skip.
+
+`EncodePartitions` plans each partition from the first rows of its first
+row group, taken from the batches its encode loop reads.  The digests
+below were recorded on the encoder that planned from a separate read of
+those rows; a planning change must reproduce them exactly, so never
+regenerate them to make a change pass.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+
+from nem_mms_ray.pipelines.encode import EncodePartitions, plan_partitions
+from nem_mms_ray.webtable import SMALL, generate_shard
+
+
+def _partition_digest(path) -> str:
+    """sha256 over every field of every encoded-partition row."""
+    t = pq.read_table(path)
+    h = hashlib.sha256()
+    for name in t.column_names:
+        h.update(name.encode())
+        for v in t.column(name).to_pylist():
+            h.update(v if isinstance(v, bytes) else repr(v).encode())
+            h.update(b"\x1f")
+    return h.hexdigest()
+
+
+def _encode_digests(tmp_path, table: pa.Table, row_group_size: int,
+                    target_bytes: int = 1 << 30, columns=None,
+                    rows_per_batch: int | None = None) -> list[str]:
+    src = tmp_path / "in.parquet"
+    pq.write_table(table, src, row_group_size=row_group_size)
+    specs = plan_partitions([str(src)], target_bytes)
+    if rows_per_batch is not None:
+        # inflate the byte estimate so `_rows_per_batch` lands on the
+        # requested batch size (with ~1 KiB rows this takes ~32k rows)
+        specs = [dataclasses.replace(s, approx_bytes=s.rows * ((32 << 20) // rows_per_batch))
+                 for s in specs]
+    out = tmp_path / "enc"
+    stage = EncodePartitions(str(out), columns)
+    stage(pa.Table.from_pylist([s.to_row() for s in specs]))
+    return [_partition_digest(out / f"part-{s.pid:06d}.parquet") for s in specs]
+
+
+def _web(rows: int, shard: int = 0) -> pa.Table:
+    return generate_shard(shard, rows, 0, SMALL)
+
+
+PARTITION_CASES = {
+    # two row groups; the first encode batch spans both
+    "two_row_groups": lambda p: _encode_digests(p, _web(3000), 1800),
+    # the 4096-row sample spans five 1000-row encode batches
+    "sample_spans_batches": lambda p: _encode_digests(
+        p, _web(6000, 1), 6000, rows_per_batch=1000),
+    # first row group shorter than the sample
+    "short_first_group": lambda p: _encode_digests(p, _web(5000, 2), 1000),
+    # several partitions per file: later ones plan from their own first group
+    "partitions_per_file": lambda p: _encode_digests(
+        p, _web(5000, 3), 1250, target_bytes=2 << 20),
+    "zero_rows": lambda p: _encode_digests(p, _web(10).slice(0, 0), 1000),
+    "projection": lambda p: _encode_digests(
+        p, _web(5000, 4), 4500, columns=["lang", "url", "warc_ts"]),
+}
+
+PARTITION_DIGESTS = {
+    "partitions_per_file": [
+        "138f69439fa7f55c25910df3952d0d662276b0b48d4b5d9843429b930d307b0e",
+        "6a702fe60e880cfffcaaca5304f3d0fba82ba8c8b81aef71ea499b3c1e67b76e",
+        "f10146c22696216f1b0f9ace900ed4173aae0f94ab1251b72bd51bd4f539cf6c",
+        "f4f00d32c7182aef53ca239496e91760bf13d87bd7bca31a162e302ea3474a40",
+    ],
+    "projection": ["89eb931c474ad4504c86e5cd1de43e765f6c8c02f3824c21080eda27d491a30a"],
+    "sample_spans_batches": ["4927a94f2e0a480faf63f3bb323fab5ceb8118063b41f79ad0d45ec2298f1aa7"],
+    "short_first_group": ["659fde27e424d36c62195531d9674ee6a79a5d755996223f4ee746d4f68e7e08"],
+    "two_row_groups": ["61b063bf9ef482d6aeec7c6db60f801cc3fa5750bd2c81258545b5137d5b1bb3"],
+    "zero_rows": ["ff8cc2e9aab0984577a06b8a270a33bdcff24cacaff0222dc3c7acbc4129cd9b"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARTITION_CASES))
+def test_encoded_partitions_identical(case, tmp_path):
+    assert PARTITION_CASES[case](tmp_path) == PARTITION_DIGESTS[case]
+
+
+# ---------------------------------------------------------------------------
+# FSST training is skipped where the selector cannot pick FSST at any ratio
+# ---------------------------------------------------------------------------
+
+
+def _counting_train(monkeypatch) -> list[int]:
+    from nem_mms_ray.codecs import fsst
+
+    calls: list[int] = []
+    real = fsst.train_symbols
+
+    def train(sample, *a, **k):
+        calls.append(len(sample))
+        return real(sample, *a, **k)
+
+    monkeypatch.setattr(fsst, "train_symbols", train)
+    return calls
+
+
+def _sf_returnflag(rows: int) -> pa.Array:
+    rng = np.random.default_rng(21)
+    return pa.array(np.array(["A", "N", "R"])[rng.integers(0, 3, rows)])
+
+
+@pytest.mark.parametrize("name", ["lang", "l_returnflag"])
+def test_fsst_training_skipped_when_it_cannot_win(name, monkeypatch, tmp_path):
+    from nem_mms_ray.pipelines import encode
+
+    col = _web(4096).column("lang") if name == "lang" else _sf_returnflag(4096)
+    sample = pa.table({name: col})
+    stage = EncodePartitions(str(tmp_path))
+    calls = _counting_train(monkeypatch)
+    plans, symbols = stage._plan(sample)
+    assert calls == [] and symbols == {}
+    monkeypatch.setattr(encode, "_fsst_can_win", lambda sk: True)
+    trained, _ = stage._plan(sample)
+    assert len(calls) == 1
+    assert plans[name].codec == trained[name].codec != "fsst"
+    skip_est = {k: v for k, v in plans[name].estimates.items() if k != "fsst"}
+    assert skip_est == {k: v for k, v in trained[name].estimates.items() if k != "fsst"}
+
+
+def test_fsst_trains_the_columns_it_can_win(monkeypatch, tmp_path):
+    """On the web table only `lang` skips: url, html and text still train."""
+    calls = _counting_train(monkeypatch)
+    plans, symbols = EncodePartitions(str(tmp_path))._plan(_web(4096))
+    assert len(calls) == 3
+    assert sorted(symbols) == ["html", "text", "url"]
+    assert {n: p.codec for n, p in plans.items() if n in symbols} == dict.fromkeys(symbols, "fsst")
+
+
+def test_fsst_skip_never_hides_an_fsst_plan():
+    """Seeded property: whenever `_fsst_can_win` says no, the selector
+    picks another codec at every ratio FSST could measure, [1/8, 1]."""
+    from nem_mms_ray.pipelines.encode import _fsst_can_win
+    from nem_mms_ray.selector import select_codec
+    from nem_mms_ray.stats import sketch_array
+
+    rng = np.random.default_rng(20261017)
+    ratios = np.concatenate([[1 / 8, np.nextafter(1 / 8, 1), 1.0],
+                             rng.uniform(1 / 8, 1.0, 40)])
+    fired = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 3000))
+        ndv = int(rng.integers(1, 2 * n + 1))
+        width = int(rng.integers(1, 40))
+        pool = np.array([rng.integers(97, 123, int(rng.integers(1, width + 1)),
+                                      dtype=np.uint8).tobytes().decode()
+                         for _ in range(min(ndv, 512))])
+        vals = pool[rng.integers(0, len(pool), n)]
+        if rng.random() < 0.5:
+            vals = np.sort(vals)  # long runs
+        mask = rng.random(n) < rng.choice([0.0, 0.1, 0.9])
+        sk = sketch_array("c", pa.array(vals, mask=mask), with_fsst_probe=False)
+        if _fsst_can_win(sk):
+            continue
+        fired += 1
+        for r in ratios:
+            assert select_codec(dataclasses.replace(sk, fsst_ratio=float(r))).codec != "fsst"
+    assert 0 < fired < 300
+
+
+# ---------------------------------------------------------------------------
+# Verify compares chunked columns as they come
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("flip_row", [None, 60_000, 66_000])
+def test_verify_slice_spanning_input_batches(flip_row, tmp_path):
+    """Input batches are 65536 rows and encoded chunks about 50000, so the second
+    chunk's original slice spans two input batches: equal data chunked
+    differently verifies, one flipped byte on either side does not."""
+    from nem_mms_ray.pipelines.decode import VerifyPartitions
+
+    rows = 70_000
+    strs = [f"row-{i:06d}" for i in range(rows)]
+    src = tmp_path / "in.parquet"
+    pq.write_table(pa.table({"i": np.arange(rows), "s": strs}), src)
+    specs = [dataclasses.replace(s, approx_bytes=s.rows * ((32 << 20) // 50_000))
+             for s in plan_partitions([str(src)])]
+    spec_rows = pa.Table.from_pylist([s.to_row() for s in specs])
+    EncodePartitions(str(tmp_path / "enc"))(spec_rows)
+    if flip_row is not None:
+        strs[flip_row] = strs[flip_row][:-1] + "x"
+        pq.write_table(pa.table({"i": np.arange(rows), "s": strs}), src)
+    res = VerifyPartitions(str(tmp_path / "enc"))(spec_rows).to_pylist()
+    assert res == [{"pid": 0, "rows": rows, "ok": flip_row is None,
+                    "mismatched_columns": "" if flip_row is None else "s"}]

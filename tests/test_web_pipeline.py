@@ -369,6 +369,31 @@ def test_sized_num_blocks():
                                 min_blocks=4) == 64
 
 
+def test_read_parquet_sized_file_uris(ray_session, tmp_path):
+    """`file://` URIs of a directory and of a single file expand and size
+    through pyarrow.fs the way the local paths they name do."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from nem_mms_ray.ops.readutil import _expand, read_parquet_sized, sized_num_blocks
+
+    for name in ("b", "a"):
+        pq.write_table(pa.table({"x": list(range(1000))}), tmp_path / f"{name}.parquet")
+    (tmp_path / "notes.txt").write_text("not parquet")
+    uri = f"file://{tmp_path}"
+    files = _expand(uri)
+    assert files == [f"{uri}/a.parquet", f"{uri}/b.parquet"] == _expand(uri + "/")
+    assert _expand(files[1]) == [files[1]]
+    sz = (tmp_path / "a.parquet").stat().st_size
+    local = _expand(str(tmp_path))
+    assert (sized_num_blocks(files, target_block_bytes=sz, min_blocks=1)
+            == sized_num_blocks(local, target_block_bytes=sz, min_blocks=1) == 2)
+    with pytest.raises(FileNotFoundError):
+        sized_num_blocks([f"{uri}/missing.parquet"], min_blocks=1)
+    assert read_parquet_sized(uri, min_blocks=1).count() == 2000
+    assert read_parquet_sized(files[0], min_blocks=1).count() == 1000
+
+
 def test_web_pipeline_shards_stage(ray_session, tmp_path):
     """--shards: the curated corpus lands as hive training shards, fully
     covering the curated rows; resume skips on same (n, seed) and re-runs
