@@ -10,7 +10,11 @@ pipeline's fallback path stores it plain instead, mirroring the reference's
 skip-vs-abort error split (/root/reference/src/packages/mod.rs:201-216).
 
 The sketch probe (stats.alp_find_scale) gives the selector an honest size
-estimate before the codec is chosen.
+estimate before the codec is chosen.  The codec packs the very integers
+that check verified (stats.alp_scale_ints: exponents whose first 64 values
+already fail are rejected without a full pass), and hands the zone map the
+chunk's (min, max) decoded from the packed range, so the encode reduces
+the chunk once.
 """
 
 from __future__ import annotations
@@ -21,6 +25,12 @@ import pyarrow as pa
 from nem_mms_ray import dtypes
 from nem_mms_ray.codecs.base import Codec, EncodedColumn, register
 from nem_mms_ray.codecs.bitpack import bit_width, pack_bits, unpack_bits
+
+
+def from_ints(ints: np.ndarray, exp: int, np_t) -> np.ndarray:
+    """Decode scaled integers: the expression `stats.alp_scale_ints`
+    verifies every encoded value against, bit for bit."""
+    return (ints.astype(np.float64, copy=False) / (10.0 ** exp)).astype(np_t, copy=False)
 
 
 class AlpCodec(Codec):
@@ -43,20 +53,25 @@ class AlpCodec(Codec):
         return sketch.n * bit_width(int(hi - lo)) / 8 + 40
 
     def encode(self, arr: pa.Array) -> EncodedColumn:
-        from nem_mms_ray.stats import alp_find_scale
+        from nem_mms_ray.stats import alp_scale_ints
 
         typ = arr.type
         validity = dtypes.extract_validity(arr)
         filled = dtypes.fill_nulls(arr)  # nulls -> 0.0 (exact at every scale)
         v = np.asarray(filled)
-        e = alp_find_scale(v)
+        e, ints = alp_scale_ints(v)
         if e is None:
             raise ValueError("alp: chunk is not exactly decimal-scalable")
-        if len(v):
-            ints = np.round(v.astype(np.float64) * (10.0 ** e)).astype(np.int64)
-            base = int(ints.min())
-            deltas = (ints - base).astype(np.uint64)
-            width = bit_width(int(deltas.max()))
+        value_range = None
+        if len(ints):
+            base, top = int(ints.min()), int(ints.max())
+            deltas = (ints - base).view(np.uint64)  # >= 0
+            width = bit_width(top - base)
+            if arr.null_count == 0:
+                # decode is monotone and every value decodes bit-exact, so
+                # the decoded ends are the chunk's min and max
+                ends = from_ints(np.array([base, top], np.int64), e, v.dtype)
+                value_range = (pa.scalar(ends[0], type=typ), pa.scalar(ends[1], type=typ))
         else:
             base, deltas, width = 0, np.zeros(0, np.uint64), 0
         return EncodedColumn(
@@ -66,6 +81,7 @@ class AlpCodec(Codec):
             payload=pack_bits(deltas, width),
             validity=validity,
             params={"base": base, "width": width, "exp": e},
+            value_range=value_range,
         )
 
     def decode(self, ec: EncodedColumn) -> pa.Array:
@@ -73,8 +89,7 @@ class AlpCodec(Codec):
         np_t = np.float64 if typ.bit_width == 64 else np.float32
         ints = unpack_bits(ec.payload, ec.n, ec.params["width"]).view(np.int64)
         ints += np.int64(ec.params["base"])
-        # same expression the encoder verified bit-equality against
-        v = (ints.astype(np.float64) / (10.0 ** ec.params["exp"])).astype(np_t)
+        v = from_ints(ints, ec.params["exp"], np_t)
         return dtypes.apply_validity(pa.array(v, type=typ), ec.validity)
 
 

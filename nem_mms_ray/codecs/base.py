@@ -35,6 +35,9 @@ class EncodedColumn:
     payload: bytes              # codec-defined binary payload
     validity: bytes | None      # LSB validity bitmap; None = no nulls
     params: dict = field(default_factory=dict)  # JSON-serializable params
+    # (min, max) Arrow scalars of the chunk, when the codec reduced them
+    # anyway (dict, alp); reused by the zone map, never written
+    value_range: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def encoded_bytes(self) -> int:

@@ -69,6 +69,12 @@ class DictCodec(Codec):
         payload = dtypes.pack_sections(
             pack_bits(indices, width), ec_to_bytes(child)
         )
+        # the zone map's float and string range: the dictionary holds the
+        # chunk's distinct values (plus fill_nulls' value if it has nulls)
+        value_range = None
+        if arr.null_count == 0 and (pa.types.is_floating(typ) or dtypes.is_string_like(typ)):
+            mm = pc.min_max(values)
+            value_range = (mm["min"], mm["max"])
         return EncodedColumn(
             codec=self.name,
             n=len(arr),
@@ -76,6 +82,7 @@ class DictCodec(Codec):
             payload=payload,
             validity=validity,
             params={"width": width, "ndv": len(values)},
+            value_range=value_range,
         )
 
     def decode(self, ec: EncodedColumn) -> pa.Array:

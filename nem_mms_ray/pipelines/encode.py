@@ -178,43 +178,48 @@ def _attach_zone_map(ec, arr: pa.Array) -> None:
     orderable types: `scan_encoded` prunes chunks whose range is disjoint
     from a predicate WITHOUT decoding any of their payloads.  Temporal
     types store raw epoch ints; non-finite float bounds are skipped
-    (NaN-poisoned zones must not prune)."""
+    (NaN-poisoned zones must not prune).  The range is the one the codec
+    already reduced when it has one (`ec.value_range`: dict over its
+    dictionary, alp from its packed integers, float and string chunks
+    only); otherwise `arr` is scanned."""
     import pyarrow.compute as pc
 
     t = arr.type
+    temporal = pa.types.is_timestamp(t) or pa.types.is_date(t) or pa.types.is_time(t)
+    string = pa.types.is_string(t) or pa.types.is_large_string(t)
+    if not (pa.types.is_integer(t) or pa.types.is_floating(t) or temporal or string):
+        return
     try:
+        if ec.value_range is not None:
+            mn, mx = ec.value_range
+        else:
+            mm = pc.min_max(arr)
+            mn, mx = mm["min"], mm["max"]
+        if not mn.is_valid:
+            return
         if pa.types.is_integer(t):
-            mm = pc.min_max(arr)
-            if mm["min"].is_valid:
-                ec.params["zmin"] = int(mm["min"].as_py())
-                ec.params["zmax"] = int(mm["max"].as_py())
+            ec.params["zmin"] = int(mn.as_py())
+            ec.params["zmax"] = int(mx.as_py())
         elif pa.types.is_floating(t):
-            mm = pc.min_max(arr)
-            if mm["min"].is_valid:
-                lo, hi = float(mm["min"].as_py()), float(mm["max"].as_py())
-                if math.isfinite(lo) and math.isfinite(hi):
-                    ec.params["zmin"] = lo
-                    ec.params["zmax"] = hi
-        elif (pa.types.is_timestamp(t) or pa.types.is_date(t)
-              or pa.types.is_time(t)):
-            mm = pc.min_max(arr)
-            if mm["min"].is_valid:
-                ec.params["zmin"] = int(mm["min"].value)
-                ec.params["zmax"] = int(mm["max"].value)
-        elif pa.types.is_string(t) or pa.types.is_large_string(t):
+            lo, hi = float(mn.as_py()), float(mx.as_py())
+            if math.isfinite(lo) and math.isfinite(hi):
+                ec.params["zmin"] = lo
+                ec.params["zmax"] = hi
+        elif temporal:
+            ec.params["zmin"] = int(mn.value)
+            ec.params["zmax"] = int(mx.value)
+        else:
             # string zones (url-range scans over url-sorted corpora): long
             # values store a BOUND, not the value — prefix(min) is a valid
             # lower bound, and the prefix-successor of max (last code point
             # incremented) upper-bounds every value sharing that prefix.
             # UTF-8 byte order == code-point order, so Python/Arrow/JSON
             # comparisons all agree.
-            mm = pc.min_max(arr)
-            if mm["min"].is_valid:
-                lo, hi = mm["min"].as_py(), mm["max"].as_py()
-                zmax_v = hi if len(hi) <= 64 else _string_successor(hi[:64])
-                if zmax_v or hi == "":  # successor '' = no valid upper bound
-                    ec.params["zmin"] = lo[:64]
-                    ec.params["zmax"] = zmax_v
+            lo, hi = mn.as_py(), mx.as_py()
+            zmax_v = hi if len(hi) <= 64 else _string_successor(hi[:64])
+            if zmax_v or hi == "":  # successor '' = no valid upper bound
+                ec.params["zmin"] = lo[:64]
+                ec.params["zmax"] = zmax_v
     except Exception:
         pass  # zone maps are an optimization; never fail an encode for one
 
@@ -239,6 +244,16 @@ def _fsst_can_win(sk) -> bool:
     with the ratio: if it loses at that floor, training cannot change the
     plan."""
     return select_codec(replace(sk, fsst_ratio=fsst.MIN_RATIO)).codec == "fsst"
+
+
+def _kernel_paths() -> dict[str, bool]:
+    """Which encode kernels loaded (False: the scalar reference ran).
+    Asks only the encode's own bindings: `_native.status()` would build
+    every kernel."""
+    from nem_mms_ray.codecs import _bitpack_native, _fsst_native
+
+    return {"fsst_kernel": _fsst_native.get_lib() is not None,
+            "bitpack_kernel": _bitpack_native.get_lib() is not None}
 
 
 def _drain(head: list, rest):
@@ -439,6 +454,7 @@ class EncodePartitions:
                 wall_sec=wall,
                 done=True,
                 output_file=str(out_path),
+                native=_kernel_paths(),
             )
         )
         return PartitionResult(

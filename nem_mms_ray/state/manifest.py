@@ -48,6 +48,9 @@ class PartitionRecord:
     wall_sec: float = 0.0
     done: bool = False
     output_file: str = ""
+    # kernel path of the encode: {"fsst_kernel": bool, "bitpack_kernel": bool}
+    # (False = the scalar reference ran); {} on records that predate it
+    native: dict = field(default_factory=dict)
 
     @property
     def ratio(self) -> float:

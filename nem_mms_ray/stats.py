@@ -130,31 +130,54 @@ def _run_count(arr: pa.Array) -> int:
 
 
 ALP_MAX_EXP = 9  # probe decimal scales 10^0 .. 10^9
+ALP_HEAD = 64  # values an exponent must pass before a full-array check
 
 
 def alp_find_scale(v: np.ndarray) -> int | None:
     """Smallest e in [0, ALP_MAX_EXP] such that every finite value of `v`
     (float32/float64, no NaN/inf) is exactly round(v*10^e)/10^e down to the
     bit pattern (the ALP idea: real-world floats are mostly scaled decimals).
-    Returns None if no scale is exact."""
+    Returns None if no scale is exact.  See `alp_scale_ints`."""
+    return alp_scale_ints(v)[0]
+
+
+def alp_scale_ints(v: np.ndarray) -> tuple[int | None, np.ndarray | None]:
+    """`alp_find_scale`'s exponent plus the int64 round(v*10^e) it verified
+    (None, None when no scale is exact).
+
+    Values are verified through int64 and the codec's own decode
+    expression: float-domain verification would wrongly accept -0.0
+    (np.round keeps the sign of zero, the integer pipeline cannot).
+    The check is elementwise, so an exponent whose first `ALP_HEAD` values
+    fail it fails the whole array and is rejected without a full pass.  A
+    head that reaches 2^53 goes on to the full check, which then returns
+    None exactly as a full pass at that exponent would: |v*10^e| only grows
+    with e, so no later exponent could pass either."""
+    from nem_mms_ray.codecs.alp import from_ints
+
     if len(v) == 0:
-        return 0
+        return 0, np.zeros(0, np.int64)
     if not np.all(np.isfinite(v)):
-        return None
+        return None, None
     bits = v.view(np.uint64 if v.dtype == np.float64 else np.uint32)
-    v64 = v.astype(np.float64)
+    v64 = v.astype(np.float64, copy=False)
+
+    def exact(ints, e, n=None):
+        ints = ints.astype(np.int64, copy=False)
+        return np.array_equal(from_ints(ints, e, v.dtype).view(bits.dtype), bits[:n])
+
     for e in range(ALP_MAX_EXP + 1):
-        s = 10.0 ** e
-        ints = np.round(v64 * s)
+        if len(v) > ALP_HEAD:
+            head = np.round(v64[:ALP_HEAD] * 10.0 ** e)
+            if np.abs(head).max() < 2.0 ** 53 and not exact(head, e, ALP_HEAD):
+                continue
+        ints = np.round(v64 * 10.0 ** e)
         if np.abs(ints).max() >= 2.0 ** 53:
-            return None
-        # verify through int64 — the exact expression the codec decodes with
-        # (float-domain verification would wrongly accept -0.0: np.round
-        # preserves the sign of zero but the integer pipeline cannot)
-        recon = (ints.astype(np.int64).astype(np.float64) / s).astype(v.dtype)
-        if np.array_equal(recon.view(bits.dtype), bits):
-            return e
-    return None
+            return None, None
+        ints = ints.astype(np.int64)
+        if exact(ints, e):
+            return e, ints
+    return None, None
 
 
 def _alp_probe(arr: pa.Array):

@@ -6,6 +6,7 @@ idiom (/root/reference/src/manage/state.rs:155-191): decode(encode(col))
 must equal col exactly, including null positions and empty-vs-null strings.
 """
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -651,3 +652,135 @@ def test_golden_payloads(name, reference, monkeypatch):
     ec = get_codec(codec).encode(arr)
     assert _payload_digest(ec) == GOLDEN_PAYLOADS[name]
     assert decode_column(ec).equals(arr)
+
+
+# ---------------------------------------------------------------------------
+# Statistics the codecs reduce once: the ALP scale search and value_range
+# ---------------------------------------------------------------------------
+
+
+def _full_pass_scale(v: np.ndarray):
+    """The ALP scale search as a full pass per exponent: the reference that
+    `alp_find_scale`'s head rejection must agree with."""
+    from nem_mms_ray.stats import ALP_MAX_EXP
+
+    if len(v) == 0:
+        return 0
+    if not np.all(np.isfinite(v)):
+        return None
+    bits = v.view(np.uint64 if v.dtype == np.float64 else np.uint32)
+    v64 = v.astype(np.float64)
+    for e in range(ALP_MAX_EXP + 1):
+        s = 10.0 ** e
+        ints = np.round(v64 * s)
+        if np.abs(ints).max() >= 2.0 ** 53:
+            return None
+        recon = (ints.astype(np.int64).astype(np.float64) / s).astype(v.dtype)
+        if np.array_equal(recon.view(bits.dtype), bits):
+            return e
+    return None
+
+
+def _scale_cases(seed: int, count: int) -> list[np.ndarray]:
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        n = int(rng.choice([1, 2, 63, 64, 65, 66, int(rng.integers(1, 400))]))
+        e = int(rng.integers(0, 5))
+        v = rng.integers(-10**6, 10**6, n) / 10.0 ** e
+        kind = rng.integers(0, 8)
+        if kind == 1:    # exact head, finer tail
+            v[64:] += 0.001
+        elif kind == 2:  # exact head, non-decimal tail
+            v[64:] = rng.normal(0.0, 1.0, max(0, n - 64))
+        elif kind == 3:  # a -0.0 somewhere
+            v[rng.integers(0, n)] = -0.0
+        elif kind == 4:  # |v * 10^e| reaches 2^53 at some exponent
+            v[rng.integers(0, n)] = float(rng.choice([2.0 ** 53, 1e12 + 0.5, 3e15 + 0.25]))
+        elif kind == 5:  # nulls as the codec sees them (filled with 0.0)
+            v[rng.random(n) < 0.3] = 0.0
+        elif kind == 6:  # a 2^53 value in the tail only
+            v[-1] = 2.0 ** 60
+        if rng.random() < 0.4:
+            v = v.astype(np.float32)
+        out.append(v)
+    return out
+
+
+def test_alp_find_scale_matches_full_pass():
+    from nem_mms_ray.stats import alp_find_scale, alp_scale_ints
+
+    exps = []
+    for v in _scale_cases(20261018, 1500):
+        want = _full_pass_scale(v)
+        assert alp_find_scale(v) == want, (v.dtype, len(v))
+        e, ints = alp_scale_ints(v)
+        assert e == want
+        if e is not None:
+            np.testing.assert_array_equal(
+                ints, np.round(v.astype(np.float64) * 10.0 ** e).astype(np.int64))
+        exps.append(want)
+    # the cases reach every outcome: no scale, e = 0, and larger exponents
+    assert None in exps and 0 in exps and max(e for e in exps if e is not None) >= 3
+
+
+def _zone_params(ec, arr, value_range) -> str:
+    from nem_mms_ray.pipelines.encode import _attach_zone_map
+
+    ec = dataclasses.replace(ec, params=dict(ec.params), value_range=value_range)
+    _attach_zone_map(ec, arr)
+    return json.dumps(ec.params, sort_keys=True)  # keeps -0.0 apart from 0.0
+
+
+# (codec, chunk, whether it gets a zone)
+ZONE_ARRAYS = [
+    ("dict", pa.array(["N", "A", "R", "A"] * 50), True),
+    ("dict", pa.array(["N", None, "R"] * 50), True),
+    ("dict", pa.array(["b", "", "a"] * 10), True),
+    ("dict", pa.array(["x" * 80 + "b", "x" * 80 + "a", "x" * 70]), True),
+    # max is 70 x U+10FFFF: its 64-char prefix has no successor
+    ("dict", pa.array(["\U0010ffff" * 70, "a", "\U0010ffff" * 64 + "b"]), False),
+    ("dict", pa.array(["\U0010ffff" * 64, "a"], type=pa.large_string()), True),
+    ("dict", pa.array([3, -7, 3, 11] * 20), True),
+    ("dict", pa.array([2.5, -1.25, 2.5, 0.0, -0.0] * 20), True),
+    ("dict", pa.array([-0.0, 0.0, 1.0] * 20), True),
+    ("dict", pa.array([float("nan"), 4.0, 4.0]), True),
+    ("dict", pa.array([float("nan")] * 3), False),
+    ("dict", pa.array([7.5, None, 9.5] * 20), True),
+    ("dict", pa.array([1.5, 2.5, 1.5], type=pa.float32()), True),
+    ("alp", pa.array(np.round(np.linspace(900.0, 105_000.0, 500), 2)), True),
+    ("alp", pa.array([-12.5, -3.25, -100.0, -0.5]), True),
+    ("alp", pa.array([3.5, None, 7.25]), True),
+    ("alp", pa.array([-3.5, None, -7.25]), True),
+    ("alp", pa.array([0.1, 0.7, 0.3], type=pa.float32()), True),
+    ("alp", pa.array([-99.94, 12.5, None], type=pa.float32()), True),
+    ("alp", pa.array([0.0, 5.0, 0.0] * 40), True),
+]
+
+
+@pytest.mark.parametrize("i", range(len(ZONE_ARRAYS)))
+def test_zone_map_from_value_range_matches_scan(i):
+    """The zone map from the codec's range equals the one from scanning the
+    chunk; a chunk with nulls carries no range (the codec saw fill values)."""
+    codec, arr, zoned = ZONE_ARRAYS[i]
+    ec = get_codec(codec).encode(arr)
+    wants_range = arr.null_count == 0 and not pa.types.is_integer(arr.type)
+    assert (ec.value_range is not None) == wants_range
+    scanned = _zone_params(ec, arr, None)
+    assert _zone_params(ec, arr, ec.value_range) == scanned
+    assert ("zmin" in json.loads(scanned)) == zoned
+
+
+def test_value_range_is_never_persisted():
+    from nem_mms_ray.codecs import EncodedColumn
+
+    arr = pa.array([19.99, 0.01, 4.5])
+    ec = get_codec("alp").encode(arr)
+    assert ec.value_range is not None
+    row = ec.to_row()
+    assert sorted(row) == ["codec", "dtype", "has_validity", "n", "params",
+                           "payload", "validity"]
+    back = EncodedColumn.from_row(row)
+    assert back.value_range is None and back == ec
+    bogus = dataclasses.replace(ec, value_range=(pa.scalar(-1.0), pa.scalar(1.0)))
+    assert decode_column(back).equals(arr) and decode_column(bogus).equals(arr)

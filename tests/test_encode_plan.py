@@ -4,8 +4,10 @@ FSST training it may skip.
 `EncodePartitions` plans each partition from the first rows of its first
 row group, taken from the batches its encode loop reads.  The digests
 below were recorded on the encoder that planned from a separate read of
-those rows; a planning change must reproduce them exactly, so never
-regenerate them to make a change pass.
+those rows (the `tabular_*` ones on the encoder whose zone maps scanned
+every chunk and whose ALP tried every scale on the full chunk); a change
+must reproduce them exactly, so never regenerate them to make a change
+pass.
 """
 
 from __future__ import annotations
@@ -55,6 +57,31 @@ def _web(rows: int, shard: int = 0) -> pa.Table:
     return generate_shard(shard, rows, 0, SMALL)
 
 
+def _tabular(rows: int, seed: int) -> pa.Table:
+    """sf-shaped columns for the dict and ALP paths and their zone maps."""
+    rng = np.random.default_rng(seed)
+    i = np.arange(rows)
+    nulls = rng.random(rows) < 0.1
+    money = np.round(rng.uniform(900.0, 105_000.0, rows), 2)
+    prio = np.array(["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW"])
+    long_vals = np.array(["x" * 70 + "a", "x" * 70 + "b", "y" * 65])
+    return pa.table({
+        "l_returnflag": np.array(["A", "N", "R"])[rng.integers(0, 3, rows)],
+        "o_orderpriority": pa.array(prio[rng.integers(0, 5, rows)], mask=nulls),
+        "l_comment": long_vals[rng.integers(0, 3, rows)],
+        "l_extendedprice": money,
+        "balance": pa.array(np.round(rng.uniform(-500.0, 500.0, rows), 2),
+                            mask=rng.random(rows) < 0.2),
+        "score32": pa.array((rng.integers(-9999, 9999, rows) / 100).astype(np.float32),
+                            mask=nulls),
+        # integral on each 1000-row chunk's first 64 values: the head
+        # passes e=0 and e=1, the whole chunk needs e=2
+        "head_int": np.where(i % 1000 < 64, np.floor(money), money),
+        # decimal in the plan's sample, not after it: ALP falls back
+        "late_real": np.where(i < 4096, money, rng.normal(0.0, 1.0, rows)),
+    })
+
+
 PARTITION_CASES = {
     # two row groups; the first encode batch spans both
     "two_row_groups": lambda p: _encode_digests(p, _web(3000), 1800),
@@ -69,6 +96,11 @@ PARTITION_CASES = {
     "zero_rows": lambda p: _encode_digests(p, _web(10).slice(0, 0), 1000),
     "projection": lambda p: _encode_digests(
         p, _web(5000, 4), 4500, columns=["lang", "url", "warc_ts"]),
+    # dict and ALP chunks of 1000 rows, the last one shorter than 64
+    "tabular_chunks": lambda p: _encode_digests(
+        p, _tabular(6030, 5), 6030, rows_per_batch=1000),
+    # one row group, encoded as one chunk
+    "tabular_one_chunk": lambda p: _encode_digests(p, _tabular(20_000, 6), 20_000),
 }
 
 PARTITION_DIGESTS = {
@@ -79,6 +111,8 @@ PARTITION_DIGESTS = {
         "f4f00d32c7182aef53ca239496e91760bf13d87bd7bca31a162e302ea3474a40",
     ],
     "projection": ["89eb931c474ad4504c86e5cd1de43e765f6c8c02f3824c21080eda27d491a30a"],
+    "tabular_chunks": ["07a35ed4bbb228cff2ddc91a29af8fdfbfe430984550add6a63cd9713a8f2c1f"],
+    "tabular_one_chunk": ["36a008e91f5d574bb81be981a9df552d7d175205f7c65a955d68c5153a534675"],
     "sample_spans_batches": ["4927a94f2e0a480faf63f3bb323fab5ceb8118063b41f79ad0d45ec2298f1aa7"],
     "short_first_group": ["659fde27e424d36c62195531d9674ee6a79a5d755996223f4ee746d4f68e7e08"],
     "two_row_groups": ["61b063bf9ef482d6aeec7c6db60f801cc3fa5750bd2c81258545b5137d5b1bb3"],

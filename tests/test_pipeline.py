@@ -2,6 +2,7 @@
 resume (SURVEY.md §5 plan items 3-4)."""
 
 import glob
+import json
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -127,6 +128,20 @@ def test_manifest_record_roundtrip(tmp_path):
     assert back == rec
     assert m.is_done(3)
     assert not m.is_done(4)
+
+
+def test_manifest_loads_records_without_kernel_path(tmp_path):
+    """Records written before the kernel path was recorded still load and
+    still count as done."""
+    m = Manifest(tmp_path)
+    m.init()
+    old = {"pid": 0, "input_file": "/x.parquet", "row_groups": [0], "rows": 1,
+           "orig_bytes": 8, "encoded_bytes": 4, "file_bytes": 9, "codecs": {},
+           "column_bytes": {}, "wall_sec": 0.1, "done": True, "output_file": ""}
+    m.record_path(0).write_text(json.dumps(old))
+    assert m.load(0).native == {}
+    assert m.is_done(0, "/x.parquet", [0])
+    assert [r.pid for r in m.load_all()] == [0]
 
 
 def test_encode_deterministic_across_runs(ray_session, web_dir, tmp_path):
