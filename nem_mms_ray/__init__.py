@@ -10,7 +10,7 @@ shuffle-free per-partition encode.
 Layout:
   codecs/     pure encode/decode kernels over pyarrow Arrays
               (plain, for+gcd, bitpack, delta, dict, rle, alp, fsst, ipc)
-  stats.py    merge-order-invariant column sketches (KMV ndv, runs, sizes)
+  stats.py    column sketches from each partition's own sample (KMV ndv, runs, sizes)
   selector.py sketch -> codec plan (the Package::from_information_record analog)
   pipelines/  end-to-end Ray pipelines (encode with zone maps,
               decode/verify, predicate-pushdown scan)

@@ -9,12 +9,12 @@ that doesn't decimalize (NaN/inf, true reals, -0.0) raises, and the encode
 pipeline's fallback path stores it plain instead, mirroring the reference's
 skip-vs-abort error split (/root/reference/src/packages/mod.rs:201-216).
 
-The sketch probe (stats.alp_find_scale) gives the selector an honest size
-estimate before the codec is chosen.  The codec packs the very integers
-that check verified (stats.alp_scale_ints: exponents whose first 64 values
-already fail are rejected without a full pass), and hands the zone map the
-chunk's (min, max) decoded from the packed range, so the encode reduces
-the chunk once.
+The sketch probe (stats.alp_scale_ints on the plan's sample) gives the
+selector an honest size estimate before the codec is chosen.  The codec
+packs the very integers that check verified on the chunk (exponents whose
+first 64 values already fail are rejected without a full pass), and hands
+the zone map the chunk's (min, max) decoded from the packed range, so the
+encode reduces the chunk once.
 """
 
 from __future__ import annotations

@@ -62,12 +62,12 @@ class DictCodec(Codec):
         denc = pc.dictionary_encode(filled)
         if isinstance(denc, pa.ChunkedArray):
             denc = denc.combine_chunks()
-        indices = np.asarray(denc.indices).astype(np.uint64)
         values = denc.dictionary
-        width = bit_width(int(indices.max())) if len(indices) else 0
+        # every code 0..ndv-1 occurs: the dictionary holds only seen values
+        width = bit_width(len(values) - 1)
         child = get_codec(child_codec_for(values)).encode(values)
         payload = dtypes.pack_sections(
-            pack_bits(indices, width), ec_to_bytes(child)
+            pack_bits(np.asarray(denc.indices), width), ec_to_bytes(child)
         )
         # the zone map's float and string range: the dictionary holds the
         # chunk's distinct values (plus fill_nulls' value if it has nulls)

@@ -120,7 +120,6 @@ def scan_encoded(enc_dir: str | Path, columns: list[str] | None = None,
     numbers (raw epoch in the column's unit) or anything `pa.scalar`
     accepts for the column type.
     """
-    import functools
     import json
 
     import numpy as np
@@ -149,13 +148,10 @@ def scan_encoded(enc_dir: str | Path, columns: list[str] | None = None,
             except AttributeError:
                 return v
 
-    def _col_type(col):
-        return col.type
-
-    def scan_one(batch: pa.Table, *, path_col: str = "path") -> pa.Table:
+    def scan_one(batch: pa.Table) -> pa.Table:
         out = []
         dtype_map: dict[str, str] = {}
-        for enc_path in batch.column(path_col).to_pylist():
+        for enc_path in batch.column("path").to_pylist():
             pf = pq.ParquetFile(enc_path)
             for rg in range(pf.metadata.num_row_groups):
                 meta = pf.read_row_group(
@@ -189,11 +185,11 @@ def scan_encoded(enc_dir: str | Path, columns: list[str] | None = None,
                         m = np.ones(len(tbl), bool)
                         if lo is not None:
                             cmp = pa.compute.greater_equal(
-                                col, pa.scalar(lo, _col_type(col)))
+                                col, pa.scalar(lo, col.type))
                             m &= np.asarray(pa.compute.fill_null(cmp, False))
                         if hi is not None:
                             cmp = pa.compute.less_equal(
-                                col, pa.scalar(hi, _col_type(col)))
+                                col, pa.scalar(hi, col.type))
                             m &= np.asarray(pa.compute.fill_null(cmp, False))
                         mask = m if mask is None else (mask & m)
                     if mask is not None:
@@ -217,7 +213,7 @@ def scan_encoded(enc_dir: str | Path, columns: list[str] | None = None,
     if not files:
         raise ValueError(f"no encoded partitions under {enc_dir}")
     ds = rd.from_items([{"path": p} for p in files], override_num_blocks=len(files))
-    return ds.map_batches(functools.partial(scan_one), batch_size=1,
+    return ds.map_batches(scan_one, batch_size=1,
                           batch_format="pyarrow", num_cpus=1)
 
 

@@ -306,8 +306,7 @@ class EncodePartitions:
             col = sample.column(name)
             arr = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
             try:
-                sk = sketch_array(name, arr.slice(0, min(len(arr), 2048)),
-                                  with_fsst_probe=False)
+                sk = sketch_array(name, arr.slice(0, min(len(arr), 2048)))
             except Exception:
                 # un-sketchable type (list/struct/map/...): store via the
                 # universal Arrow-IPC fallback instead of aborting the run

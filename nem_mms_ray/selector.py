@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import pyarrow as pa
-
 from nem_mms_ray import dtypes
 from nem_mms_ray.codecs import REGISTRY
 from nem_mms_ray.stats import ColumnSketch
@@ -26,13 +24,6 @@ class ColumnPlan:
     column: str
     codec: str
     estimates: dict[str, float] = field(default_factory=dict)
-
-    def to_row(self) -> dict:
-        return {
-            "column": self.column,
-            "codec": self.codec,
-            "estimates": {k: float(v) for k, v in self.estimates.items()},
-        }
 
 
 def select_codec(sketch: ColumnSketch) -> ColumnPlan:
@@ -53,8 +44,3 @@ def select_codec(sketch: ColumnSketch) -> ColumnPlan:
 def plan_for_sketches(sketches: dict[str, ColumnSketch]) -> dict[str, ColumnPlan]:
     return {c: select_codec(sk) for c, sk in sketches.items()}
 
-
-def plan_for_table(table: pa.Table, columns: list[str] | None = None) -> dict[str, ColumnPlan]:
-    from nem_mms_ray.stats import sketch_table
-
-    return plan_for_sketches(sketch_table(table, columns))

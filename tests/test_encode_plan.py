@@ -176,6 +176,34 @@ def test_fsst_trains_the_columns_it_can_win(monkeypatch, tmp_path):
     assert {n: p.codec for n, p in plans.items() if n in symbols} == dict.fromkeys(symbols, "fsst")
 
 
+def test_fsst_trains_once_per_column_per_partition(monkeypatch, tmp_path):
+    """The plan is the only FSST trainer: one table per FSST-planned column
+    for a whole partition (two row groups, three or more chunks), and
+    sketching a string column trains nothing."""
+    from nem_mms_ray.stats import sketch_array
+
+    src = tmp_path / "in.parquet"
+    pq.write_table(_web(3000), src, row_group_size=1800)
+    (spec,) = [dataclasses.replace(s, approx_bytes=s.rows * ((32 << 20) // 1000))
+               for s in plan_partitions([str(src)])]
+    assert spec.row_groups == [0, 1]
+    calls = _counting_train(monkeypatch)
+    res = EncodePartitions(str(tmp_path / "enc"))._encode_partition(spec)
+    assert res.rows == 3000
+    enc = pq.read_table(tmp_path / "enc" / f"part-{spec.pid:06d}.parquet",
+                        columns=["column", "codec", "chunk_idx"]).to_pylist()
+    fsst_cols = {r["column"] for r in enc if r["codec"] == "fsst"}
+    assert fsst_cols == {"html", "text", "url"}
+    assert max(r["chunk_idx"] for r in enc) >= 2
+    assert len(calls) == len(fsst_cols)
+
+    calls.clear()
+    text = pa.array([f"page {i} " + "lorem ipsum dolor " * 20 for i in range(400)])
+    assert pa.compute.sum(pa.compute.binary_length(text)).as_py() >= 64 << 10
+    assert sketch_array("text", text).fsst_ratio is None
+    assert calls == []
+
+
 def test_fsst_skip_never_hides_an_fsst_plan():
     """Seeded property: whenever `_fsst_can_win` says no, the selector
     picks another codec at every ratio FSST could measure, [1/8, 1]."""
@@ -198,7 +226,7 @@ def test_fsst_skip_never_hides_an_fsst_plan():
         if rng.random() < 0.5:
             vals = np.sort(vals)  # long runs
         mask = rng.random(n) < rng.choice([0.0, 0.1, 0.9])
-        sk = sketch_array("c", pa.array(vals, mask=mask), with_fsst_probe=False)
+        sk = sketch_array("c", pa.array(vals, mask=mask))
         if _fsst_can_win(sk):
             continue
         fired += 1

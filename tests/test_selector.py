@@ -5,8 +5,9 @@ package-dispatch match (/root/reference/src/packages/mod.rs:89-100)."""
 import numpy as np
 import pyarrow as pa
 
-from nem_mms_ray.selector import plan_for_table, select_codec
-from nem_mms_ray.stats import ColumnSketch, merge_sketches, sketch_array
+from nem_mms_ray.pipelines.encode import EncodePartitions
+from nem_mms_ray.selector import select_codec
+from nem_mms_ray.stats import sketch_array
 
 
 def test_low_cardinality_string_gets_dict():
@@ -24,18 +25,19 @@ def test_clustered_timestamps_get_delta_or_for():
 def test_random_ints_get_for_not_delta():
     rng = np.random.default_rng(9)
     v = pa.array(rng.integers(0, 1000, 20000))
-    plan = select_codec(sketch_array("x", v, with_fsst_probe=False))
+    plan = select_codec(sketch_array("x", v))
     # unordered: deltas span the range, so any width-minimal packer wins
     # (bitpack when min≈0, else for); never delta
     assert plan.codec in ("for", "bitpack", "dict")
 
 
-def test_high_entropy_text_gets_fsst():
+def test_high_entropy_text_gets_fsst(tmp_path):
     rng = np.random.default_rng(2)
     words = ["content", "page", "data", "search", "article", "the", "and"]
     text = pa.array([" ".join(rng.choice(words, 50)) + str(i) for i in range(2000)])
-    plan = select_codec(sketch_array("text", text))
-    assert plan.codec == "fsst"
+    plans, symbols = EncodePartitions(str(tmp_path))._plan(pa.table({"text": text}))
+    assert plans["text"].codec == "fsst"
+    assert list(symbols) == ["text"]
 
 
 def test_constant_column_gets_rle_or_dict():
@@ -44,40 +46,20 @@ def test_constant_column_gets_rle_or_dict():
     assert plan.codec in ("rle", "dict")
 
 
-def test_plan_deterministic_across_chunking():
-    rng = np.random.default_rng(3)
-    vals = pa.array(rng.choice(["a", "b", "c", "d"], 8000))
-    whole = sketch_array("x", vals)
-    parts = [sketch_array("x", vals.slice(i * 1000, 1000)) for i in range(8)]
-    merged_fwd = merge_sketches(parts)
-    merged_rev = merge_sketches(parts[::-1])
-    # order-invariant merge -> identical ndv and identical codec choice
-    assert merged_fwd.ndv == merged_rev.ndv == whole.ndv
-    assert select_codec(merged_fwd).codec == select_codec(merged_rev).codec
-
-
 def test_kmv_ndv_accuracy():
     rng = np.random.default_rng(4)
     vals = pa.array(rng.integers(0, 50_000, 200_000))
-    sk = sketch_array("x", vals, with_fsst_probe=False)
+    sk = sketch_array("x", vals)
     true_ndv = len(np.unique(np.asarray(vals)))
     assert abs(sk.ndv - true_ndv) / true_ndv < 0.15
-
-
-def test_sketch_row_roundtrip():
-    arr = pa.array(["a", None, "b", "a"])
-    sk = sketch_array("col", arr)
-    back = ColumnSketch.from_row(sk.to_row())
-    assert back.n == sk.n and back.nulls == sk.nulls
-    assert back.ndv == sk.ndv
-    assert np.array_equal(back.kmv, sk.kmv)
 
 
 def test_webtable_plan_matches_north_star(tmp_path):
     from nem_mms_ray.webtable import SMALL, generate_shard
 
     t = generate_shard(0, 2000, 0, SMALL)
-    plan = {c: p.codec for c, p in plan_for_table(t).items()}
+    plans, _ = EncodePartitions(str(tmp_path))._plan(t)
+    plan = {c: p.codec for c, p in plans.items()}
     assert plan["lang"] == "dict"
     assert plan["warc_ts"] in ("delta", "for")
     assert plan["url"] == "fsst"
