@@ -10,7 +10,8 @@ Owns its Ray session (library code never calls ray.init — driver contract).
 
 Usage:
   python -m nem_mms_ray encode IN.parquet [IN2...] -o OUT_DIR [--target-mb 64]
-  python -m nem_mms_ray verify IN.parquet [IN2...] -o OUT_DIR [--target-mb 64]
+  python -m nem_mms_ray verify IN.parquet [IN2...] -o OUT_DIR
+         # plans with the target the encode recorded in OUT_DIR
   python -m nem_mms_ray decode OUT_DIR -o PLAIN_DIR
   python -m nem_mms_ray describe OUT_DIR [--fsck [--repair]]
          # --fsck: manifest-vs-disk reconciliation (the reference's
@@ -116,8 +117,7 @@ def cmd_verify(args) -> int:
     from nem_mms_ray.pipelines.decode import verify_files
 
     cols = args.columns.split(",") if args.columns else None
-    df = verify_files(_expand_inputs(args.inputs), args.out, columns=cols,
-                      target_bytes=args.target_mb << 20).to_pandas()
+    df = verify_files(_expand_inputs(args.inputs), args.out, columns=cols).to_pandas()
     ok = bool(df["ok"].all())
     bad = df.loc[~df["ok"], ["pid", "mismatched_columns"]].to_dict("records")
     print(json.dumps({"partitions": len(df), "ok": ok, "mismatches": bad}))
@@ -556,7 +556,6 @@ def main(argv: list[str] | None = None) -> int:
     pv = sub.add_parser("verify", help="decode + bit-identical round-trip check")
     pv.add_argument("inputs", nargs="+")
     pv.add_argument("-o", "--out", required=True)
-    pv.add_argument("--target-mb", type=int, default=64)
     pv.add_argument("--columns", default=None,
                     help="comma-separated column projection")
     pv.add_argument("--num-cpus", type=int, default=None)

@@ -72,68 +72,16 @@ def encode(sym_bytes: np.ndarray, sym_lens: np.ndarray, data: bytes) -> bytes:
     return _py_encode(sym_bytes, sym_lens, data)
 
 
-# Optional decode scratch ring: fresh multi-MB np.empty allocations pay
-# first-touch page faults worth 10-50x the decode kernel time in this
-# environment (same effect the encode scratch comment documents).  A
-# STREAMING consumer that fully processes each decoded chunk before
-# advancing (e.g. the verify pipeline) can opt in to a ring of grow-only
-# per-worker buffers: each decode takes the next slot, so pages fault once
-# per worker, not once per chunk.  CONTRACT: a returned array is valid
-# only until the same slot cycles around (`slots` subsequent decodes) —
-# holders that outlive that must stay on the default owned-allocation path.
-_RING_ON = False
-_RING_BUFS: list = []   # persists across ring_scratch blocks: pages fault
-_RING_IDX = 0           # once per worker process, not once per block
-
-
-class ring_scratch:
-    """Context manager enabling ring-buffer decode output (see above).
-    The slot buffers persist across blocks (grow-only per worker), so a
-    task-pool stage that enters the ring once per partition still reuses
-    already-faulted pages across partitions."""
-
-    def __init__(self, slots: int = 16):
-        self.slots = slots
-
-    def __enter__(self):
-        global _RING_ON, _RING_BUFS
-        self._prev = _RING_ON
-        _RING_ON = True
-        if len(_RING_BUFS) < self.slots:
-            _RING_BUFS.extend([None] * (self.slots - len(_RING_BUFS)))
-        return self
-
-    def __exit__(self, *exc):
-        global _RING_ON
-        _RING_ON = self._prev
-        return False
-
-
-def _ring_buf(n: int) -> np.ndarray:
-    global _RING_IDX
-    i = _RING_IDX % len(_RING_BUFS)
-    _RING_IDX += 1
-    buf = _RING_BUFS[i]
-    if buf is None or len(buf) < n:
-        buf = _RING_BUFS[i] = np.empty(max(n, 1 << 20), np.uint8)
-    return buf
-
-
 def decode_np(sym_bytes: np.ndarray, sym_lens: np.ndarray, enc,
               out_size: int) -> np.ndarray:
-    """Decode into an exactly-sized uint8 array (no extra copy: the caller
-    can hand the array to pa.py_buffer zero-copy).  Owned allocation by
-    default; inside a `ring_scratch` block the backing memory is a reused
-    ring slot (see contract above)."""
+    """Decode into an exactly-sized, owned uint8 array (no extra copy: the
+    caller can hand the array to pa.py_buffer zero-copy)."""
     if len(enc) == 0:
         return np.zeros(0, np.uint8)
     inp = np.frombuffer(enc, np.uint8)
     lib = get_lib()
     if lib is not None:
-        if _RING_ON:
-            out = _ring_buf(out_size + 8)
-        else:
-            out = np.empty(out_size + 8, np.uint8)  # +8: memcpy slack
+        out = np.empty(out_size + 8, np.uint8)  # +8: memcpy slack
         m = lib.fsst_decode(
             _u8p(np.ascontiguousarray(sym_bytes)),
             _u8p(np.ascontiguousarray(sym_lens)),

@@ -1,9 +1,9 @@
 """Multimodal column stages: opaque binary payloads + typed metadata.
 
-Image/audio/video payloads are `binary` columns moved zero-copy through
-Arrow; decode / feature-extract / resize / frame-sample run as actor-pool
-map_batches stages.  No media library exists in this container, so the
-REAL kernels are the ones buildable from the stdlib + numpy alone:
+Image payloads are `binary` columns moved zero-copy through Arrow;
+decode / feature-extract / resize run as actor-pool map_batches stages.
+No media library is a dependency, so the REAL kernels are the ones
+buildable from the stdlib + numpy alone:
 
 - `sniff_media`: true header decode (dims + format) for PNG / GIF / BMP /
   JPEG / PNM — `DecodeMedia(backend="real")`;
@@ -272,42 +272,6 @@ class ExtractFeatures:
         )
 
 
-class FrameSample:
-    """Actor-pool stage: 'video' payload -> K fixed-stride byte frames.
-
-    STUB for video frame sampling: slices K evenly-spaced fixed-size windows
-    from the payload (a real backend would seek keyframes).  Output is one
-    row per (id, frame_idx) — the flat_map-style explode a real sampler uses.
-    """
-
-    def __init__(self, payload_col: str = "html", id_col: str = "url",
-                 k: int = 4, frame_bytes: int = 256):
-        self.payload_col = payload_col
-        self.id_col = id_col
-        self.k = k
-        self.frame_bytes = frame_bytes
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids, fidx, frames = [], [], []
-        for i, v in zip(batch.column(self.id_col).to_pylist(),
-                        batch.column(self.payload_col).to_pylist()):
-            if v is None or len(v) == 0:
-                continue
-            stride = max(1, (len(v) - self.frame_bytes) // max(1, self.k - 1))
-            for f in range(self.k):
-                off = min(f * stride, max(0, len(v) - self.frame_bytes))
-                ids.append(i)
-                fidx.append(f)
-                frames.append(v[off : off + self.frame_bytes])
-        return pa.table(
-            {
-                self.id_col: pa.array(ids),
-                "frame_idx": pa.array(fidx, pa.int32()),
-                "frame": pa.array(frames, pa.binary()),
-            }
-        )
-
-
 def decode_media(ds, payload_col: str = "html", backend: str = "fake",
                  concurrency: int | tuple = (1, 4), batch_size: int = 256):
     """Small batch_size: multi-MB blobs x concurrency must fit worker heaps.
@@ -351,60 +315,3 @@ def resize_media(ds, payload_col: str = "html", width: int = 64,
         concurrency=concurrency,
         num_cpus=1,
     )
-
-
-def sniff_wav(buf: bytes) -> tuple[int, int, int, int] | None:
-    """Real RIFF/WAVE header decode: (sample_rate, channels, bits_per_sample,
-    n_frames) from the fmt + data chunks, or None if not a PCM WAV."""
-    if len(buf) < 44 or buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
-        return None
-    i, n = 12, len(buf)
-    rate = ch = bits = None
-    frames = None
-    while i + 8 <= n:
-        cid = buf[i : i + 4]
-        size = int.from_bytes(buf[i + 4 : i + 8], "little")
-        body = i + 8
-        if cid == b"fmt " and size >= 16 and body + 16 <= n:
-            ch = int.from_bytes(buf[body + 2 : body + 4], "little")
-            rate = int.from_bytes(buf[body + 4 : body + 8], "little")
-            bits = int.from_bytes(buf[body + 14 : body + 16], "little")
-        elif cid == b"data" and ch and bits:
-            bytes_per_frame = max(1, ch * bits // 8)
-            frames = size // bytes_per_frame
-        i = body + size + (size & 1)  # chunks are word-aligned
-    if rate and ch and bits and frames is not None:
-        return (rate, ch, bits, frames)
-    return None
-
-
-class DecodeAudio:
-    """Actor-pool stage: audio payload -> (ok, sample_rate, channels,
-    duration_ms).  Real kernel for PCM WAV (pure-stdlib RIFF walk); other
-    containers report audio_ok=False."""
-
-    def __init__(self, payload_col: str = "audio"):
-        self.payload_col = payload_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        oks, rates, chs, durs = [], [], [], []
-        for v in batch.column(self.payload_col).to_pylist():
-            meta = sniff_wav(v) if v is not None else None
-            if meta is None:
-                oks.append(False)
-                rates.append(None)
-                chs.append(None)
-                durs.append(None)
-            else:
-                rate, ch, _bits, frames = meta
-                oks.append(True)
-                rates.append(rate)
-                chs.append(ch)
-                durs.append(int(frames * 1000 / rate) if rate else 0)
-        out = batch.drop_columns([self.payload_col])
-        return (
-            out.append_column("audio_ok", pa.array(oks, pa.bool_()))
-            .append_column("sample_rate", pa.array(rates, pa.int32()))
-            .append_column("channels", pa.array(chs, pa.int32()))
-            .append_column("duration_ms", pa.array(durs, pa.int64()))
-        )

@@ -1,4 +1,9 @@
-"""Decode + round-trip verification pipeline.
+"""Decode, scan and round-trip verification of encoded partitions.
+
+Each row group of an encoded partition file holds exactly one chunk: the
+encoded columns of one input record batch (`EncodePartitions` writes one
+table per batch).  Decode, zone-map pruning and verify therefore all work
+one row group at a time.
 
 The correctness contract (BASELINE.json:north_rule / input_hint): decoded
 columns must be byte-identical per row key — the engine-wide version of the
@@ -6,88 +11,80 @@ reference's round-trip tests (/root/reference/src/manage/state.rs:155-191)
 and its parsed-record exact-equality tests
 (/root/reference/src/flatfile.rs:644-773).
 
-`VerifyPartitions` is a Ray-task stage over the same partition specs used
-for encode: each task decodes its encoded file chunk by chunk and compares
-against a fresh read of the same input row groups, so verification is as
-shuffle-free and streaming as the encode itself.
+`VerifyPartitions` runs as Ray tasks over the same partition specs used for
+encode: each task re-reads its input with the encoder's own batch size, so
+decoded chunk i is compared with source batch i and the partition is never
+held whole — verification is as shuffle-free and streaming as the encode.
 """
 
 from __future__ import annotations
 
+import functools
+import json
 from pathlib import Path
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from nem_mms_ray.codecs import EncodedColumn, decode_column
+from nem_mms_ray.pipelines.encode import (
+    DEFAULT_TARGET_BYTES,
+    PartitionSpec,
+    _rows_per_batch,
+    plan_partitions,
+)
+from nem_mms_ray.state.manifest import Manifest, atomic_write
 
 
-def _decode_table_chunks(tbl: pa.Table, columns=None, keep_chunks=None):
-    """Decode the chunk rows of one encoded-table slice, zero-copy.
+def _binary_views(col: pa.ChunkedArray):
+    """(offsets, data) of a binary column as numpy + memoryview, no copies."""
+    arr = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+    odt = np.int64 if pa.types.is_large_binary(arr.type) else np.int32
+    bufs = arr.buffers()
+    offs = np.frombuffer(bufs[1], odt, len(arr) + 1, arr.offset * np.dtype(odt).itemsize)
+    data = memoryview(bufs[2]) if bufs[2] is not None else memoryview(b"")
+    return offs, data
 
-    `columns`: only these logical columns decode (others' payloads are
-    skipped without decompression).  `keep_chunks`: only these chunk ids
-    decode (zone-map pruning).  Payload bytes are sliced as memoryviews of
+
+def _decode_chunk(rows: pa.Table, columns: set | None = None) -> pa.RecordBatch:
+    """Decode one encoded row group (one chunk) into a record batch.
+
+    `columns`: only these logical columns decode (the others' payloads are
+    never handed to a codec).  Payload bytes are sliced as memoryviews of
     the Arrow buffers — no per-row Python bytes copies.
     """
-    import json
-
-    import numpy as np
-
-    def _binary_views(col):
-        arr = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
-        odt = np.int64 if pa.types.is_large_binary(arr.type) else np.int32
-        bufs = arr.buffers()
-        offs = np.frombuffer(
-            bufs[1], odt, len(arr) + 1, arr.offset * np.dtype(odt).itemsize
-        )
-        data = memoryview(bufs[2]) if bufs[2] is not None else memoryview(b"")
-        return offs, data
-
-    names = tbl.column("column").to_pylist()
-    ci_np = tbl.column("chunk_idx").to_numpy()
-    sel = [i for i in range(len(tbl))
-           if (columns is None or names[i] in columns)
-           and (keep_chunks is None or int(ci_np[i]) in keep_chunks)]
-    if not sel:
-        return
-    if len(sel) != len(tbl):
-        tbl = tbl.take(pa.array(sel, pa.int64()))
-    chunk_idx = tbl.column("chunk_idx").to_numpy()
-    colname = tbl.column("column").to_pylist()
-    codec = tbl.column("codec").to_pylist()
-    n_vals = tbl.column("n").to_numpy()
-    dtype = tbl.column("dtype").to_pylist()
-    params = tbl.column("params").to_pylist()
-    has_v = tbl.column("has_validity").to_numpy(zero_copy_only=False)
-    po, pm = _binary_views(tbl.column("payload"))
-    vo, vm = _binary_views(tbl.column("validity"))
-    by_chunk: dict[int, list[int]] = {}
-    for i, ci in enumerate(chunk_idx):
-        by_chunk.setdefault(int(ci), []).append(i)
-    for ci in sorted(by_chunk):
-        cols = {}
-        for i in by_chunk[ci]:
-            ec = EncodedColumn(
-                codec=codec[i],
-                n=int(n_vals[i]),
-                dtype=dtype[i],
-                payload=pm[po[i] : po[i + 1]],
-                validity=bytes(vm[vo[i] : vo[i + 1]]) if has_v[i] else None,
-                params=json.loads(params[i]),
-            )
-            cols[colname[i]] = decode_column(ec)
-        yield ci, pa.table(cols)
+    names = rows.column("column").to_pylist()
+    if columns is not None:
+        sel = [i for i, n in enumerate(names) if n in columns]
+        if len(sel) != len(names):
+            rows = rows.take(pa.array(sel, pa.int64()))
+            names = [names[i] for i in sel]
+    if not names:
+        return pa.RecordBatch.from_pydict({})
+    codec = rows.column("codec").to_pylist()
+    n_vals = rows.column("n").to_numpy()
+    dtype = rows.column("dtype").to_pylist()
+    params = rows.column("params").to_pylist()
+    has_v = rows.column("has_validity").to_numpy(zero_copy_only=False)
+    po, pm = _binary_views(rows.column("payload"))
+    vo, vm = _binary_views(rows.column("validity"))
+    return pa.RecordBatch.from_pydict({
+        names[i]: decode_column(EncodedColumn(
+            codec=codec[i],
+            n=int(n_vals[i]),
+            dtype=dtype[i],
+            payload=pm[po[i] : po[i + 1]],
+            validity=bytes(vm[vo[i] : vo[i + 1]]) if has_v[i] else None,
+            params=json.loads(params[i]),
+        ))
+        for i in range(len(names))
+    })
 
 
-def iter_decoded_chunks(encoded_path: str | Path,
-                        columns: list[str] | None = None):
-    """Yield (chunk_idx, pa.Table) reassembled from an encoded partition file.
-
-    Chunk rows are contiguous by construction (one record batch written per
-    input batch), so each parquet row group of the encoded file holds whole
-    chunks; a partition file is bounded by the encode target_bytes, and each
-    chunk's encoded columns are decoded together then released.
+def iter_decoded_chunks(encoded_path: str | Path, columns: list[str] | None = None):
+    """Yield the chunks of an encoded partition file in order, one decoded
+    record batch per row group; each is released once the caller drops it.
 
     `columns` projects the decode: undesired columns' payloads are skipped
     entirely (never decompressed past the parquet layer) — the selective
@@ -96,14 +93,92 @@ def iter_decoded_chunks(encoded_path: str | Path,
     want = set(columns) if columns is not None else None
     pf = pq.ParquetFile(encoded_path)
     for rg in range(pf.metadata.num_row_groups):
-        yield from _decode_table_chunks(pf.read_row_group(rg), want)
+        yield _decode_chunk(pf.read_row_group(rg), want)
 
 
 def decode_partition_file(encoded_path: str | Path,
                           columns: list[str] | None = None) -> pa.Table:
     """Fully reassemble one encoded partition (small partitions / tests)."""
-    tables = [t for _, t in iter_decoded_chunks(encoded_path, columns)]
-    return pa.concat_tables(tables) if tables else pa.table({})
+    batches = list(iter_decoded_chunks(encoded_path, columns))
+    return pa.Table.from_batches(batches) if batches else pa.table({})
+
+
+def _bound_raw(v, dt_str: str):
+    """Bound value in the column's raw storage unit: plain numbers pass
+    through; timestamps/dates convert via pa.scalar at the COLUMN's type
+    (pd.Timestamp.value alone is nanoseconds and would mis-prune a
+    microsecond column)."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        return v
+    from nem_mms_ray import dtypes as _dt
+
+    try:
+        sc = pa.scalar(v, _dt.type_from_str(dt_str))
+        return sc.value
+    except Exception:
+        try:
+            return v.value
+        except AttributeError:
+            return v
+
+
+def _zone_disjoint(bounds: tuple, params: str, dt_str: str) -> bool:
+    """Whether a chunk's stamped zone map ([zmin, zmax]) lies wholly outside
+    the inclusive `bounds`; False when the chunk has no zone map."""
+    p = json.loads(params)
+    zmin, zmax = p.get("zmin"), p.get("zmax")
+    if zmin is None or zmax is None:
+        return False
+    lo, hi = bounds
+    return ((lo is not None and zmax < _bound_raw(lo, dt_str))
+            or (hi is not None and zmin > _bound_raw(hi, dt_str)))
+
+
+def _scan_task(batch: pa.Table, *, columns: list[str] | None,
+               filters: dict[str, tuple]) -> pa.Table:
+    """Scan the encoded files named in `batch`'s `path` column: prune whole
+    row groups by zone map, decode the rest, apply the exact row mask."""
+    need = set(columns) | set(filters) if columns else None
+    out = []
+    dtype_map: dict[str, str] = {}
+    for enc_path in batch.column("path").to_pylist():
+        pf = pq.ParquetFile(enc_path)
+        for rg in range(pf.metadata.num_row_groups):
+            meta = pf.read_row_group(rg, columns=["column", "params", "dtype"])
+            names = meta.column("column").to_pylist()
+            dtype_map.update(zip(names, meta.column("dtype").to_pylist()))
+            if any(_zone_disjoint(filters[name], ps, dtype_map[name])
+                   for name, ps in zip(names, meta.column("params").to_pylist())
+                   if name in filters):
+                continue
+            chunk = _decode_chunk(pf.read_row_group(rg), need)
+            mask = None
+            for name, (lo, hi) in filters.items():
+                col = chunk.column(name)
+                m = np.ones(len(chunk), bool)
+                if lo is not None:
+                    cmp = pa.compute.greater_equal(col, pa.scalar(lo, col.type))
+                    m &= np.asarray(pa.compute.fill_null(cmp, False))
+                if hi is not None:
+                    cmp = pa.compute.less_equal(col, pa.scalar(hi, col.type))
+                    m &= np.asarray(pa.compute.fill_null(cmp, False))
+                mask = m if mask is None else (mask & m)
+            if mask is not None:
+                chunk = chunk.filter(pa.array(mask))
+            if columns is not None:
+                chunk = chunk.select(list(columns))
+            if chunk.num_rows:
+                out.append(chunk)
+    if not out:
+        # typed empty block: all blocks must agree on schema
+        from nem_mms_ray import dtypes as _dt
+
+        want_cols = columns if columns is not None else sorted(dtype_map)
+        if all(c in dtype_map for c in want_cols):
+            return pa.table({c: pa.array([], _dt.type_from_str(dtype_map[c]))
+                             for c in want_cols})
+        return pa.table({})
+    return pa.Table.from_batches(out)
 
 
 def scan_encoded(enc_dir: str | Path, columns: list[str] | None = None,
@@ -112,124 +187,27 @@ def scan_encoded(enc_dir: str | Path, columns: list[str] | None = None,
     filtered rows.
 
     `range_filters`: {column: (lo, hi)} inclusive bounds (either side None
-    for open).  A chunk whose stamped zone map ([zmin, zmax], written at
-    encode time) is disjoint from a bound is skipped before ANY of its
-    columns decompress — the scan reads only the (tiny) metadata columns of
-    pruned chunks.  Surviving chunks decode projected to `columns` plus the
-    filter columns, then the exact row mask applies.  Temporal bounds may be
-    numbers (raw epoch in the column's unit) or anything `pa.scalar`
-    accepts for the column type.
+    for open).  A chunk (row group) whose stamped zone map ([zmin, zmax],
+    written at encode time) is disjoint from a bound is skipped before ANY
+    of its columns decompress — the scan reads only the (tiny) metadata
+    columns of pruned chunks.  Surviving chunks decode projected to
+    `columns` plus the filter columns, then the exact row mask applies.
+    Temporal bounds may be numbers (raw epoch in the column's unit) or
+    anything `pa.scalar` accepts for the column type.
     """
-    import json
-
-    import numpy as np
     import ray.data as rd
-
-    filters = dict(range_filters or {})
-    need = None
-    if columns is not None:
-        need = sorted(set(columns) | set(filters))
-
-    def _bound_raw(v, dt_str: str):
-        """Bound value in the column's raw storage unit: plain numbers pass
-        through; timestamps/dates convert via pa.scalar at the COLUMN's type
-        (pd.Timestamp.value alone is nanoseconds and would mis-prune a
-        microsecond column)."""
-        if isinstance(v, (int, float)) and not isinstance(v, bool):
-            return v
-        from nem_mms_ray import dtypes as _dt
-
-        try:
-            sc = pa.scalar(v, _dt.type_from_str(dt_str))
-            return sc.value
-        except Exception:
-            try:
-                return v.value
-            except AttributeError:
-                return v
-
-    def scan_one(batch: pa.Table) -> pa.Table:
-        out = []
-        dtype_map: dict[str, str] = {}
-        for enc_path in batch.column("path").to_pylist():
-            pf = pq.ParquetFile(enc_path)
-            for rg in range(pf.metadata.num_row_groups):
-                meta = pf.read_row_group(
-                    rg, columns=["column", "chunk_idx", "params", "dtype"])
-                names = meta.column("column").to_pylist()
-                chunks = meta.column("chunk_idx").to_numpy()
-                params = meta.column("params").to_pylist()
-                dtype_map.update(zip(names, meta.column("dtype").to_pylist()))
-                drop = set()
-                for name, ci, ps in zip(names, chunks, params):
-                    f = filters.get(name)
-                    if f is None:
-                        continue
-                    p = json.loads(ps)
-                    zmin, zmax = p.get("zmin"), p.get("zmax")
-                    if zmin is None or zmax is None:
-                        continue
-                    lo, hi = f
-                    dts = dtype_map.get(name, "")
-                    if lo is not None and zmax < _bound_raw(lo, dts):
-                        drop.add(int(ci))
-                    if hi is not None and zmin > _bound_raw(hi, dts):
-                        drop.add(int(ci))
-                keep_chunks = sorted(set(int(c) for c in chunks) - drop)
-                if not keep_chunks:
-                    continue
-                for ci, tbl in _decode_row_group(pf, rg, need, set(keep_chunks)):
-                    mask = None
-                    for name, (lo, hi) in filters.items():
-                        col = tbl.column(name)
-                        m = np.ones(len(tbl), bool)
-                        if lo is not None:
-                            cmp = pa.compute.greater_equal(
-                                col, pa.scalar(lo, col.type))
-                            m &= np.asarray(pa.compute.fill_null(cmp, False))
-                        if hi is not None:
-                            cmp = pa.compute.less_equal(
-                                col, pa.scalar(hi, col.type))
-                            m &= np.asarray(pa.compute.fill_null(cmp, False))
-                        mask = m if mask is None else (mask & m)
-                    if mask is not None:
-                        tbl = tbl.filter(pa.array(mask))
-                    if columns is not None:
-                        tbl = tbl.select([c for c in columns])
-                    if tbl.num_rows:
-                        out.append(tbl)
-        if not out:
-            # typed empty block: all blocks must agree on schema
-            from nem_mms_ray import dtypes as _dt
-
-            want_cols = columns if columns is not None else sorted(dtype_map)
-            if all(c in dtype_map for c in want_cols):
-                return pa.table({c: pa.array([], _dt.type_from_str(dtype_map[c]))
-                                 for c in want_cols})
-            return pa.table({})
-        return pa.concat_tables(out)
 
     files = sorted(str(p) for p in Path(enc_dir).glob("part-*.parquet"))
     if not files:
         raise ValueError(f"no encoded partitions under {enc_dir}")
     ds = rd.from_items([{"path": p} for p in files], override_num_blocks=len(files))
-    return ds.map_batches(scan_one, batch_size=1,
-                          batch_format="pyarrow", num_cpus=1)
-
-
-def _decode_row_group(pf, rg: int, columns, keep_chunks: set):
-    """Zone-pruned decode of one row group (see `_decode_table_chunks`)."""
-    yield from _decode_table_chunks(pf.read_row_group(rg),
-                                    set(columns) if columns else None,
-                                    keep_chunks)
+    fn = functools.partial(_scan_task, columns=columns, filters=dict(range_filters or {}))
+    return ds.map_batches(fn, batch_size=1, batch_format="pyarrow", num_cpus=1)
 
 
 def _decode_task(batch: pa.Table, *, enc_dir: str, out_dir: str) -> pa.Table:
     """Decode encoded partition files back to plain parquet (one part per
     pid, deterministic names -> resumable like the encode side)."""
-    import os
-    import tempfile
-
     out = []
     for row in batch.to_pylist():
         pid = int(row["pid"])
@@ -244,17 +222,8 @@ def _decode_task(batch: pa.Table, *, enc_dir: str, out_dir: str) -> pa.Table:
                         "output_file": str(tgt), "skipped": True})
             continue
         t = decode_partition_file(src)
-        fd, tmp = tempfile.mkstemp(dir=tgt.parent, suffix=".tmp")
-        os.close(fd)
-        try:
+        with atomic_write(tgt) as tmp:
             pq.write_table(t, tmp)
-            os.replace(tmp, tgt)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
         out.append({"pid": pid, "rows": t.num_rows, "output_file": str(tgt),
                     "skipped": False})
     return pa.Table.from_pylist(out)
@@ -265,8 +234,6 @@ def decode_files(enc_dir: str | Path, out_dir: str | Path):
     parquet under `out_dir`.  Returns a lazy Dataset of per-partition rows.
     The inverse of `encode_files` for consumers that want the original
     columnar data back without the codec layer."""
-    import functools
-
     import ray.data as rd
 
     pids = sorted(
@@ -280,72 +247,46 @@ def decode_files(enc_dir: str | Path, out_dir: str | Path):
 
 
 class VerifyPartitions:
-    """Actor-pool callable: spec rows -> per-partition verification rows."""
+    """Stage callable: partition-spec rows -> per-partition verification rows
+    (pid, rows, ok, mismatched_columns).
+
+    Each partition streams: its source is read with the encoder's own
+    `iter_batches` call, so decoded chunk i is compared with source batch i
+    and one of each is held at a time.  A chunk count or a chunk's row count
+    that differs from the source's sets `ok` to False.
+    """
 
     def __init__(self, out_dir: str, columns: list[str] | None = None):
         self.out_dir = Path(out_dir)
         self.columns = columns
 
+    def _verify_partition(self, spec: PartitionSpec) -> dict:
+        source = pq.ParquetFile(spec.path).iter_batches(
+            batch_size=_rows_per_batch(spec.approx_bytes, spec.rows),
+            row_groups=spec.row_groups, columns=self.columns)
+        decoded = iter_decoded_chunks(self.out_dir / f"part-{spec.pid:06d}.parquet",
+                                      self.columns)
+        aligned, bad = True, set()
+        for src in source:
+            dec = next(decoded, None)
+            if dec is None or dec.num_rows != src.num_rows:
+                aligned = False
+                break
+            bad.update(n for n in src.schema.names
+                       if n not in dec.schema.names or not src.column(n).equals(dec.column(n)))
+            del src, dec  # release both before the next pair is read
+        else:
+            aligned = next(decoded, None) is None  # no chunk beyond the source
+        return {"pid": spec.pid, "rows": spec.rows, "ok": aligned and not bad,
+                "mismatched_columns": ",".join(sorted(bad))}
+
     def __call__(self, batch: pa.Table) -> pa.Table:
-        out = []
-        for row in batch.to_pylist():
-            pid = row["pid"]
-            enc_path = self.out_dir / f"part-{pid:06d}.parquet"
-            pf = pq.ParquetFile(row["path"])
-            batches = list(pf.iter_batches(row_groups=list(row["row_groups"]),
-                                           columns=self.columns))
-            if batches:
-                orig = pa.Table.from_batches(batches)
-            else:  # zero-row partition
-                orig = pf.schema_arrow.empty_table()
-                if self.columns:
-                    orig = orig.select(list(self.columns))
-            if orig.num_rows == 0:
-                dec = decode_partition_file(enc_path, columns=self.columns)
-                out.append({"pid": pid, "rows": 0,
-                            "ok": dec.num_rows == 0, "mismatched_columns": ""})
-                continue
-            # stream chunk-by-chunk: each decoded chunk compares against the
-            # matching slice of the original and is then dropped — the full
-            # decoded partition never materializes, and the ring scratch
-            # keeps decode output on already-faulted pages.  Ring slots are
-            # valid only until they cycle, and ONE chunk holds every FSST
-            # string column's decode output alive at once — so the ring
-            # must have at least as many slots as the chunk has columns
-            # (ADVICE r3: a fixed 16 silently corrupts the comparison for
-            # wider tables).
-            from nem_mms_ray.codecs import _fsst_native as _native
-
-            mismates: set = set()
-            offset = 0
-            with _native.ring_scratch(max(16, orig.num_columns + 1)):
-                for _ci, chunk in iter_decoded_chunks(enc_path, self.columns):
-                    sl = orig.slice(offset, chunk.num_rows)
-                    for name in sl.column_names:
-                        if not sl.column(name).equals(chunk.column(name)):
-                            mismates.add(name)
-                    offset += chunk.num_rows
-            out.append(
-                {
-                    "pid": pid,
-                    "rows": orig.num_rows,
-                    "ok": not mismates and offset == orig.num_rows,
-                    "mismatched_columns": ",".join(sorted(mismates)),
-                }
-            )
-        return pa.Table.from_pylist(out)
+        return pa.Table.from_pylist(
+            [self._verify_partition(PartitionSpec(**row)) for row in batch.to_pylist()])
 
 
-_WORKER_VERIFIERS: dict = {}
-
-
-def _verify_task(batch: pa.Table, *, out_dir: str, columns_key: tuple | None) -> pa.Table:
-    key = (out_dir, columns_key)
-    stage = _WORKER_VERIFIERS.get(key)
-    if stage is None:
-        stage = VerifyPartitions(out_dir, list(columns_key) if columns_key else None)
-        _WORKER_VERIFIERS[key] = stage
-    return stage(batch)
+def _verify_task(batch: pa.Table, *, out_dir: str, columns: list[str] | None) -> pa.Table:
+    return VerifyPartitions(out_dir, columns)(batch)
 
 
 def verify_files(
@@ -356,19 +297,18 @@ def verify_files(
 ):
     """Round-trip verification as a Ray pipeline over the encode's partitioning.
 
-    Runs as Ray tasks for the same reason as encode_files (see there).
+    Verify must plan with the encode's `target_bytes`, or the partition ids
+    misalign and every partition reads as a mismatch: by default it is the
+    one the encode recorded in the run header (`_manifest/run.json`), or
+    DEFAULT_TARGET_BYTES when out_dir has none.  Runs as Ray tasks, one per
+    partition spec, like encode_files.
     """
-    import functools
-
     import ray.data as rd
 
-    from nem_mms_ray.pipelines.encode import DEFAULT_TARGET_BYTES, plan_partitions
-
-    specs = plan_partitions(input_paths, target_bytes or DEFAULT_TARGET_BYTES)
+    if target_bytes is None:
+        hdr = Manifest(out_dir).read_run_header()
+        target_bytes = hdr["target_bytes"] if hdr else DEFAULT_TARGET_BYTES
+    specs = plan_partitions(input_paths, target_bytes)
     ds = rd.from_items([s.to_row() for s in specs], override_num_blocks=len(specs))
-    fn = functools.partial(
-        _verify_task,
-        out_dir=str(out_dir),
-        columns_key=tuple(columns) if columns else None,
-    )
+    fn = functools.partial(_verify_task, out_dir=str(out_dir), columns=columns or None)
     return ds.map_batches(fn, batch_size=1, batch_format="pyarrow", num_cpus=1)

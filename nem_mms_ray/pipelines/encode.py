@@ -27,10 +27,8 @@ parallelism the reference lacks (single-threaded, fully materialized —
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +38,7 @@ import pyarrow.parquet as pq
 from nem_mms_ray import dtypes
 from nem_mms_ray.codecs import EncodedColumn, fsst, get_codec
 from nem_mms_ray.selector import plan_for_sketches, select_codec
-from nem_mms_ray.state.manifest import Manifest, PartitionRecord
+from nem_mms_ray.state.manifest import Manifest, PartitionRecord, atomic_write
 from nem_mms_ray.stats import sketch_array
 
 DEFAULT_TARGET_BYTES = 128 << 20
@@ -92,7 +90,7 @@ def plan_partitions(
     Row groups pack greedily up to target_bytes (uncompressed arrow-side
     estimate from parquet metadata); an oversized row group becomes its own
     partition (the size-based re-split of SURVEY.md §7.1.6 — giant html/text
-    blobs cannot straddle a partition and blow an actor's heap).
+    blobs cannot straddle a partition and blow a worker's heap).
     """
     if not paths:
         raise ValueError("plan_partitions: no input paths given")
@@ -160,17 +158,6 @@ def _row_group_metas(sorted_paths: list[str]) -> dict[str, list[tuple[int, int]]
 def _rows_per_batch(approx_bytes: int, rows: int, target: int = 32 << 20) -> int:
     avg = max(1, approx_bytes // max(1, rows))
     return int(np.clip(target // avg, 64, 65536))
-
-
-@dataclass
-class PartitionResult:
-    pid: int
-    rows: int = 0
-    orig_bytes: int = 0
-    encoded_bytes: int = 0
-    wall_sec: float = 0.0
-    skipped: bool = False
-    codecs: dict = field(default_factory=dict)
 
 
 def _attach_zone_map(ec, arr: pa.Array) -> None:
@@ -264,11 +251,12 @@ def _drain(head: list, rest):
 
 
 class EncodePartitions:
-    """Actor-pool callable over partition-spec rows (batch_format='pyarrow').
+    """Stage callable: partition-spec rows -> per-partition metric rows
+    (batch_format='pyarrow').
 
-    State held per actor: output dir + manifest handle; state held per
-    partition: codec plan + trained FSST symbol tables (built on the
-    sampling pass, reused for every batch of that partition).
+    Holds the output dir + manifest handle; per partition it builds the
+    codec plan + trained FSST symbol tables (on the sampling pass, reused
+    for every batch of that partition).
     """
 
     def __init__(self, out_dir: str, columns: list[str] | None = None,
@@ -367,14 +355,13 @@ class EncodePartitions:
         _attach_zone_map(ec, arr)
         return ec
 
-    def _encode_partition(self, spec: PartitionSpec) -> PartitionResult:
+    def _encode_partition(self, spec: PartitionSpec) -> PartitionRecord | None:
+        """Encode one partition and record it; None if the manifest already
+        holds it (resume)."""
         t0 = time.monotonic()
-        # re-create defensively: cached worker-level instances may outlive an
-        # out_dir that the driver removed between runs
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         out_path = self.out_dir / f"part-{spec.pid:06d}.parquet"
         if self.manifest.is_done(spec.pid, spec.path, spec.row_groups):
-            return PartitionResult(pid=spec.pid, skipped=True)
+            return None
 
         pf = pq.ParquetFile(spec.path)
         bpr = _rows_per_batch(spec.approx_bytes, spec.rows)
@@ -403,9 +390,7 @@ class EncodePartitions:
         rows = 0
         orig_bytes = 0
         enc_bytes = 0
-        fd, tmp = tempfile.mkstemp(dir=self.out_dir, suffix=".tmp")
-        os.close(fd)
-        try:
+        with atomic_write(out_path) as tmp:
             # zstd entropy layer over the codec payloads: FSST/bitpack output
             # keeps a skewed, repetitive byte distribution that zstd cuts
             # hard, at a faster write than snappy (measured on a 64MiB
@@ -430,75 +415,40 @@ class EncodePartitions:
                 rows += rb.num_rows
                 writer.write_table(pa.Table.from_pylist(out_rows, schema=ENCODED_SCHEMA))
             writer.close()
-            os.replace(tmp, out_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
-        wall = time.monotonic() - t0
-        self.manifest.write(
-            PartitionRecord(
-                pid=spec.pid,
-                input_file=spec.path,
-                row_groups=list(spec.row_groups),
-                rows=rows,
-                orig_bytes=orig_bytes,
-                encoded_bytes=enc_bytes,
-                file_bytes=out_path.stat().st_size,
-                codecs={c: p.codec for c, p in plans.items()},
-                column_bytes=col_bytes,
-                wall_sec=wall,
-                done=True,
-                output_file=str(out_path),
-                native=_kernel_paths(),
-            )
-        )
-        return PartitionResult(
-            pid=spec.pid, rows=rows, orig_bytes=orig_bytes,
-            encoded_bytes=enc_bytes, wall_sec=wall,
+        rec = PartitionRecord(
+            pid=spec.pid,
+            input_file=spec.path,
+            row_groups=list(spec.row_groups),
+            rows=rows,
+            orig_bytes=orig_bytes,
+            encoded_bytes=enc_bytes,
+            file_bytes=out_path.stat().st_size,
             codecs={c: p.codec for c, p in plans.items()},
+            column_bytes=col_bytes,
+            wall_sec=time.monotonic() - t0,
+            done=True,
+            output_file=str(out_path),
+            native=_kernel_paths(),
         )
+        self.manifest.write(rec)
+        return rec
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        results = []
+        out = []
         for row in batch.to_pylist():
-            spec = PartitionSpec(
-                pid=row["pid"], path=row["path"],
-                row_groups=list(row["row_groups"]),
-                approx_bytes=row["approx_bytes"], rows=row["rows"],
-            )
-            res = self._encode_partition(spec)
-            results.append(
-                {
-                    "pid": res.pid,
-                    "rows": res.rows,
-                    "orig_bytes": res.orig_bytes,
-                    "encoded_bytes": res.encoded_bytes,
-                    "wall_sec": res.wall_sec,
-                    "skipped": res.skipped,
-                    "codecs": str(sorted(res.codecs.items())),
-                }
-            )
-        return pa.Table.from_pylist(results)
+            spec = PartitionSpec(**row)
+            rec = (self._encode_partition(spec)
+                   or PartitionRecord(spec.pid, spec.path, spec.row_groups))
+            out.append({"pid": rec.pid, "rows": rec.rows, "orig_bytes": rec.orig_bytes,
+                        "encoded_bytes": rec.encoded_bytes, "wall_sec": rec.wall_sec,
+                        "skipped": not rec.done,
+                        "codecs": str(sorted(rec.codecs.items()))})
+        return pa.Table.from_pylist(out)
 
 
-# Per-worker cache for task-mode encoders: a Ray task wave reuses warm worker
-# processes, so the instance (and its imports) amortizes across tasks exactly
-# like an actor would — without the actor-pool operator's fixed ramp-up cost
-# (measured ~3s per pipeline on this Ray version vs ~0.1s for task pools).
-_WORKER_STAGES: dict = {}
-
-
-def _encode_task(batch: pa.Table, *, out_dir: str, columns_key: tuple | None) -> pa.Table:
-    key = ("enc", out_dir, columns_key)
-    stage = _WORKER_STAGES.get(key)
-    if stage is None:
-        stage = EncodePartitions(out_dir, list(columns_key) if columns_key else None)
-        _WORKER_STAGES[key] = stage
-    return stage(batch)
+def _encode_task(batch: pa.Table, *, out_dir: str, columns: list[str] | None) -> pa.Table:
+    return EncodePartitions(out_dir, columns)(batch)
 
 
 def encode_files(
@@ -512,9 +462,9 @@ def encode_files(
     Consume with .to_pandas()/.take_all() (tiny: one row per partition) —
     the heavy data streams worker-side only.
 
-    The stage runs as Ray tasks: per-partition state (plan + FSST tables)
-    is built once per partition inside the task, and Ray's warm worker
-    processes amortize imports (`_encode_task`).
+    The stage runs as Ray tasks, one per partition spec: each task builds
+    its own `EncodePartitions` (two mkdirs) and, inside it, the partition's
+    plan + FSST tables; Ray's warm worker processes amortize the imports.
     """
     import functools
 
@@ -528,9 +478,5 @@ def encode_files(
     # one block per spec: from_items packs everything into one block, which
     # would serialize the whole encode behind a single task
     ds = rd.from_items([s.to_row() for s in specs], override_num_blocks=len(specs))
-    fn = functools.partial(
-        _encode_task,
-        out_dir=str(out_dir),
-        columns_key=tuple(columns) if columns else None,
-    )
+    fn = functools.partial(_encode_task, out_dir=str(out_dir), columns=columns or None)
     return ds.map_batches(fn, batch_size=1, batch_format="pyarrow", num_cpus=1)

@@ -27,11 +27,28 @@ the single naming site).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+
+
+@contextlib.contextmanager
+def atomic_write(path: str | Path):
+    """Yield a temporary path next to `path`; once the block finishes, the
+    temporary replaces `path` in one rename.  If the block raises, the
+    temporary is removed and `path` is left as it was."""
+    fd, tmp = tempfile.mkstemp(dir=Path(path).parent, suffix=".tmp")
+    os.close(fd)
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 @dataclass
@@ -79,29 +96,26 @@ class Manifest:
         was produced by a different plan — the per-record lineage check
         guards single partitions, this guards the whole run."""
         self.init()
-        data = json.dumps({
-            "inputs": sorted({str(p) for p in inputs}),
-            "target_bytes": int(target_bytes),
-            "n_partitions": int(n_partitions),
-        }, sort_keys=True).encode()
-        fd, tmp = tempfile.mkstemp(dir=self.dir, suffix=".tmp")
-        try:
-            os.write(fd, data)
-            os.close(fd)
-            os.replace(tmp, self.run_header_path())
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with atomic_write(self.run_header_path()) as tmp:
+            Path(tmp).write_text(json.dumps({
+                "inputs": sorted({str(p) for p in inputs}),
+                "target_bytes": int(target_bytes),
+                "n_partitions": int(n_partitions),
+            }, sort_keys=True))
 
-    def check_run_header(self, inputs: list[str], target_bytes: int) -> None:
+    def read_run_header(self) -> dict | None:
+        """The run header, or None for a fresh out_dir (or a manifest that
+        predates headers)."""
         p = self.run_header_path()
         if not p.exists():
-            return  # fresh out_dir (or pre-header manifest): nothing to check
+            return None
         with open(p) as f:
-            hdr = json.load(f)
+            return json.load(f)
+
+    def check_run_header(self, inputs: list[str], target_bytes: int) -> None:
+        hdr = self.read_run_header()
+        if hdr is None:
+            return  # nothing to check
         want = sorted({str(x) for x in inputs})
         if hdr.get("inputs") != want or hdr.get("target_bytes") != int(target_bytes):
             raise ValueError(
@@ -136,18 +150,8 @@ class Manifest:
 
     def write(self, rec: PartitionRecord) -> None:
         self.init()
-        data = json.dumps(asdict(rec), sort_keys=True).encode()
-        fd, tmp = tempfile.mkstemp(dir=self.dir, suffix=".tmp")
-        try:
-            os.write(fd, data)
-            os.close(fd)
-            os.replace(tmp, self.record_path(rec.pid))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with atomic_write(self.record_path(rec.pid)) as tmp:
+            Path(tmp).write_text(json.dumps(asdict(rec), sort_keys=True))
 
     def load(self, pid: int) -> PartitionRecord:
         with open(self.record_path(pid)) as f:

@@ -18,7 +18,7 @@ def test_cli_gen_encode_verify_describe(ray_session, tmp_path, capsys):
     enc = json.loads(capsys.readouterr().out.strip())
     assert enc["rows"] == 2000 and enc["done"] == enc["partitions"] > 1
 
-    assert main(["verify", *inputs, "-o", str(out), "--target-mb", "1"]) == 0
+    assert main(["verify", *inputs, "-o", str(out)]) == 0
     ver = json.loads(capsys.readouterr().out.strip())
     assert ver["ok"] is True and ver["mismatches"] == []
 

@@ -236,28 +236,72 @@ def test_fsst_skip_never_hides_an_fsst_plan():
 
 
 # ---------------------------------------------------------------------------
-# Verify compares chunked columns as they come
+# Verify compares decoded chunk i with source batch i
 # ---------------------------------------------------------------------------
+
+
+def _encode_batched(tmp_path, table: pa.Table, row_group_size: int, batch_rows: int):
+    """Encode `table` as one partition read in `batch_rows`-row batches;
+    the partition's spec rows and its encoded file."""
+    src = tmp_path / "in.parquet"
+    pq.write_table(table, src, row_group_size=row_group_size)
+    (spec,) = [dataclasses.replace(s, approx_bytes=s.rows * ((32 << 20) // batch_rows))
+               for s in plan_partitions([str(src)])]
+    spec_rows = pa.Table.from_pylist([spec.to_row()])
+    EncodePartitions(str(tmp_path / "enc"))(spec_rows)
+    return spec_rows, tmp_path / "enc" / f"part-{spec.pid:06d}.parquet"
+
+
+def _verify(tmp_path, spec_rows: pa.Table) -> list[dict]:
+    from nem_mms_ray.pipelines.decode import VerifyPartitions
+
+    return VerifyPartitions(str(tmp_path / "enc"))(spec_rows).to_pylist()
 
 
 @pytest.mark.parametrize("flip_row", [None, 60_000, 66_000])
 def test_verify_slice_spanning_input_batches(flip_row, tmp_path):
-    """Input batches are 65536 rows and encoded chunks about 50000, so the second
-    chunk's original slice spans two input batches: equal data chunked
-    differently verifies, one flipped byte on either side does not."""
-    from nem_mms_ray.pipelines.decode import VerifyPartitions
-
+    """Encoded chunks are about 50000 rows of a 70000-row input: equal data
+    verifies, and one flipped byte in the second chunk, on either side of
+    row 65536, fails it and names the column."""
     rows = 70_000
     strs = [f"row-{i:06d}" for i in range(rows)]
-    src = tmp_path / "in.parquet"
-    pq.write_table(pa.table({"i": np.arange(rows), "s": strs}), src)
-    specs = [dataclasses.replace(s, approx_bytes=s.rows * ((32 << 20) // 50_000))
-             for s in plan_partitions([str(src)])]
-    spec_rows = pa.Table.from_pylist([s.to_row() for s in specs])
-    EncodePartitions(str(tmp_path / "enc"))(spec_rows)
+    spec_rows, _ = _encode_batched(
+        tmp_path, pa.table({"i": np.arange(rows), "s": strs}), 1 << 20, 50_000)
     if flip_row is not None:
         strs[flip_row] = strs[flip_row][:-1] + "x"
-        pq.write_table(pa.table({"i": np.arange(rows), "s": strs}), src)
-    res = VerifyPartitions(str(tmp_path / "enc"))(spec_rows).to_pylist()
-    assert res == [{"pid": 0, "rows": rows, "ok": flip_row is None,
-                    "mismatched_columns": "" if flip_row is None else "s"}]
+        pq.write_table(pa.table({"i": np.arange(rows), "s": strs}), tmp_path / "in.parquet")
+    assert _verify(tmp_path, spec_rows) == [
+        {"pid": 0, "rows": rows, "ok": flip_row is None,
+         "mismatched_columns": "" if flip_row is None else "s"}]
+
+
+def _rows_2900() -> pa.Table:
+    return pa.table({"i": np.arange(2900), "s": [f"row-{i:06d}" for i in range(2900)]})
+
+
+def test_verify_batches_across_row_groups(tmp_path):
+    """1000-row batches over 1200-row row groups: chunks cross row-group
+    boundaries, and the partition still verifies chunk by chunk."""
+    spec_rows, enc = _encode_batched(tmp_path, _rows_2900(), 1200, 1000)
+    assert len(spec_rows.column("row_groups")[0]) == 3
+    assert pq.ParquetFile(enc).metadata.num_row_groups == 3  # 1000, 1000, 900
+    assert _verify(tmp_path, spec_rows) == [
+        {"pid": 0, "rows": 2900, "ok": True, "mismatched_columns": ""}]
+
+
+@pytest.mark.parametrize("edit", ["drop_last", "extra_chunk", "swap_last_two"])
+def test_verify_chunk_layout_mismatch(edit, tmp_path):
+    """An encoded file missing its last chunk, holding one extra chunk, or
+    with a chunk whose row count differs from its source batch's verifies
+    as not ok, without raising."""
+    spec_rows, enc = _encode_batched(tmp_path, _rows_2900(), 1200, 1000)
+    pf = pq.ParquetFile(enc)
+    groups = [pf.read_row_group(i) for i in range(pf.metadata.num_row_groups)]
+    groups = {"drop_last": groups[:-1], "extra_chunk": groups + groups[-1:],
+              "swap_last_two": [groups[0], groups[2], groups[1]]}[edit]
+    with pq.ParquetWriter(enc, pf.schema_arrow) as w:
+        for g in groups:
+            w.write_table(g)
+    assert pq.ParquetFile(enc).metadata.num_row_groups == len(groups)
+    (res,) = _verify(tmp_path, spec_rows)
+    assert res["ok"] is False

@@ -436,7 +436,7 @@ def test_lang_id(ray_session):
 def test_multimodal_plumbing(ray_session):
     import ray.data as rd
 
-    from nem_mms_ray.ops.multimodal import DecodeMedia, FrameSample, decode_media, extract_features
+    from nem_mms_ray.ops.multimodal import DecodeMedia, decode_media, extract_features
 
     df = pd.DataFrame({
         "url": ["a", "b", "c"],
@@ -450,10 +450,6 @@ def test_multimodal_plumbing(ray_session):
     feats = extract_features(rd.from_pandas(df), concurrency=1).to_pandas()
     assert all(len(f) == 16 for f in feats["features"])
     assert np.allclose(sum(feats["features"][0]), 1.0)
-
-    fs = FrameSample()(pa.Table.from_pandas(df))
-    assert set(fs.column("url").to_pylist()) == {"a", "c"}
-    assert all(len(f) <= 256 for f in fs.column("frame").to_pylist())
 
     with pytest.raises(ValueError):
         DecodeMedia(backend="bogus")
@@ -647,33 +643,6 @@ def test_resize_media_real_pnm(ray_session):
     # nearest-neighbor: pixel (y, x) = source (y*40//10, x*60//20)
     assert r[3, 7, 0] == img[12, 21, 0] and r[3, 7, 1] == img[12, 21, 1]
     assert decode_pnm(out.loc["b", "resized"]).shape == (10, 20)
-
-
-def test_decode_audio_real_wav(ray_session):
-    """Hand-built PCM WAV decodes to true rate/channels/duration."""
-    import struct
-
-    import ray.data as rd
-
-    from nem_mms_ray.ops.multimodal import DecodeAudio, sniff_wav
-
-    rate, ch, bits, frames = 16000, 2, 16, 8000  # 500 ms stereo
-    data_len = frames * ch * bits // 8
-    wav = (b"RIFF" + struct.pack("<I", 36 + data_len) + b"WAVE"
-           + b"fmt " + struct.pack("<IHHIIHH", 16, 1, ch, rate,
-                                   rate * ch * bits // 8, ch * bits // 8, bits)
-           + b"data" + struct.pack("<I", data_len) + b"\x00" * data_len)
-    assert sniff_wav(wav) == (rate, ch, bits, frames)
-    assert sniff_wav(b"RIFFxxxxNOPE") is None
-
-    df = pd.DataFrame({"id": [0, 1, 2], "audio": [wav, b"not audio", None]})
-    out = rd.from_pandas(df).map_batches(
-        DecodeAudio, fn_constructor_kwargs={"payload_col": "audio"},
-        batch_format="pyarrow", concurrency=1, num_cpus=1).to_pandas()
-    out = out.sort_values("id")
-    assert list(out["audio_ok"]) == [True, False, False]
-    assert int(out["duration_ms"].iloc[0]) == 500
-    assert int(out["channels"].iloc[0]) == 2
 
 
 def test_repetition_and_quantiles(ray_session):

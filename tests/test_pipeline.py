@@ -52,6 +52,21 @@ def test_encode_verify_roundtrip(ray_session, web_dir, tmp_path):
     assert v["rows"].sum() == 3000
 
 
+def test_verify_reads_target_from_run_header(ray_session, web_dir, tmp_path):
+    """Encode at a non-default target, verify without one: verify plans with
+    the target the run header recorded.  Without a header it falls back to
+    the default target, whose partitions misalign and verify as not ok."""
+    target = 1 << 16
+    out = tmp_path / "enc"
+    encode_files(_paths(web_dir), out, target_bytes=target).to_pandas()
+    n = len(plan_partitions(_paths(web_dir), target))
+    assert n > len(plan_partitions(_paths(web_dir)))
+    v = verify_files(_paths(web_dir), out).to_pandas()
+    assert len(v) == n and v["ok"].all(), v.to_string()
+    Manifest(out).run_header_path().unlink()
+    assert not verify_files(_paths(web_dir), out).to_pandas()["ok"].all()
+
+
 def test_compressed_size_beats_reference(ray_session, web_dir, tmp_path):
     """north_rule: total compressed size <= the reference's (plain parquet)."""
     out = tmp_path / "enc"
@@ -166,12 +181,16 @@ def test_encode_deterministic_across_runs(ray_session, web_dir, tmp_path):
         assert pa_.read_bytes() == pb_.read_bytes(), pa_.name
 
 
-def test_scan_encoded_zone_pruning(ray_session, tmp_path):
+def test_scan_encoded_zone_pruning(ray_session, tmp_path, monkeypatch):
     """Zone maps: a range scan decodes only overlapping chunks and returns
     exactly the predicate's rows."""
+    import dataclasses
+
     import numpy as np
 
-    from nem_mms_ray.pipelines.decode import _decode_row_group, scan_encoded
+    from nem_mms_ray.pipelines import decode
+    from nem_mms_ray.pipelines.decode import scan_encoded
+    from nem_mms_ray.pipelines.encode import EncodePartitions
 
     n = 20_000
     t = pa.table({
@@ -197,14 +216,22 @@ def test_scan_encoded_zone_pruning(ray_session, tmp_path):
     none = scan_encoded(enc, columns=["k"], range_filters={"k": (n + 1, None)}).to_pandas()
     assert len(none) == 0
 
-    # pruning actually skips chunks: keep_chunks restriction honors subset
-    import pyarrow.parquet as pqq
-    f = sorted(enc.glob("part-*.parquet"))[0]
-    pf = pqq.ParquetFile(f)
-    all_chunks = {int(c) for c in pf.read_row_group(0).column("chunk_idx").to_pylist()}
-    some = {min(all_chunks)}
-    seen = [ci for ci, _ in _decode_row_group(pf, 0, None, some)]
-    assert seen == sorted(some)
+    # a pruned row group's payloads are never decoded: scan one file of
+    # five 1000-row chunks in process and count the column decodes
+    first = plan_partitions([str(src)], target_bytes=1 << 18)[0]
+    first = dataclasses.replace(first, approx_bytes=first.rows * ((32 << 20) // 1000))
+    one = tmp_path / "one"
+    EncodePartitions(str(one))(pa.Table.from_pylist([first.to_row()]))
+    f = one / "part-000000.parquet"
+    assert pq.ParquetFile(f).metadata.num_row_groups == 5
+    decoded = []
+    real = decode.decode_column
+    monkeypatch.setattr(decode, "decode_column",
+                        lambda ec: decoded.append(ec) or real(ec))
+    got = decode._scan_task(pa.table({"path": [str(f)]}), columns=["k", "v"],
+                            filters={"k": (1000, 1500)})
+    assert got.column("k").to_pylist() == list(range(1000, 1501))
+    assert len(decoded) == 2  # k and v of the one chunk that overlaps
 
 
 def test_scan_encoded_nulls_in_filter_column(ray_session, tmp_path):
@@ -319,11 +346,10 @@ def test_string_zone_map_scan(ray_session, tmp_path):
 
 
 def test_verify_wide_fsst_table(ray_session, tmp_path):
-    """Verify with MORE string columns than the old fixed ring size (16):
-    one chunk holds every FSST column's decode output alive at once, so the
-    ring must size from the column count — a fixed 16 cycles slots while
-    earlier columns of the same chunk are still referenced and corrupts the
-    comparison (ADVICE r3)."""
+    """Verify a table whose chunks each hold more than 16 FSST string
+    columns: a chunk's columns are all decoded and held while the chunk is
+    compared, so no column's decode output may share memory with another's
+    (a 16-slot reused decode buffer once corrupted this comparison)."""
     src = tmp_path / "wide.parquet"
     n = 512
     cols = {
@@ -340,6 +366,6 @@ def test_verify_wide_fsst_table(ray_session, tmp_path):
     fsst_cols = {c for c, k in zip(meta.column("column").to_pylist(),
                                    meta.column("codec").to_pylist())
                  if k == "fsst"}
-    assert len(fsst_cols) > 16, f"fixture must exceed the old ring: {fsst_cols}"
+    assert len(fsst_cols) > 16, f"fixture needs > 16 FSST columns: {fsst_cols}"
     v = verify_files([str(src)], enc, target_bytes=1 << 20).to_pandas()
     assert v["ok"].all(), v.to_string()
