@@ -50,8 +50,9 @@ def _enc_scratch(n: int) -> np.ndarray:
     return _ENC_SCRATCH
 
 
-def encode(sym_bytes: np.ndarray, sym_lens: np.ndarray, data: bytes) -> bytes:
-    """Greedy longest-match FSST encode of `data` with the given table.
+def encode(sym_bytes: np.ndarray, sym_lens: np.ndarray, data) -> bytes:
+    """Greedy longest-match FSST encode of `data` (bytes or a uint8 view)
+    with the given table.
 
     sym_bytes: (n_sym, 8) uint8 (symbols left-justified, zero padded)
     sym_lens:  (n_sym,) uint8 in 1..8
@@ -110,7 +111,8 @@ _DUAL_MIN = 4096
 _NLANE = 2
 
 
-def _py_encode(sym_bytes: np.ndarray, sym_lens: np.ndarray, data: bytes) -> bytes:
+def _py_encode(sym_bytes: np.ndarray, sym_lens: np.ndarray, data) -> bytes:
+    data = bytes(data)  # the span loop looks slices up in dicts: hashable bytes
     if len(data) >= _DUAL_MIN:
         # mirror of the C kernel's lane split (no recursion): encode each
         # half as an independent span — matches cannot cross boundaries

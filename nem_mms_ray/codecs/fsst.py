@@ -3,9 +3,9 @@
 From the published FSST design (VLDB 2020 paper, see PAPERS.md): at most 255
 symbols of 1..8 bytes, escape byte 255 for literals.  Training is a
 deterministic numpy pass over a sample: generation 1 ranks raw n-grams, and
-each refinement generation encodes the sample and counts candidates in the
-paper's two fixed-size arrays (count1 over item ids, count2 over adjacent id
-pairs) instead of sorting them.  The per-byte encode/decode loops run in the
+each refinement generation encodes the sample and counts candidates
+(count1 over item ids in the paper's fixed-size array, count2 over the
+adjacent id pairs that occur).  The per-byte encode/decode loops run in the
 C kernel (_fsst_native, pure-Python fallback available).
 
 Per BASELINE.json:north_star this is the codec for `url`/`text` (with dict
@@ -34,8 +34,9 @@ _GRAM_LENGTHS = (2, 3, 4, 5, 6, 8)
 MIN_RATIO = 1 / 8  # encoded/input bytes floor: one code covers <= 8 bytes
 
 
-def take_sample(data: bytes, cap: int = TRAIN_SAMPLE_BYTES) -> bytes:
-    """Deterministic strided sample spread over the whole buffer."""
+def take_sample(data, cap: int = TRAIN_SAMPLE_BYTES):
+    """Deterministic strided sample spread over the whole buffer (bytes or
+    a uint8 view; `data` itself when it fits in `cap`)."""
     if len(data) <= cap:
         return data
     piece = 4096
@@ -57,10 +58,11 @@ def train_symbols(
     encodes the sample with the current table and re-ranks {existing symbols
     by realized usage} ∪ {concatenations of adjacent code pairs} ∪ {escaped
     bytes}.  Refinement counts item ids (code, or 256 + escaped byte) with
-    `np.bincount` into count1[512] and count2[512 * 512], then maps only the
-    non-zero bins back to (value, length), summing bins that spell the same
-    bytes.  All ties break on (length, value) so any parallelism level
-    builds the identical table from the same sample (SURVEY.md §7.4)."""
+    `np.bincount` into count1[512] and adjacent id pairs (id1 * 512 + id2)
+    with `np.unique`, then maps only the counted ids and pairs back to
+    (value, length), summing those that spell the same bytes.  All ties
+    break on (length, value) so any parallelism level builds the
+    identical table from the same sample (SURVEY.md §7.4)."""
     table = _train_gen1(sample, max_symbols)
     for _ in range(max(0, generations - 1)):
         refined = _refine(sample, table, max_symbols)
@@ -180,9 +182,10 @@ def _group_reduce(vals: np.ndarray, lens: np.ndarray, x: np.ndarray, ufunc):
 def _refine(sample: bytes, table, max_symbols: int):
     """One refinement generation: re-rank on realized usage + merged pairs.
 
-    Candidates are counted, not sorted (FSST paper's count1/count2): count1
-    over item ids, count2 over adjacent id pairs, then only the non-zero
-    bins map back to (value, length) and are summed per distinct value.
+    Candidates are counted (FSST paper's count1/count2): count1 over item
+    ids, count2 over the adjacent id pairs that occur (sorted pair keys
+    with their counts, the non-zero bins of a 512 * 512 array), then map
+    back to (value, length) and are summed per distinct value.
     """
     sym_bytes, sym_lens = table
     if len(sym_lens) == 0 or len(sample) == 0:
@@ -211,14 +214,13 @@ def _refine(sample: bytes, table, max_symbols: int):
     v1, l1, c1 = _group_reduce(id_vals[nz1], id_lens[nz1], count1[nz1], np.add)
     gain1 = c1 * np.maximum(1, l1 - 1)  # single byte: 1 saved vs escape
     # adjacent pairs with combined length <= 8, one output byte saved each
-    count2 = np.bincount(ids[:-1] * 512 + ids[1:], minlength=512 * 512)
-    nz2 = np.flatnonzero(count2)
+    nz2, count2 = np.unique(ids[:-1] * 512 + ids[1:], return_counts=True)
     a, b = nz2 >> 9, nz2 & 511
     l2 = id_lens[a] + id_lens[b]
     ok = l2 <= 8
     a, b, l2 = a[ok], b[ok], l2[ok]
     v2 = (id_vals[a] << (np.uint64(8) * id_lens[b].astype(np.uint64))) | id_vals[b]
-    v2, l2, gain2 = _group_reduce(v2, l2, count2[nz2[ok]], np.add)
+    v2, l2, gain2 = _group_reduce(v2, l2, count2[ok], np.add)
     keep2 = gain2 >= 4
     v2, l2, gain2 = v2[keep2], l2[keep2], gain2[keep2]
 
@@ -237,10 +239,11 @@ def _refine(sample: bytes, table, max_symbols: int):
     return out_bytes, sel_l.astype(np.uint8)
 
 
-def _string_buffers(arr: pa.Array) -> tuple[np.ndarray, bytes]:
+def _string_buffers(arr: pa.Array) -> tuple[np.ndarray, np.ndarray | bytes]:
     """(lengths int64, concatenated data bytes) of a null-free string array.
 
-    Handles sliced arrays (non-zero offset) without copying the whole buffer.
+    The data is a zero-copy uint8 view of the Arrow data buffer (b"" when
+    empty), sliced arrays (non-zero offset) included.
     """
     bufs = arr.buffers()
     n = len(arr)
@@ -252,7 +255,7 @@ def _string_buffers(arr: pa.Array) -> tuple[np.ndarray, bytes]:
     if bufs[2] is None or offsets[-1] == offsets[0]:
         return lengths, b""
     data = np.frombuffer(bufs[2], np.uint8, count=int(offsets[-1]))
-    return lengths, data[int(offsets[0]):].tobytes()
+    return lengths, data[int(offsets[0]):]
 
 
 def _build_string_array(typ: pa.DataType, lengths: np.ndarray, data) -> pa.Array:

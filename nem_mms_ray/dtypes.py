@@ -167,7 +167,7 @@ def pack_sections(*sections: bytes) -> bytes:
     head = struct.pack("<I", len(sections)) + b"".join(
         struct.pack("<Q", len(s)) for s in sections
     )
-    return head + b"".join(sections)
+    return b"".join((head, *sections))
 
 
 def unpack_sections(payload: bytes) -> list[bytes]:

@@ -59,6 +59,8 @@ ENCODED_SCHEMA = pa.schema(
     ]
 )
 
+_DICT_COLUMNS = [n for n in ENCODED_SCHEMA.names if n not in ("payload", "validity")]
+
 
 @dataclass
 class PartitionSpec:
@@ -281,8 +283,14 @@ class EncodePartitions:
         partition).  A column whose sketch already rules FSST out at its
         best possible ratio (`_fsst_can_win`) is not trained: the plan is
         the same either way.  Sketches use a 2048-row slice: plan decisions
-        are ratio-based and stable well below the full sample, and
-        KMV-hashing multi-MB html slices dominated the plan cost otherwise.
+        are ratio-based and stable well below the full sample.
+
+        String columns are sketched from their lengths first (distinct
+        and run counts are floors, `stats` module docstring) and hashed
+        exactly only where that can change the plan: before ruling FSST
+        out, and when dict or rle wins at the floors.  A plan the floors
+        decide is the exact sketch's plan, so html/text blobs are never
+        hashed on the web table.
         """
         from nem_mms_ray.codecs import _fsst_native as _native
         from nem_mms_ray.selector import ColumnPlan
@@ -293,8 +301,9 @@ class EncodePartitions:
         for name in sample.column_names:
             col = sample.column(name)
             arr = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+            sl = arr.slice(0, min(len(arr), 2048))
             try:
-                sk = sketch_array(name, arr.slice(0, min(len(arr), 2048)))
+                sk = sketch_array(name, sl, exact=False)
             except Exception:
                 # un-sketchable type (list/struct/map/...): store via the
                 # universal Arrow-IPC fallback instead of aborting the run
@@ -303,19 +312,23 @@ class EncodePartitions:
             # train even on small columns (cheap): prefix-heavy short string
             # columns (ids, names) compress well and the measured ratio beats
             # the blind 0.6 default in the fsst estimate
-            if (dtypes.is_string_like(arr.type) and sk.value_bytes >= 512
-                    and _fsst_can_win(sk)):
-                # buffer-extract only ~4x the training cap, not the whole
-                # multi-MB sample column (tobytes on it dominated the plan)
-                avg = max(1, sk.value_bytes // max(1, sk.n - sk.nulls))
-                need = min(len(arr), max(256, (4 * fsst.TRAIN_SAMPLE_BYTES) // avg))
-                idx = np.linspace(0, len(arr) - 1, need).astype(np.int64)
-                _, data = fsst._string_buffers(dtypes.fill_nulls(arr.take(idx)))
-                if len(data):
-                    s = fsst.take_sample(bytes(data))
-                    syms = fsst.train_symbols(s)
-                    trained[name] = syms
-                    sk.fsst_ratio = len(_native.encode(*syms, s)) / max(1, len(s))
+            if dtypes.is_string_like(arr.type) and sk.value_bytes >= 512:
+                if not sk.exact and not _fsst_can_win(sk):
+                    sk = sketch_array(name, sl)  # the floors may hide a win
+                if _fsst_can_win(sk):
+                    # buffer-extract only ~4x the training cap, not the
+                    # whole multi-MB sample column
+                    avg = max(1, sk.value_bytes // max(1, sk.n - sk.nulls))
+                    need = min(len(arr), max(256, (4 * fsst.TRAIN_SAMPLE_BYTES) // avg))
+                    idx = np.linspace(0, len(arr) - 1, need).astype(np.int64)
+                    _, data = fsst._string_buffers(dtypes.fill_nulls(arr.take(idx)))
+                    if len(data):
+                        s = fsst.take_sample(data)
+                        syms = fsst.train_symbols(s)
+                        trained[name] = syms
+                        sk.fsst_ratio = len(_native.encode(*syms, s)) / max(1, len(s))
+            if not sk.exact and select_codec(sk).codec in ("dict", "rle"):
+                sk = replace(sketch_array(name, sl), fsst_ratio=sk.fsst_ratio)
             sketches[name] = sk
         plans = plan_for_sketches(sketches)
         for name in ipc_cols:
@@ -396,8 +409,11 @@ class EncodePartitions:
             # hard, at a faster write than snappy (measured on a 64MiB
             # webtable partition: snappy 9.6MB/79ms; zstd-1 3.9MB/49ms;
             # zstd-3 1.2MB/56ms) — level 3 is the ratio/speed knee
+            # dictionary pages only for the metadata columns: the payload
+            # and validity blobs are all distinct
             writer = pq.ParquetWriter(tmp, ENCODED_SCHEMA, compression="zstd",
-                                      compression_level=3)
+                                      compression_level=3,
+                                      use_dictionary=_DICT_COLUMNS)
             for chunk_idx, rb in enumerate(_drain(head, batches)):
                 out_rows = []
                 for name, arr in zip(rb.schema.names, rb.columns):

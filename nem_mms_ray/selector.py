@@ -21,6 +21,11 @@ from nem_mms_ray.stats import ColumnSketch
 
 @dataclass
 class ColumnPlan:
+    """The chosen codec and every candidate's estimated bytes.  For a
+    string column planned from a floor sketch (`ColumnSketch.exact` False)
+    the dict and rle entries are floor estimates, at or below the exact
+    sketch's; the chosen codec is the same either way."""
+
     column: str
     codec: str
     estimates: dict[str, float] = field(default_factory=dict)

@@ -11,6 +11,21 @@ first row group, `EncodePartitions._plan`), so the plan depends only on
 the partition's data: an N-cpu and a 4N-cpu run produce the same sketches
 and therefore the same codec plan (SURVEY.md §7.4).  The FSST ratio is
 filled in by `_plan`, which trains the symbol table it then encodes with.
+
+String-like columns are first sketched from their lengths alone
+(`sketch_array(..., exact=False)`): `value_bytes` and `max_len` are exact,
+and the distinct count and run count are FLOORS.  Values of different
+lengths differ, so the number of distinct non-null lengths bounds the
+distinct values from below, and 1 + the number of adjacent length changes
+(nulls as length 0, as `fill_nulls` makes them "") bounds the runs.  Only
+`DictCodec.estimate` reads `ndv` and only `RleCodec.estimate` reads
+`run_count`, and each estimate never decreases as its number grows: when
+neither dict nor rle wins at the floors, the exact counts cannot make
+either win, so the plan is the exact sketch's plan.  `_plan` runs the
+exact pass (KMV hashes over every value byte, `run_starts`) only when dict
+or rle still can.  The KMV count could fall below the distinct-length
+floor only through a 64-bit hash collision between values of different
+lengths.
 """
 
 from __future__ import annotations
@@ -32,6 +47,11 @@ KMV_K = 2048  # keep the K smallest 64-bit hashes -> ndv estimate
 
 @dataclass
 class ColumnSketch:
+    """Per-column summary the codec estimates read.  With `exact` False
+    (string-like columns sketched from lengths only) `ndv` is the
+    distinct-length floor and `run_count` the length-change floor; every
+    other field is exact either way."""
+
     column: str
     dtype: str
     n: int = 0
@@ -49,6 +69,8 @@ class ColumnSketch:
     float_scale: int | None = None
     f_min: float | None = None
     f_max: float | None = None
+    exact: bool = True            # False: ndv/run_count are length floors
+    ndv_floor: int = 0            # distinct non-null lengths (floor sketch)
 
     @property
     def int_range(self) -> int | None:
@@ -58,7 +80,10 @@ class ColumnSketch:
 
     @property
     def ndv(self) -> int:
-        """KMV distinct-count estimate (exact when < KMV_K distincts seen)."""
+        """KMV distinct-count estimate (exact when < KMV_K distincts seen);
+        the distinct-length floor on a floor sketch."""
+        if not self.exact:
+            return self.ndv_floor
         m = len(self.kmv)
         if m == 0:
             return 0
@@ -134,8 +159,10 @@ def _alp_probe(arr: pa.Array):
     return e, float(v.min()), float(v.max())
 
 
-def sketch_array(column: str, arr: pa.Array) -> ColumnSketch:
-    """Sketch one column of a partition's sample."""
+def sketch_array(column: str, arr: pa.Array, exact: bool = True) -> ColumnSketch:
+    """Sketch one column of a partition's sample.  `exact=False` sketches a
+    string-like column from its lengths only (see the module docstring);
+    other types are always sketched exactly."""
     typ = arr.type
     sk = ColumnSketch(column=column, dtype=dtypes.type_to_str(typ))
     sk.n = len(arr)
@@ -149,6 +176,14 @@ def sketch_array(column: str, arr: pa.Array) -> ColumnSketch:
         sk.value_bytes = int(total.as_py() or 0)
         mx = pc.max(lens)
         sk.max_len = int(mx.as_py() or 0)
+        if not exact:
+            # ndv >= min(distinct hashes, KMV_K): cap so the floor holds
+            # past KMV's exact range too
+            sk.ndv_floor = min(pc.count_distinct(lens).as_py(), KMV_K)
+            ln = np.asarray(lens.fill_null(0))
+            sk.run_count = 1 + int(np.count_nonzero(ln[1:] != ln[:-1]))
+            sk.exact = False
+            return sk
     elif pa.types.is_boolean(typ):
         sk.value_bytes = (sk.n + 7) // 8
     else:

@@ -222,6 +222,22 @@ def test_fsst_c_matches_python_reference():
     assert native.decode(*syms, enc_c, len(data)) == data
 
 
+def test_fsst_python_reference_accepts_a_buffer_view():
+    """The encoder hands FSST a uint8 view of the Arrow data buffer; the
+    reference encode of that view equals the C encode and the reference
+    encode of the same bytes, on both sides of the two-lane split."""
+    from nem_mms_ray.codecs.fsst import _string_buffers
+
+    words = ["naïve", "日本語", "", "http://example.com/a", "abcabc" * 40]
+    arr = pa.array([words[i % len(words)] for i in range(300)]).slice(7)
+    _, view = _string_buffers(arr)
+    assert isinstance(view, np.ndarray) and len(view) >= native._DUAL_MIN
+    for data in (view[:1000], view):
+        syms = train_symbols(data.tobytes())
+        ref = native._py_encode(*syms, data.tobytes())
+        assert native._py_encode(*syms, data) == ref == native.encode(*syms, data)
+
+
 def test_fsst_escape_byte_in_data():
     # 0xFF is the escape byte; data full of it must survive
     data = b"\xff" * 100 + b"ab\xffcd" * 50

@@ -236,6 +236,94 @@ def test_fsst_skip_never_hides_an_fsst_plan():
 
 
 # ---------------------------------------------------------------------------
+# String columns are planned from length floors; hashed only where it matters
+# ---------------------------------------------------------------------------
+
+
+def _string_case(rng, n: int) -> list:
+    """One seeded string column: equal-length distinct, sorted runs, Zipf,
+    empty strings, non-ASCII or one multi-MB blob, then a null rate."""
+    kind = rng.choice(["equal_len", "runs", "zipf", "empty", "non_ascii", "blob"])
+    if kind == "equal_len":  # all distinct, one length: floors of 1
+        w = max(len(str(n)), int(rng.integers(1, 12)))
+        vals = [f"{i:0{w}d}" for i in rng.permutation(n)]
+    else:
+        words = [rng.integers(97, 123, int(rng.integers(0 if kind == "empty" else 1, 60)),
+                              dtype=np.uint8).tobytes().decode()
+                 for _ in range(int(rng.integers(1, 2 * n + 2)))]
+        if kind == "non_ascii":
+            words = [w + "é中🙂"[: int(rng.integers(0, 4))] for w in words]
+        pick = (np.minimum(rng.zipf(1.3, n), len(words)) - 1 if kind == "zipf"
+                else rng.integers(0, len(words), n))
+        vals = [words[i] for i in pick]
+        if kind == "runs":
+            vals.sort()
+        if kind == "blob":
+            blob = "lorem ipsum " * int(rng.integers(90_000, 200_000))  # 1-2.4 MB
+            vals[int(rng.integers(0, min(n, 2048)))] = blob
+    null_rate = rng.choice([0.0, 0.1, 0.9, 1.0])
+    return [None if rng.random() < null_rate else v for v in vals]
+
+
+def _plan_column(tmp_path, monkeypatch, arr: pa.Array, exact: bool):
+    """(codec, trained?) for a one-column sample, with the exact sketch
+    forced when `exact`."""
+    from nem_mms_ray.codecs import fsst
+    from nem_mms_ray.pipelines import encode
+
+    real_sketch, real_train = encode.sketch_array, fsst.train_symbols
+    calls = []
+    with monkeypatch.context() as m:
+        if exact:
+            m.setattr(encode, "sketch_array", lambda name, a, **kw: real_sketch(name, a))
+        m.setattr(fsst, "train_symbols",
+                  lambda s, *a, **k: calls.append(1) or real_train(s, *a, **k))
+        plans, _ = EncodePartitions(str(tmp_path))._plan(pa.table({"c": arr}))
+    return plans["c"].codec, bool(calls)
+
+
+def test_length_floors_never_change_a_plan(tmp_path, monkeypatch):
+    """Seeded property: the codec and the FSST training decision of every
+    string column equal the plan made with the exact sketch forced, over
+    the column shapes where the length floors are weakest."""
+    from nem_mms_ray import stats
+
+    rng = np.random.default_rng(20261019)
+    real_hash = stats._hash_values
+    hashed = []
+    monkeypatch.setattr(stats, "_hash_values", lambda a: hashed.append(1) or real_hash(a))
+    floor_only = 0
+    for i in range(120):
+        n = int(rng.integers(1, 3000))
+        typ = [pa.string(), pa.large_string(), pa.binary()][i % 3]
+        vals = _string_case(rng, n)
+        arr = pa.array([v if v is None or typ != pa.binary() else v.encode() for v in vals], typ)
+        hashed.clear()
+        got = _plan_column(tmp_path, monkeypatch, arr, exact=False)
+        floor_only += not hashed
+        assert got == _plan_column(tmp_path, monkeypatch, arr, exact=True), i
+    assert 0 < floor_only < 120
+
+
+@pytest.mark.parametrize("name", ["html", "text", "lang", "l_returnflag"])
+def test_plan_hashes_only_where_dict_can_win(name, monkeypatch, tmp_path):
+    """On the web table html and text are planned from their lengths and
+    never hashed; `lang` and an sf-shaped flag column, where dict wins,
+    still get the exact KMV sketch."""
+    from nem_mms_ray import stats
+
+    col = _sf_returnflag(4096) if name == "l_returnflag" else _web(4096).column(name)
+    real = stats._hash_values
+    hashed = []
+    monkeypatch.setattr(stats, "_hash_values", lambda a: hashed.append(len(a)) or real(a))
+    plans, _ = EncodePartitions(str(tmp_path))._plan(pa.table({name: col}))
+    if name in ("html", "text"):
+        assert hashed == [] and plans[name].codec == "fsst"
+    else:
+        assert hashed and plans[name].codec == "dict"
+
+
+# ---------------------------------------------------------------------------
 # Verify compares decoded chunk i with source batch i
 # ---------------------------------------------------------------------------
 
