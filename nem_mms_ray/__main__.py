@@ -299,7 +299,8 @@ def cmd_web(args) -> int:
 
 def cmd_describe(args) -> int:
     """Codec registry + which C kernels loaded (`native`) + manifest
-    metrics — no Ray session needed.
+    metrics — no Ray session needed.  Per column: codec, bytes, ratio and
+    `dict_read`, the partitions that read it as a Parquet dictionary.
     --fsck reconciles the manifest against the on-disk encoded files
     (the reference's `manage update`, implemented: main.rs:148-150 stubs
     it); --repair deletes stale records/orphans so resume re-encodes."""
@@ -333,10 +334,12 @@ def cmd_describe(args) -> int:
             if not r.done:
                 continue
             for col, codec in r.codecs.items():
-                e = per_col.setdefault(col, {"codec": codec, "orig": 0, "encoded": 0})
+                e = per_col.setdefault(col, {"codec": codec, "orig": 0, "encoded": 0,
+                                             "dict_read": 0})
                 ob, eb = r.column_bytes.get(col, [0, 0])
                 e["orig"] += ob
                 e["encoded"] += eb
+                e["dict_read"] += col in r.dict_read
         for col, e in per_col.items():
             e["ratio"] = round(e["encoded"] / e["orig"], 4) if e["orig"] else 0.0
         out["columns"] = per_col

@@ -38,6 +38,10 @@ class EncodedColumn:
     # (min, max) Arrow scalars of the chunk, when the codec reduced them
     # anyway (dict, alp); reused by the zone map, never written
     value_range: tuple | None = field(default=None, compare=False, repr=False)
+    # `Array.nbytes` of the chunk as a plain array, when the codec was handed
+    # a string or binary DictionaryArray (whose own nbytes counts codes); the
+    # pipeline's byte counts use it, never written
+    dense_nbytes: int | None = field(default=None, compare=False, repr=False)
 
     @property
     def encoded_bytes(self) -> int:

@@ -139,19 +139,6 @@ def parse_dataset(input_path: str | Path, write_dir: str | Path | None = None):
     return ds.map_batches(fn, batch_size=1, batch_format="pyarrow")
 
 
-def read_package_parquet(path: str | Path, package: str) -> pa.Table:
-    """Read a written package file back at the package's logical schema.
-
-    Parquet has no seconds-resolution timestamp, so timestamp[s] columns
-    come back as timestamp[ms]; this restores the declared schema (the
-    reference's round-trip contract is over values, its own files share the
-    same physical representation)."""
-    from nem_mms_ray.mms.schemas import PACKAGES
-
-    t = pq.read_table(path)
-    return t.cast(PACKAGES[package].schema)
-
-
 def parse_to_parquet(
     input_path: str | Path,
     out_path: str | Path,

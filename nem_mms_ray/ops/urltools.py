@@ -42,15 +42,6 @@ def domain_of(col) -> pa.Array:
     return pc.utf8_lower(pc.struct_field(m, "host"))
 
 
-def add_domain(ds, url_col: str = "url", out_col: str = "domain"):
-    """Dataset with a `domain` column appended (pure map, zero shuffle)."""
-
-    def tag(t: pa.Table) -> pa.Table:
-        return t.append_column(out_col, domain_of(t.column(url_col)))
-
-    return ds.map_batches(tag, batch_format="pyarrow")
-
-
 def domain_cap(ds, cap: int, url_col: str = "url",
                order_col: str = "doc_id", columns: tuple = (),
                n_buckets: int = 256):

@@ -222,21 +222,6 @@ def _winnow_explode(batch: pa.Table, k: int, window: int, id_col: str,
     })
 
 
-def winnow_fingerprints(ds, k: int = 8, window: int = 4,
-                        id_col: str = "doc_id", text_col: str = "text"):
-    """Dataset[(doc_id, fp)] — each doc's distinct selected fingerprints.
-
-    Pure fan-out map, zero shuffles: the index-build half of the op,
-    reusable as a join key against a known-bad span list (the Lee et al.
-    memorization-probe use)."""
-
-    def explode(t: pa.Table) -> pa.Table:
-        e = _winnow_explode(t, k, window, id_col, text_col, 1)
-        return e.select([id_col, "gram"]).rename_columns([id_col, "fp"])
-
-    return ds.map_batches(explode, batch_format="pyarrow")
-
-
 def winnow_dup_pairs(ds, k: int = 8, window: int = 4, min_shared: int = 1,
                      id_col: str = "doc_id", text_col: str = "text",
                      n_buckets: int = 256, max_fp_df: int | None = None):

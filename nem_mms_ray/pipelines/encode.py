@@ -17,6 +17,14 @@ then encodes column chunks and writes one encoded parquet file + one
 manifest lineage record atomically.  Encode is deliberately shuffle-free:
 partition independence is the design (SURVEY.md §7.3).
 
+Low-cardinality string columns stay dictionary-coded from the Parquet
+page to the payload: a column whose chunks all have a dictionary page and
+fewer than 4 uncompressed bytes per value (a PLAIN value alone costs a
+4-byte length prefix, so such a chunk is almost all dictionary indices) is
+read as an Arrow DictionaryArray, and `DictCodec` renumbers its codes
+instead of hashing the strings again.  Every other consumer (the plan,
+the other codecs, the byte counts, verify) sees the value type.
+
 This mirrors the reference's parse lifecycle (expand -> classify -> segment
 -> pivot -> route -> write, /root/reference/src/main.rs:92-100,
 /root/reference/src/packages/mod.rs:196-237) with Ray Data supplying the
@@ -170,10 +178,11 @@ def _attach_zone_map(ec, arr: pa.Array) -> None:
     (NaN-poisoned zones must not prune).  The range is the one the codec
     already reduced when it has one (`ec.value_range`: dict over its
     dictionary, alp from its packed integers, float and string chunks
-    only); otherwise `arr` is scanned."""
+    only); otherwise `arr` is scanned (a DictionaryArray: the entries its
+    rows use)."""
     import pyarrow.compute as pc
 
-    t = arr.type
+    t = arr.type.value_type if isinstance(arr, pa.DictionaryArray) else arr.type
     temporal = pa.types.is_timestamp(t) or pa.types.is_date(t) or pa.types.is_time(t)
     string = pa.types.is_string(t) or pa.types.is_large_string(t)
     if not (pa.types.is_integer(t) or pa.types.is_floating(t) or temporal or string):
@@ -182,6 +191,8 @@ def _attach_zone_map(ec, arr: pa.Array) -> None:
         if ec.value_range is not None:
             mn, mx = ec.value_range
         else:
+            if isinstance(arr, pa.DictionaryArray):
+                arr = arr.dictionary.take(pc.unique(arr.indices))
             mm = pc.min_max(arr)
             mn, mx = mm["min"], mm["max"]
         if not mn.is_valid:
@@ -245,6 +256,90 @@ def _kernel_paths() -> dict[str, bool]:
             "bitpack_kernel": _bitpack_native.get_lib() is not None}
 
 
+# A PLAIN BYTE_ARRAY value costs at least its 4-byte length prefix, so a
+# column chunk of fewer bytes per value is mostly dictionary indices
+_DICT_READ_BYTES_PER_VALUE = 4
+
+
+def _dict_read_columns(pf, row_groups: list[int], names: list[str]) -> list[str]:
+    """The columns of `names` to read as Arrow dictionaries, decided from
+    the footer alone: string or binary (a large_* column would come back
+    with 32-bit offsets), a dictionary page in every row group of the
+    partition, and fewer than `_DICT_READ_BYTES_PER_VALUE` uncompressed
+    bytes per value there.  A dictionary page alone says little: html-like
+    columns have one that holds every value once, and a column whose
+    dictionary overflowed early is mostly PLAIN pages.  The choice is
+    only about speed: a column the plan does not give to dict is decoded
+    back to its value type."""
+    md, schema = pf.metadata, pf.schema_arrow
+    if len(set(names)) != len(names):
+        return []
+    leaves = {md.schema.column(i).path: i for i in range(md.num_columns)}
+    picked = []
+    for name in names:
+        i = schema.get_field_index(name)
+        if i < 0 or name not in leaves:
+            continue
+        t = schema.field(i).type
+        if not (pa.types.is_string(t) or pa.types.is_binary(t)):
+            continue
+        chunks = [md.row_group(rg).column(leaves[name]) for rg in row_groups]
+        if all(c.has_dictionary_page
+               and c.total_uncompressed_size < _DICT_READ_BYTES_PER_VALUE * c.num_values
+               for c in chunks):
+            picked.append(name)
+    return picked
+
+
+def _read_batches(pf, spec: PartitionSpec, batch_size: int, columns, dict_cols: list[str]):
+    """The partition's record batches as `iter_batches` cuts a dense read
+    (`batch_size` rows, across row-group boundaries), with `dict_cols` as
+    DictionaryArrays.
+
+    Those come from a second reader over only them: with dictionaries,
+    Arrow also cuts a batch at every row-group boundary.  They are re-cut
+    to the dense batches' row counts; a chunk that spans two row groups
+    concatenates its pieces, which unifies their dictionaries."""
+    kw = {"batch_size": batch_size, "row_groups": spec.row_groups}
+    if not dict_cols:
+        yield from pf.iter_batches(columns=columns, **kw)
+        return
+    names = list(columns) if columns else pf.schema_arrow.names
+    dense_cols = [n for n in names if n not in dict_cols]
+    dpf = pq.ParquetFile(spec.path, metadata=pf.metadata, read_dictionary=dict_cols)
+    dict_batches = dpf.iter_batches(columns=dict_cols, **kw)
+    rest = None
+    if dense_cols:
+        dense = ((rb.num_rows, dict(zip(rb.schema.names, rb.columns)))
+                 for rb in pf.iter_batches(columns=dense_cols, **kw))
+    else:
+        total = sum(pf.metadata.row_group(rg).num_rows for rg in spec.row_groups)
+        dense = ((min(batch_size, total - lo), {}) for lo in range(0, total, batch_size))
+    for n, cols in dense:
+        pieces = []
+        while n:
+            rb, rest = rest or next(dict_batches), None
+            if rb.num_rows > n:
+                rb, rest = rb.slice(0, n), rb.slice(n)
+            pieces.append(rb)
+            n -= rb.num_rows
+        for j, name in enumerate(dict_cols):
+            parts = [p.column(j) for p in pieces]
+            cols[name] = parts[0] if len(parts) == 1 else pa.concat_arrays(parts)
+        yield pa.RecordBatch.from_arrays([cols[c] for c in names], names=names)
+
+
+def _dense(arr: pa.Array) -> pa.Array:
+    """`arr` as the plain array a dense read gives: a DictionaryArray is
+    decoded, without the validity buffer decoding adds when it has no nulls."""
+    if not isinstance(arr, pa.DictionaryArray):
+        return arr
+    out = arr.dictionary_decode()
+    if out.null_count == 0:
+        out = pa.Array.from_buffers(out.type, len(out), [None, *out.buffers()[1:]], 0)
+    return out
+
+
 def _drain(head: list, rest):
     """`head`'s batches, each released once taken, then the rest."""
     while head:
@@ -291,6 +386,11 @@ class EncodePartitions:
         out, and when dict or rle wins at the floors.  A plan the floors
         decide is the exact sketch's plan, so html/text blobs are never
         hashed on the web table.
+
+        A column read as a dictionary (`_dict_read_columns`: a dictionary
+        page and under 4 bytes per value, the cost of one PLAIN length
+        prefix) reaches the sample decoded, so it is planned from the
+        same values as a plain read.
         """
         from nem_mms_ray.codecs import _fsst_native as _native
         from nem_mms_ray.selector import ColumnPlan
@@ -336,8 +436,11 @@ class EncodePartitions:
         symbols = {n: t for n, t in trained.items() if plans[n].codec == "fsst"}
         return plans, symbols
 
-    def _encode_chunk(self, name: str, arr: pa.Array, plans, symbols) -> EncodedColumn:
-        """Codec dispatch + never-expand guard + zone-map stamp."""
+    def _encode_chunk(self, name: str, arr: pa.Array, plans,
+                      symbols) -> tuple[EncodedColumn, int]:
+        """Codec dispatch + never-expand guard + zone-map stamp; returns the
+        column and the `Array.nbytes` of the chunk as a plain array.  `arr`
+        is a DictionaryArray only for a dict-planned column read as one."""
         codec_name = plans[name].codec
         codec = get_codec(codec_name)
         try:
@@ -350,23 +453,25 @@ class EncodePartitions:
             # skip+record, /root/reference/src/packages/mod.rs:201-216):
             # fall back to plain, or to the universal IPC codec if even
             # plain can't represent the type; record the event either way.
+            arr = _dense(arr)
             try:
                 ec = get_codec("plain").encode(arr)
             except Exception:
                 ec = get_codec("ipc").encode(arr)
             ec.params["fallback_from"] = codec_name
-            return ec
+            return ec, arr.nbytes
+        nbytes = _dense(arr).nbytes if ec.dense_nbytes is None else ec.dense_nbytes
         # never-expand guard: a sketch-misjudged codec (e.g. RLE on
         # all-distinct short strings from a tiny sample) must not store more
         # bytes than plain would — compare against the exact plain encoding
         # when the chosen one isn't clearly smaller
-        if codec_name not in ("plain", "ipc") and ec.encoded_bytes > 0.9 * arr.nbytes:
-            pe = get_codec("plain").encode(arr)
+        if codec_name not in ("plain", "ipc") and ec.encoded_bytes > 0.9 * nbytes:
+            pe = get_codec("plain").encode(_dense(arr))
             if pe.encoded_bytes < ec.encoded_bytes:
                 pe.params["fallback_from"] = codec_name
                 ec = pe
         _attach_zone_map(ec, arr)
-        return ec
+        return ec, nbytes
 
     def _encode_partition(self, spec: PartitionSpec) -> PartitionRecord | None:
         """Encode one partition and record it; None if the manifest already
@@ -378,8 +483,9 @@ class EncodePartitions:
 
         pf = pq.ParquetFile(spec.path)
         bpr = _rows_per_batch(spec.approx_bytes, spec.rows)
-        batches = pf.iter_batches(batch_size=bpr, row_groups=spec.row_groups,
-                                  columns=self.columns)
+        dict_cols = _dict_read_columns(pf, spec.row_groups,
+                                       list(self.columns or pf.schema_arrow.names))
+        batches = _read_batches(pf, spec, bpr, self.columns, dict_cols)
         # the plan's sample is the first rows of the first row group, taken
         # from the batches the encode loop then encodes: one read per file
         need = min(self.sample_rows, pf.metadata.row_group(spec.row_groups[0]).num_rows)
@@ -392,6 +498,10 @@ class EncodePartitions:
             got += rb.num_rows
         if head:
             sample = pa.Table.from_batches(head).slice(0, need)
+            for name in dict_cols:  # the plan sees the value type
+                i = sample.schema.get_field_index(name)
+                sample = sample.set_column(i, name, pa.chunked_array(
+                    [_dense(c) for c in sample.column(i).chunks]))
         else:  # zero-row partition: plan from empty columns
             sample = pf.schema_arrow.empty_table()
             if self.columns:
@@ -417,16 +527,18 @@ class EncodePartitions:
             for chunk_idx, rb in enumerate(_drain(head, batches)):
                 out_rows = []
                 for name, arr in zip(rb.schema.names, rb.columns):
-                    ec = self._encode_chunk(name, arr, plans, symbols)
+                    if name in dict_cols and plans[name].codec != "dict":
+                        arr = _dense(arr)
+                    ec, nbytes = self._encode_chunk(name, arr, plans, symbols)
                     r = ec.to_row()
                     r["column"] = name
                     r["chunk_idx"] = chunk_idx
                     r["first_row"] = rows
                     out_rows.append(r)
                     cb = col_bytes.setdefault(name, [0, 0])
-                    cb[0] += arr.nbytes
+                    cb[0] += nbytes
                     cb[1] += ec.encoded_bytes
-                    orig_bytes += arr.nbytes
+                    orig_bytes += nbytes
                     enc_bytes += ec.encoded_bytes
                 rows += rb.num_rows
                 writer.write_table(pa.Table.from_pylist(out_rows, schema=ENCODED_SCHEMA))
@@ -446,6 +558,7 @@ class EncodePartitions:
             done=True,
             output_file=str(out_path),
             native=_kernel_paths(),
+            dict_read=dict_cols,
         )
         self.manifest.write(rec)
         return rec

@@ -68,6 +68,9 @@ class PartitionRecord:
     # kernel path of the encode: {"fsst_kernel": bool, "bitpack_kernel": bool}
     # (False = the scalar reference ran); {} on records that predate it
     native: dict = field(default_factory=dict)
+    # input columns read as Arrow dictionaries (Parquet dictionary pages
+    # kept, `encode._dict_read_columns`); [] on records that predate it
+    dict_read: list = field(default_factory=list)
 
     @property
     def ratio(self) -> float:

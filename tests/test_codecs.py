@@ -784,3 +784,84 @@ def test_value_range_is_never_persisted():
     assert back.value_range is None and back == ec
     bogus = dataclasses.replace(ec, value_range=(pa.scalar(-1.0), pa.scalar(1.0)))
     assert decode_column(back).equals(arr) and decode_column(bogus).equals(arr)
+
+
+def _dictionary_case(rng, i: int) -> pa.DictionaryArray:
+    """One seeded DictionaryArray: unused and repeated dictionary entries,
+    a subset of codes out of dictionary order, nulls (all null, or next
+    to a real ""), int8/int16/int32 indices, and slices with an offset."""
+    index_type = [pa.int8(), pa.int16(), pa.int32()][i % 3]
+    kind = rng.choice(["string", "binary", "int"])
+    k = int(rng.integers(1, 120))
+    words = ["", *("".join(rng.choice(list("abcxyz"), int(rng.integers(1, 9))))
+                   for _ in range(k - 1))]
+    if rng.random() < 0.3:  # repeated values
+        words = [words[j] for j in rng.integers(0, len(words), k)]
+    if kind == "int":
+        dictionary = pa.array(rng.integers(-50, 50, k))
+    else:
+        dictionary = pa.array(words if kind == "string" else [w.encode() for w in words],
+                              pa.string() if kind == "string" else pa.binary())
+    n = int(rng.choice([0, 1, int(rng.integers(2, 3000))]))
+    used = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
+    codes = used[rng.integers(0, len(used), n)]
+    if rng.random() < 0.3:  # clustered: the first codes are not 0, 1, ...
+        codes = np.sort(codes)[::-1].copy()
+    null_rate = rng.choice([0.0, 0.1, 0.9, 1.0])
+    mask = rng.random(n) < null_rate
+    arr = pa.DictionaryArray.from_arrays(pa.array(codes, index_type, mask=mask), dictionary)
+    if n > 2 and rng.random() < 0.3:
+        lo = int(rng.integers(1, n))
+        arr = arr.slice(lo, int(rng.integers(0, n - lo + 1)))
+    return arr
+
+
+def _plain_nbytes(arr: pa.Array) -> int:
+    """`nbytes` of `arr` rebuilt as a Parquet read leaves it: a validity
+    buffer only when it has nulls."""
+    if arr.null_count == 0:
+        arr = pa.Array.from_buffers(arr.type, len(arr), [None, *arr.buffers()[1:]],
+                                    0, arr.offset)
+    return arr.nbytes
+
+
+def test_dict_encode_of_dictionary_array_matches_dense():
+    """Seeded property: a DictionaryArray encodes to the bytes, params,
+    dtype and zone range of its dense values."""
+    dict_codec = get_codec("dict")
+    rng = np.random.default_rng(20261019)
+    remapped = 0
+    for i in range(400):
+        arr = _dictionary_case(rng, i)
+        kind = str(arr.type.value_type)
+        dense = arr.cast(arr.type.value_type)
+        got, want = dict_codec.encode(arr), dict_codec.encode(dense)
+        assert got == want, i
+        assert got.value_range == want.value_range, i
+        assert decode_column(got).equals(dense), i
+        if kind != "int64":  # what a plain read of the column would count
+            assert got.dense_nbytes == _plain_nbytes(dense), i
+        remapped += len(arr) > 0 and arr.null_count < len(arr)
+    assert remapped > 100
+
+
+def test_dict_encode_edge_dictionaries():
+    dict_codec = get_codec("dict")
+    cases = [
+        # null dictionary entries make their rows null
+        pa.DictionaryArray.from_arrays(pa.array([0, 1, 2, 1], pa.int8()),
+                                       pa.array(["a", None, "b"])),
+        # "" in the dictionary before the chunk's first null
+        pa.DictionaryArray.from_arrays(pa.array([2, None, 0, 1, None], pa.int16()),
+                                       pa.array(["", "q", "p"])),
+        pa.DictionaryArray.from_arrays(pa.array([], pa.int32()), pa.array(["a", "b"])),
+        # the first rows use codes 0..1 only; code 2 first shows late
+        pa.DictionaryArray.from_arrays(pa.array([1, 0] * 700 + [2, 0], pa.int32()),
+                                       pa.array(["b", "a", "c"])),
+        pa.DictionaryArray.from_arrays(pa.array([None, None], pa.int32()), pa.array(["a"])),
+    ]
+    for arr in cases:
+        dense = arr.cast(arr.type.value_type)
+        got, want = dict_codec.encode(arr), dict_codec.encode(dense)
+        assert got == want and got.value_range == want.value_range
+        assert decode_column(got).equals(dense)

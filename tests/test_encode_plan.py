@@ -5,9 +5,10 @@ FSST training it may skip.
 row group, taken from the batches its encode loop reads.  The digests
 below were recorded on the encoder that planned from a separate read of
 those rows (the `tabular_*` ones on the encoder whose zone maps scanned
-every chunk and whose ALP tried every scale on the full chunk); a change
-must reproduce them exactly, so never regenerate them to make a change
-pass.
+every chunk and whose ALP tried every scale on the full chunk, the
+`dict_*` ones on the encoder that read every input column as plain
+strings); a change must reproduce them exactly, so never regenerate them
+to make a change pass.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ def _partition_digest(path) -> str:
 
 def _encode_digests(tmp_path, table: pa.Table, row_group_size: int,
                     target_bytes: int = 1 << 30, columns=None,
-                    rows_per_batch: int | None = None) -> list[str]:
+                    rows_per_batch: int | None = None, **write_kw) -> list[str]:
     src = tmp_path / "in.parquet"
-    pq.write_table(table, src, row_group_size=row_group_size)
+    pq.write_table(table, src, row_group_size=row_group_size, **write_kw)
     specs = plan_partitions([str(src)], target_bytes)
     if rows_per_batch is not None:
         # inflate the byte estimate so `_rows_per_batch` lands on the
@@ -82,6 +83,45 @@ def _tabular(rows: int, seed: int) -> pa.Table:
     })
 
 
+def _low_card(rows: int, seed: int, layout: str) -> pa.Table:
+    """Low-cardinality string columns next to numeric ones, laid out so a
+    dictionary read of the input sees each hard case:
+
+    - "two_dicts": the halves draw from different value sets (each row
+      group has its own dictionary), 10% nulls;
+    - "clustered": each 1000 rows draw from their own few values, so later
+      chunks use codes the first never saw; real "" values next to nulls;
+    - "overflow": a column whose dictionary page overflows into PLAIN
+      pages after 90% of its rows, and one that overflows at once;
+    - "sorted": sorted values, which rle wins.
+    """
+    rng = np.random.default_rng(seed)
+    i = np.arange(rows)
+    cols = {"qty": rng.integers(1, 50, rows),
+            "price": np.round(rng.uniform(1.0, 999.0, rows), 2)}
+    if layout == "two_dicts":
+        first = np.array(["A", "N", "R"])[rng.integers(0, 3, rows)]
+        second = np.array(["F", "O", "R", "X"])[rng.integers(0, 4, rows)]
+        cols["flag"] = pa.array(np.where(i < rows // 2, first, second),
+                                mask=rng.random(rows) < 0.1)
+        cols["status"] = np.array(["open", "done"])[rng.integers(0, 2, rows)]
+    elif layout == "clustered":
+        block = i // 1000
+        cols["region"] = np.char.add("region-", (block * 2 + rng.integers(0, 4, rows)).astype(str))
+        code = np.where(rng.random(rows) < 0.2, "", np.char.add("c", (block + rng.integers(0, 3, rows)).astype(str)))
+        cols["code"] = pa.array(code, mask=(rng.random(rows) < 0.15) | (block == 3))
+    elif layout == "overflow":
+        late = np.char.add("late-", i.astype(str))
+        cols["tail"] = np.where(i < rows * 9 // 10,
+                                np.array(["aa", "bb", "cc", "dd", "ee"])[rng.integers(0, 5, rows)],
+                                late)
+        cols["ids"] = np.char.add("id-", rng.permutation(rows).astype(str))
+    else:
+        cols["flag"] = np.sort(np.char.add("v", rng.integers(100, 300, rows).astype(str)))
+        cols["kind"] = np.array(["x", "y", "z", "w"])[rng.integers(0, 4, rows)]
+    return pa.table(cols)
+
+
 PARTITION_CASES = {
     # two row groups; the first encode batch spans both
     "two_row_groups": lambda p: _encode_digests(p, _web(3000), 1800),
@@ -101,6 +141,26 @@ PARTITION_CASES = {
         p, _tabular(6030, 5), 6030, rows_per_batch=1000),
     # one row group, encoded as one chunk
     "tabular_one_chunk": lambda p: _encode_digests(p, _tabular(20_000, 6), 20_000),
+    # two row groups with their own dictionaries; the first batch spans both
+    "dict_two_row_groups": lambda p: _encode_digests(
+        p, _low_card(6000, 8, "two_dicts"), 3000, rows_per_batch=4000),
+    # later chunks see values the first chunk never saw
+    "dict_clustered": lambda p: _encode_digests(
+        p, _low_card(6000, 9, "clustered"), 6000, rows_per_batch=1000),
+    # dictionary pages that overflow into PLAIN pages
+    "dict_overflow": lambda p: _encode_digests(
+        p, _low_card(20_000, 10, "overflow"), 20_000, rows_per_batch=4000,
+        dictionary_pagesize_limit=256),
+    # a low-cardinality column that rle wins
+    "dict_sorted_rle": lambda p: _encode_digests(p, _low_card(20_000, 11, "sorted"), 8000),
+    # projections with a dictionary column, out of file order, and of
+    # dictionary columns only
+    "dict_projection": lambda p: _encode_digests(
+        p, _tabular(5000, 7), 2500, columns=["o_orderpriority", "l_extendedprice", "l_returnflag"],
+        rows_per_batch=2000),
+    "dict_projection_only": lambda p: _encode_digests(
+        p, _tabular(5000, 7), 2500, columns=["l_returnflag", "o_orderpriority"],
+        rows_per_batch=2000),
 }
 
 PARTITION_DIGESTS = {
@@ -117,12 +177,73 @@ PARTITION_DIGESTS = {
     "short_first_group": ["659fde27e424d36c62195531d9674ee6a79a5d755996223f4ee746d4f68e7e08"],
     "two_row_groups": ["61b063bf9ef482d6aeec7c6db60f801cc3fa5750bd2c81258545b5137d5b1bb3"],
     "zero_rows": ["ff8cc2e9aab0984577a06b8a270a33bdcff24cacaff0222dc3c7acbc4129cd9b"],
+    "dict_clustered": ["82988b7d97dab1533c98f006f28a1f4d6d9d97cf968c3f7bd755614426ac5a20"],
+    "dict_overflow": ["b1eb1e4329f155b793c4170fcbf79ae9a1c204674227d4c57641bf8fb9f68f39"],
+    "dict_projection": ["7a82cdb6dc34ffd434de0cd9a76c485d787d605f332cc478a07be82801a44ee0"],
+    "dict_projection_only": ["04a140532706b680b61e29c1726c372078fb108cacf828ef2cab87c6f05b94c5"],
+    "dict_sorted_rle": ["d00fe2f48ee9d62c247cdc53d04137dc413eb14524b4272dd3843fdd607c4163"],
+    "dict_two_row_groups": ["d4e473c28ccfe87da9d98213e434f2b5360f5f31b043c19fa7c6d50cdb1fce5a"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(PARTITION_CASES))
 def test_encoded_partitions_identical(case, tmp_path):
     assert PARTITION_CASES[case](tmp_path) == PARTITION_DIGESTS[case]
+
+
+@pytest.mark.parametrize("layout,row_group_size,batch_rows,columns", [
+    ("two_dicts", 3000, 4000, None),
+    ("clustered", 1700, 1000, ["code", "qty", "region"]),
+    ("overflow", 20_000, 4000, None),
+    ("sorted", 8000, 20_000, ["kind", "flag"]),
+])
+def test_dictionary_read_matches_dense_read(layout, row_group_size, batch_rows, columns, tmp_path):
+    """The dictionary-read batches hold the dense read's rows, cut the same
+    way, and count the dense batches' `nbytes` exactly."""
+    from nem_mms_ray.codecs import get_codec
+    from nem_mms_ray.pipelines.encode import _dense, _dict_read_columns, _read_batches
+
+    src = tmp_path / "in.parquet"
+    pq.write_table(_low_card(20_000 if layout == "overflow" else 6000, 12, layout), src,
+                   row_group_size=row_group_size, dictionary_pagesize_limit=256)
+    (spec,) = plan_partitions([str(src)])
+    pf = pq.ParquetFile(src)
+    dict_cols = _dict_read_columns(pf, spec.row_groups, columns or pf.schema_arrow.names)
+    assert dict_cols and "ids" not in dict_cols
+    dense = list(pf.iter_batches(batch_size=batch_rows, row_groups=spec.row_groups,
+                                 columns=columns))
+    got = list(_read_batches(pf, spec, batch_rows, columns, dict_cols))
+    assert [b.num_rows for b in got] == [b.num_rows for b in dense]
+    for want, rb in zip(dense, got):
+        assert rb.schema.names == want.schema.names
+        for name, arr in zip(rb.schema.names, rb.columns):
+            assert isinstance(arr, pa.DictionaryArray) == (name in dict_cols)
+            assert _dense(arr).equals(want.column(name))
+            assert _dense(arr).nbytes == want.column(name).nbytes
+            if name in dict_cols:
+                assert get_codec("dict").encode(arr).dense_nbytes == want.column(name).nbytes
+
+
+def test_dict_read_recorded_and_described(tmp_path):
+    """The manifest names the columns read as dictionaries; `describe`
+    counts, per column, the partitions that read it so."""
+    import json
+    import subprocess
+    import sys
+
+    from nem_mms_ray.state.manifest import Manifest
+
+    src = tmp_path / "in.parquet"
+    pq.write_table(_low_card(6000, 13, "two_dicts"), src, row_group_size=3000)
+    EncodePartitions(str(tmp_path / "enc"))(
+        pa.Table.from_pylist([s.to_row() for s in plan_partitions([str(src)])]))
+    (rec,) = Manifest(tmp_path / "enc").load_all()
+    assert rec.dict_read == ["flag", "status"]
+    out = subprocess.run([sys.executable, "-m", "nem_mms_ray", "describe", str(tmp_path / "enc")],
+                         capture_output=True, text=True, check=True).stdout
+    cols = json.loads(out)["columns"]
+    assert {c: e["dict_read"] for c, e in cols.items()} == {
+        "qty": 0, "price": 0, "flag": 1, "status": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -247,13 +247,10 @@ def test_parse_to_parquet_partitioned(ray_session, tmp_path):
     assert summary["packages"]["DISPATCH_UNIT_SCADA"]["rows"] == 4
     assert summary["packages"]["DISPATCH_LOCAL_PRICE"]["rows"] == 2
     assert summary["skipped"] == ["BID,BIDDAYOFFER_D"]
-    from nem_mms_ray.mms.pipeline import read_package_parquet
-
     # workers write one part per (file, member, table); read the package dir
     parts = sorted((out / "DISPATCH_UNIT_SCADA").glob("part-*.parquet"))
     assert len(parts) == 2  # one.csv table + two.zip's first table
-    t = read_package_parquet(out / "DISPATCH_UNIT_SCADA", "DISPATCH_UNIT_SCADA")
-    assert t.schema.equals(PACKAGES["DISPATCH_UNIT_SCADA"].schema)
+    t = pq.read_table(out / "DISPATCH_UNIT_SCADA")
     assert t.column("DUID").to_pylist()[:3] == ["UNIT1", "UNIT2", "UNIT1"]
 
 

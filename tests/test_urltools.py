@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from nem_mms_ray.ops.urltools import add_domain, domain_cap, domain_of
+from nem_mms_ray.ops.urltools import domain_cap, domain_of
 
 CASES = [
     ("https://WWW.Example.com/path?q=1", "www.example.com"),
@@ -73,15 +73,12 @@ def test_domain_cap_batch_invariant(ray_session):
     assert a["doc_id"].tolist() == b["doc_id"].tolist()
 
 
-def test_add_domain_and_extra_columns(ray_session):
+def test_domain_cap_extra_columns(ray_session):
     import ray.data as rd
 
     t = pa.table({"doc_id": pa.array([1, 2], pa.int64()),
                   "url": pa.array(["https://a.com/x", "https://b.com/y"]),
                   "lang": pa.array(["en", "de"])})
-    ds = add_domain(rd.from_arrow(t))
-    out = ds.to_pandas().sort_values("doc_id")
-    assert out["domain"].tolist() == ["a.com", "b.com"]
     capped = domain_cap(rd.from_arrow(t), cap=1,
                         columns=("lang",)).to_pandas().sort_values("doc_id")
     assert capped.columns.tolist() == ["domain", "doc_id", "lang"]
