@@ -224,6 +224,33 @@ def test_dictionary_read_matches_dense_read(layout, row_group_size, batch_rows, 
                 assert get_codec("dict").encode(arr).dense_nbytes == want.column(name).nbytes
 
 
+def test_dict_read_column_rule(tmp_path):
+    """String and binary columns are read as dictionaries only where every
+    row group of the partition keeps them under 4 bytes a value: not
+    large_string, not a column whose values turn distinct in one row
+    group, and never html-like columns."""
+    from nem_mms_ray.pipelines.encode import _dict_read_columns
+
+    n = 4000
+    flags = np.array(["A", "N", "R"])[np.arange(n) % 3]
+    t = pa.table({
+        "flag": flags,
+        "raw": pa.array([f.encode() for f in flags], pa.binary()),
+        "wide": pa.array(flags.tolist(), pa.large_string()),
+        "turns": np.where(np.arange(n) < 2000, flags, np.char.add("row-", np.arange(n).astype(str))),
+        "qty": np.arange(n),
+    })
+    src = tmp_path / "in.parquet"
+    pq.write_table(t, src, row_group_size=2000)
+    pf = pq.ParquetFile(src)
+    assert _dict_read_columns(pf, [0, 1], t.column_names) == ["flag", "raw"]
+    assert _dict_read_columns(pf, [0], t.column_names) == ["flag", "raw", "turns"]
+    assert _dict_read_columns(pf, [0], ["qty", "turns", "turns"]) == []
+    web = tmp_path / "web.parquet"
+    pq.write_table(_web(2000), web)
+    assert _dict_read_columns(pq.ParquetFile(web), [0], _web(10).column_names) == ["lang"]
+
+
 def test_dict_read_recorded_and_described(tmp_path):
     """The manifest names the columns read as dictionaries; `describe`
     counts, per column, the partitions that read it so."""
