@@ -306,15 +306,6 @@ def _ann_topk(sf_dir: str):
     )
 
 
-# -- rows-only (not SQL-expressible) ----------------------------------------
-
-
-def _minhash_pairs(sf_dir: str):
-    from nem_mms_ray.ops.dedup import minhash_dedup
-
-    return minhash_dedup(_read(sf_dir, "documents", ["doc_id", "text"]), threshold=0.8)
-
-
 def _minhash_exact_dups(sf_dir: str):
     """The minhash path's guaranteed-recall regime as an oracle-checked row:
     identical shingle sets give identical signatures in every band, so LSH
@@ -591,12 +582,6 @@ def _lineitem_qty_quantiles_by_flag(sf_dir: str):
         group_col="l_returnflag", col="l_quantity", qs=(0.25, 0.5, 0.75))
 
 
-def _simhash_docs(sf_dir: str):
-    from nem_mms_ray.ops.dedup import simhash_batch
-
-    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(simhash_batch, batch_format="pyarrow")
-
-
 def _simhash_near_dups(sf_dir: str):
     """SimHash pair-level validation in the guaranteed-recall regime:
     identical texts have identical 64-bit signatures (all 4 bands match,
@@ -755,24 +740,6 @@ def _decode_checksum_docs(sf_dir: str):
 
     return rd.read_parquet(str(dec), columns=["doc_id", "text"]).map_batches(
         fp, batch_format="pyarrow")
-
-
-def _encode_lineitem(sf_dir: str):
-    """Typed-table encode: exercises alp (floats), delta/bitpack (keys),
-    for+gcd (day-aligned dates) and dict (flags) with bit-identical verify."""
-    from nem_mms_ray.pipelines.decode import verify_files
-    from nem_mms_ray.pipelines.encode import encode_files
-
-    out = Path("/tmp/nem_mms_ray_q/encoded_lineitem")
-    shutil.rmtree(out, ignore_errors=True)
-    paths = [f"{sf_dir}/lineitem.parquet"]
-    metrics = encode_files(paths, out, target_bytes=32 << 20).to_pandas()
-    ver = verify_files(paths, out, target_bytes=32 << 20).to_pandas()
-    metrics["roundtrip_ok"] = bool(ver["ok"].all())
-    return pa.Table.from_pandas(
-        metrics[["pid", "rows", "orig_bytes", "encoded_bytes", "roundtrip_ok"]],
-        preserve_index=False,
-    )
 
 
 def _media_features_docs(sf_dir: str):

@@ -13,8 +13,10 @@ The flagship composition a 100 TB pre-training pipeline runs end-to-end
   its labels — SQL-mirrorable, so the whole composition is oracle-checked.
 
 Callers that need the curated text back semi-join the winner ids against
-the source (broadcast under a threshold, or the `pairs_payload_metric`
-bucket join for huge survivor sets).
+the source; that join and the id filters `keep_ids`/`drop_ids` share one
+body, `_id_join`: it materializes the id side once (so the label pass
+runs once per call), broadcasts it under a threshold and otherwise runs
+Ray Data's native `Dataset.join`.
 """
 
 from __future__ import annotations
@@ -27,11 +29,12 @@ from nem_mms_ray.ops.textstats import LangId, fingerprint_batch, quality_score_b
 
 
 class CurateLabel:
-    """Actor-pool stage: doc -> (doc_id, fp, lang_pred, quality), filtered.
+    """Label stage: doc -> (doc_id, fp, lang_pred, quality), filtered.
 
     Stateful pattern: the LangId stopword tables and word regex build once
-    per actor; each batch runs the three vectorized labelers and applies
-    the quality/language gate before anything is emitted.
+    per worker (`_label_task` caches them); each batch runs the three
+    vectorized labelers and applies the quality/language gate before
+    anything is emitted.
     """
 
     def __init__(self, quality_min: float = 0.0, lang: str | None = None,
@@ -81,29 +84,18 @@ def _label_task(batch: pa.Table, **kw) -> pa.Table:
 
 def curate_documents(ds, quality_min: float = 0.0, lang: str | None = None,
                      id_col: str = "doc_id", text_col: str = "text",
-                     n_buckets: int = 64, concurrency: int | None = None):
+                     n_buckets: int = 64):
     """Dataset[(doc_id, lang_pred, quality)] of curated survivors:
     quality >= quality_min, (optional) lang_pred == lang, exact-dedup
-    winner (min doc_id) per md5 fingerprint.
-
-    `concurrency` switches the label stage to an explicit actor pool; the
-    default task mode caches the stage in warm workers (same state reuse,
-    no pool ramp-up)."""
+    winner (min doc_id) per md5 fingerprint."""
     import functools
 
-    if concurrency:
-        labeled = ds.map_batches(
-            CurateLabel,
-            fn_constructor_kwargs={"quality_min": quality_min, "lang": lang,
-                                   "id_col": id_col, "text_col": text_col},
-            batch_format="pyarrow", concurrency=concurrency, num_cpus=1)
-    else:
-        labeled = ds.map_batches(
-            functools.partial(_label_task, quality_min=quality_min, lang=lang,
-                              id_col=id_col, text_col=text_col),
-            batch_format="pyarrow",
-            num_cpus=1,
-        )
+    labeled = ds.map_batches(
+        functools.partial(_label_task, quality_min=quality_min, lang=lang,
+                          id_col=id_col, text_col=text_col),
+        batch_format="pyarrow",
+        num_cpus=1,
+    )
 
     def partial_winners(t: pa.Table) -> pa.Table:
         # combiner: per-batch winner per fingerprint BEFORE the shuffle —
@@ -139,168 +131,110 @@ def curate_documents(ds, quality_min: float = 0.0, lang: str | None = None,
 
 def curated_text_semijoin(source_ds, winners_ds, id_col: str = "doc_id",
                           text_col: str = "text",
-                          max_broadcast_ids: int = 5_000_000,
-                          n_buckets: int = 64):
+                          max_broadcast_ids: int = 5_000_000):
     """Semi-join the curation winners back against the source corpus —
     the "last mile" that turns the ~50 B/doc winner labels into usable
     curated DATA (reference analog: the pipeline ends in written tables,
     src/packages/mod.rs:219-235, not summaries).
 
-    Returns Dataset[(doc_id, text, lang_pred, quality)].
+    Returns Dataset[(doc_id, text, lang_pred, quality)].  Shapes: see
+    `_id_join`; above `max_broadcast_ids` winners the source text crosses
+    the join's shuffle once (label rows are ~50 B: 5M winners ~ 250 MB of
+    driver/worker heap under the broadcast shape)."""
+    labels = winners_ds.map_batches(
+        lambda t: pa.table({
+            "id": t.column("doc_id").cast(pa.int64()),
+            "lang_pred": t.column("lang_pred").cast(pa.string()),
+            "quality": t.column("quality").cast(pa.float64())}),
+        batch_format="pyarrow")
+    return _id_join(source_ds.select_columns([id_col, text_col]), labels,
+                    "inner", id_col, max_broadcast_ids)
 
-    Two shapes, auto-selected on the winner count:
-    - broadcast (winners <= max_broadcast_ids): the label rows — ids +
-      two small columns, no text — ship once via ray.put; one map_batches
-      over the source filters and attaches labels.  Zero shuffles; the
-      text of survivors streams straight through.
-    - distributed (huge survivor sets): hash-bucket join — both sides
-      gain bucket = id % n_buckets, a single union+groupby co-locates
-      each id's label row with its source row, and the merge is a
-      vectorized pandas join per bucket.  Source text crosses the shuffle
-      exactly once (there is no way to pre-filter without knowing the
-      winner set), so exchange volume is O(corpus bytes) — callers whose
-      winner set fits memory should prefer raising max_broadcast_ids
-      (label rows are ~50 B: 5M winners ~ 250 MB driver/worker heap).
-    """
+
+def _id_join(ds, ids_ds, join_type: str, id_col: str,
+             max_broadcast_ids: int):
+    """Shared body of `keep_ids` ("left_semi"), `drop_ids` ("left_anti")
+    and `curated_text_semijoin` ("inner"): filter `ds` by membership of
+    `id_col` in `ids_ds`'s `id` column.  For "inner" the id side also
+    carries `lang_pred` and `quality`, attached to each kept row.  Both
+    shapes emit `id_col` as int64.
+
+    The id side is materialized once and counted from that, so whatever
+    produced it (for the text join, the label + exact-dedup pass) runs
+    once per call.  Two shapes, chosen on that count:
+    - broadcast (<= max_broadcast_ids): the sorted ids (+ labels) ship
+      once via ray.put; one map_batches over `ds` filters by searchsorted
+      and takes the labels at the same positions.  Zero shuffles.
+    - native hash join (`Dataset.join`) above it: everything stays
+      worker-side; `ds` rows cross the shuffle once (unavoidable without
+      knowing the set)."""
     import ray
 
-    n_winners = winners_ds.count()
-    if n_winners <= max_broadcast_ids:
-        wdf = winners_ds.to_pandas()
-        lref = ray.put((
-            wdf[id_col].to_numpy(np.int64),
-            wdf["lang_pred"].to_numpy(object),
-            wdf["quality"].to_numpy(np.float64),
-        ))
-
-        def attach(batch: pa.Table) -> pa.Table:
-            ids_w, lang_w, q_w = ray.get(lref)
-            order = np.argsort(ids_w)
-            sk = ids_w[order]
-            ids = np.asarray(batch.column(id_col), np.int64)
-            pos = np.searchsorted(sk, ids)
-            pos = np.clip(pos, 0, max(len(sk) - 1, 0))
-            hit = (sk[pos] == ids) if len(sk) else np.zeros(len(ids), bool)
-            mask = pa.array(hit)
-            widx = order[pos[hit]]
-            return pa.table({
-                id_col: batch.column(id_col).filter(mask).cast(pa.int64()),
-                text_col: batch.column(text_col).filter(mask),
-                "lang_pred": pa.array(lang_w[widx].tolist(), pa.string()),
-                "quality": pa.array(q_w[widx], pa.float64()),
-            })
-
-        return source_ds.map_batches(attach, batch_format="pyarrow")
-
-    # distributed hash-bucket join (winner set too large to broadcast)
-    def tag_source(t: pa.Table) -> pa.Table:
-        ids = np.asarray(t.column(id_col), np.int64)
-        return pa.table({
-            id_col: pa.array(ids),
-            text_col: t.column(text_col),
-            "lang_pred": pa.nulls(len(ids), pa.string()),
-            "quality": pa.nulls(len(ids), pa.float64()),
-            "side": pa.array(np.ones(len(ids), np.int8)),
-            "bucket": pa.array((ids % n_buckets).astype(np.int32)),
-        })
-
-    def tag_winners(t: pa.Table) -> pa.Table:
-        ids = np.asarray(t.column(id_col), np.int64)
-        return pa.table({
-            id_col: pa.array(ids),
-            text_col: pa.nulls(len(ids), pa.string()),
-            "lang_pred": t.column("lang_pred"),
-            "quality": t.column("quality"),
-            "side": pa.array(np.zeros(len(ids), np.int8)),
-            "bucket": pa.array((ids % n_buckets).astype(np.int32)),
-        })
-
-    def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        lab = g[g["side"] == 0]
-        src = g[g["side"] == 1]
-        keep = src[src[id_col].isin(lab[id_col])]
-        m = keep[[id_col, text_col]].merge(
-            lab[[id_col, "lang_pred", "quality"]], on=id_col, how="inner")
-        return m[[id_col, text_col, "lang_pred", "quality"]]
-
-    both = source_ds.map_batches(tag_source, batch_format="pyarrow").union(
-        winners_ds.map_batches(tag_winners, batch_format="pyarrow"))
-    return (both.groupby("bucket")
-                .map_groups(merge_bucket, batch_format="pandas"))
-
-
-def _id_join(ds, ids_ds, keep: bool, id_col: str,
-             max_broadcast_ids: int, n_buckets: int):
-    """Shared body of `drop_ids` (keep=False) and `keep_ids` (keep=True):
-    filter `ds` by membership of `id_col` in `ids_ds`'s `id` column.
-
-    Two auto-selected shapes: the id side is bare int64s (8 B each — 5M
-    ids ~ 40 MB), so broadcast + per-batch searchsorted covers any
-    realistic set; above the threshold a hash-bucket union (anti-)join
-    keeps everything worker-side (payload rows cross the shuffle once —
-    unavoidable without knowing the set)."""
-    import ray
-
+    ids_ds = ids_ds.materialize()
     n_ids = ids_ds.count()
-    if n_ids == 0:
-        return ds.map_batches(lambda t: t.slice(0, 0),
-                              batch_format="pyarrow") if keep else ds
-    if n_ids <= max_broadcast_ids:
-        sk = np.sort(ids_ds.to_pandas()["id"].to_numpy(np.int64))
-        ref = ray.put(sk)
+    # Ray 2.49's join raises ArrowInvalid when its right side has no rows,
+    # so an empty id set always takes the broadcast shape
+    if n_ids == 0 or n_ids <= max_broadcast_ids:
+        side = (ids_ds.to_pandas() if n_ids else
+                pd.DataFrame({"id": np.zeros(0, np.int64), "lang_pred": [],
+                              "quality": np.zeros(0, np.float64)}))
+        ids = side["id"].to_numpy(np.int64)
+        order = np.argsort(ids, kind="stable")
+        ref = ray.put((ids[order],) + (
+            (side["lang_pred"].to_numpy(object)[order],
+             side["quality"].to_numpy(np.float64)[order])
+            if join_type == "inner" else ()))
 
         def member_filter(batch: pa.Table) -> pa.Table:
-            s = ray.get(ref)
-            ids = np.asarray(batch.column(id_col), np.int64)
-            pos = np.clip(np.searchsorted(s, ids), 0, len(s) - 1)
-            hit = s[pos] == ids
-            return batch.filter(pa.array(hit if keep else ~hit))
+            s, *labels = ray.get(ref)
+            key = batch.column(id_col).cast(pa.int64())
+            ids = np.asarray(key, np.int64)
+            pos = np.clip(np.searchsorted(s, ids), 0, max(len(s) - 1, 0))
+            hit = (s[pos] == ids) if len(s) else np.zeros(len(ids), bool)
+            batch = batch.set_column(batch.schema.get_field_index(id_col),
+                                     id_col, key)
+            out = batch.filter(pa.array(hit if join_type != "left_anti"
+                                        else ~hit))
+            if labels:
+                lang, q = labels
+                out = out.append_column("lang_pred", pa.array(
+                    lang[pos[hit]].tolist(), pa.string())).append_column(
+                    "quality", pa.array(q[pos[hit]], pa.float64()))
+            return out
 
         return ds.map_batches(member_filter, batch_format="pyarrow")
 
-    def tag_payload(t: pa.Table) -> pa.Table:
-        ids = np.asarray(t.column(id_col), np.int64)
-        return (t.append_column("side", pa.array(np.ones(len(ids), np.int8)))
-                 .append_column("bucket",
-                                pa.array((ids % n_buckets).astype(np.int32))))
+    from nem_mms_ray.ops.dedup import _join_partitions
 
-    def tag_ids(t: pa.Table) -> pa.Table:
-        ids = np.asarray(t.column("id"), np.int64)
-        return pa.table({id_col: pa.array(ids),
-                         "side": pa.array(np.zeros(len(ids), np.int8)),
-                         "bucket": pa.array(
-                             (ids % n_buckets).astype(np.int32))})
+    def int64_key(t: pa.Table, name: str = id_col) -> pa.Table:
+        i = t.schema.get_field_index(name)
+        return t.set_column(i, id_col, t.column(i).cast(pa.int64()))
 
-    def filter_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        named = g.loc[g["side"] == 0, id_col]
-        member = g[id_col].isin(named)
-        out = g[(g["side"] == 1) & (member if keep else ~member)]
-        return out.drop(columns=["side", "bucket"])
-
-    both = ds.map_batches(tag_payload, batch_format="pyarrow").union(
-        ids_ds.map_batches(tag_ids, batch_format="pyarrow"))
-    return both.groupby("bucket").map_groups(filter_bucket,
-                                             batch_format="pandas")
+    right = ids_ds.map_batches(lambda t: int64_key(t, "id"),
+                               batch_format="pyarrow")
+    if join_type != "inner":
+        right = right.select_columns([id_col])
+    return ds.map_batches(int64_key, batch_format="pyarrow").join(
+        right, join_type=join_type, num_partitions=_join_partitions(),
+        on=(id_col,))
 
 
 def drop_ids(ds, drop_ds, id_col: str = "doc_id",
-             max_broadcast_ids: int = 5_000_000, n_buckets: int = 64):
+             max_broadcast_ids: int = 5_000_000):
     """Anti-join: rows of `ds` whose `id_col` does NOT appear in `drop_ds`
     (a Dataset with an `id` column).  All other columns pass through.
     Shapes: see `_id_join`."""
-    return _id_join(ds, drop_ds, keep=False, id_col=id_col,
-                    max_broadcast_ids=max_broadcast_ids, n_buckets=n_buckets)
+    return _id_join(ds, drop_ds, "left_anti", id_col, max_broadcast_ids)
 
 
 def keep_ids(ds, keep_ds, id_col: str = "doc_id",
-             max_broadcast_ids: int = 5_000_000, n_buckets: int = 64):
+             max_broadcast_ids: int = 5_000_000):
     """Semi-join: rows of `ds` whose `id_col` DOES appear in `keep_ds`
     (a Dataset with an `id` column).  All other columns pass through —
     the generic twin of `drop_ids`, used by the web pipeline's
     per-domain cap (the winner set filters the corpus before curation).
     Shapes: see `_id_join`; an empty keep set yields an empty result."""
-    return _id_join(ds, keep_ds, keep=True, id_col=id_col,
-                    max_broadcast_ids=max_broadcast_ids, n_buckets=n_buckets)
+    return _id_join(ds, keep_ds, "left_semi", id_col, max_broadcast_ids)
 
 
 def curate_documents_near(ds_factory, quality_min: float = 0.0,
@@ -349,9 +283,10 @@ def curate_documents_with_text(ds_factory, quality_min: float = 0.0,
     """curate_documents + curated_text_semijoin in one call.
 
     `ds_factory` is a zero-arg callable returning a fresh source Dataset —
-    the corpus is read TWICE (label+dedup pass, then the semi-join pass);
-    passing a factory instead of a Dataset makes the double read explicit
-    and lets the second pass prune to (id, text) columns at the read.
+    the corpus is read TWICE (label+dedup pass, then the semi-join pass;
+    each runs once); passing a factory instead of a Dataset makes the
+    double read explicit and lets the second pass prune to (id, text)
+    columns at the read.
 
     `text_map` (optional, Dataset -> Dataset): a PER-ROW-DETERMINISTIC
     transform of `text_col` only (e.g. `ops/scrub.scrub_text`).  It is

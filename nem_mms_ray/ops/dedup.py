@@ -116,7 +116,7 @@ def _jaccard_store_batch(flat: np.ndarray, off: np.ndarray,
 
 
 def pairs_payload_metric(pairs, payloads, pair_metric, metric_name: str,
-                         n_buckets: int = 64, carry: tuple = (),
+                         n_buckets: int = 64,
                          max_broadcast_payload: int = 256 << 20,
                          max_probe_pairs: int = 4_000_000,
                          pair_metric_batch=None, metric_min: float = 0.0):
@@ -135,16 +135,14 @@ def pairs_payload_metric(pairs, payloads, pair_metric, metric_name: str,
       Alternatively a FACTORY callable (id_ref_or_None -> that Dataset):
       the broadcast regime passes the referenced-id ObjectRef so payload
       construction itself can skip unreferenced rows (see minhash_dedup).
-    pair_metric(bytes, bytes) -> float, computed once per pair; with
-    `carry` set, extra numeric columns of `pairs` ride along and arrive as
-    keyword args: pair_metric(bytes, bytes, **{c: float(v)}).
+    pair_metric(bytes, bytes) -> float, computed once per pair.
 
-    pair_metric_batch (optional, ignored when `carry` is set): vectorized
-    twin with signature (flat_u8, byte_offsets, a_pos, b_pos, metric_min)
-    -> float64 scores over a `_payload_store` — scores a whole batch in
-    one call (C kernel for Jaccard: `_jaccard_store_batch`) and lets the
-    broadcast regime ship payloads as a zero-copy numpy triple instead
-    of a pickled dict.  metric_min > 0 permits the metric to report any
+    pair_metric_batch (optional): vectorized twin with signature
+    (flat_u8, byte_offsets, a_pos, b_pos, metric_min) -> float64 scores
+    over a `_payload_store` — scores a whole batch in one call (C kernel
+    for Jaccard: `_jaccard_store_batch`) and lets the broadcast regime
+    ship payloads as a zero-copy numpy triple instead of a pickled
+    dict.  metric_min > 0 permits the metric to report any
     value strictly below metric_min for pairs provably under it (the
     early-exit contract); callers thresholding at metric_min see
     identical survivors with exact scores.
@@ -157,7 +155,7 @@ def pairs_payload_metric(pairs, payloads, pair_metric, metric_name: str,
           min(M, n_buckets) payload copies instead of M (the r4 flagship
           profile measured 2.37M pairs x ~1.6 KB blob = GBs of duplicated
           payload under the old per-pair-row attach).
-      (2) group by hash(a, b): pair rows (bare ints + carry) meet the
+      (2) group by hash(a, b): pair rows (bare ints) meet the
           deduplicated payloads; a per-bucket dict serves both sides of
           every pair.  Coarse buckets keep Ray group count flat at any
           candidate cardinality.
@@ -200,7 +198,7 @@ def pairs_payload_metric(pairs, payloads, pair_metric, metric_name: str,
             "semi-join", max_probe_pairs)
         return _pairs_payload_metric_shuffle(
             pairs, payloads_factory(None) if payloads_factory else payloads,
-            pair_metric, metric_name, n_buckets, carry,
+            pair_metric, metric_name, n_buckets,
             pair_metric_batch=pair_metric_batch, metric_min=metric_min)
 
     # probe regime: referenced ids (bounded by the gate above) stream to
@@ -225,7 +223,7 @@ def pairs_payload_metric(pairs, payloads, pair_metric, metric_name: str,
         batch_format="pyarrow").sum("nb") or 0)
     if blob_bytes <= max_broadcast_payload:
         pdf = referenced.to_pandas()
-        if pair_metric_batch is not None and not carry:
+        if pair_metric_batch is not None:
             # vectorized regime: payloads broadcast as a (sorted ids,
             # flat bytes, offsets) numpy triple — zero-copy through the
             # object store (a 100k-entry dict of bytes pickles; numpy
@@ -255,17 +253,8 @@ def pairs_payload_metric(pairs, payloads, pair_metric, metric_name: str,
             pmap = ray.get(pmap_ref)
             a = np.asarray(t.column("a"), np.int64)
             b = np.asarray(t.column("b"), np.int64)
-            if carry:
-                carries = [np.asarray(t.column(c), np.float64) for c in carry]
-                m = [pair_metric(pmap.get(x, b"") or b"",
-                                 pmap.get(y, b"") or b"",
-                                 **{c: float(v[i])
-                                    for c, v in zip(carry, carries)})
-                     for i, (x, y) in enumerate(zip(a, b))]
-            else:
-                m = [pair_metric(pmap.get(x, b"") or b"",
-                                 pmap.get(y, b"") or b"")
-                     for x, y in zip(a, b)]
+            m = [pair_metric(pmap.get(x, b"") or b"", pmap.get(y, b"") or b"")
+                 for x, y in zip(a, b)]
             return pa.table({"a": pa.array(a), "b": pa.array(b),
                              metric_name: pa.array(np.asarray(m, np.float64))})
 
@@ -274,13 +263,13 @@ def pairs_payload_metric(pairs, payloads, pair_metric, metric_name: str,
     logger.info("pairs_payload_metric: referenced payloads %.0f MB exceed "
                 "broadcast cap — two-shuffle path", blob_bytes / 1e6)
     return _pairs_payload_metric_shuffle(
-        pairs, referenced, pair_metric, metric_name, n_buckets, carry,
+        pairs, referenced, pair_metric, metric_name, n_buckets,
         pair_metric_batch=pair_metric_batch, metric_min=metric_min)
 
 
 def _pairs_payload_metric_shuffle(pairs, payloads, pair_metric,
                                   metric_name: str, n_buckets: int,
-                                  carry: tuple, pair_metric_batch=None,
+                                  pair_metric_batch=None,
                                   metric_min: float = 0.0):
     """The fully-distributed two-shuffle scoring path (see
     `pairs_payload_metric`).  `payloads` may be unfiltered: the attach
@@ -341,36 +330,29 @@ def _pairs_payload_metric_shuffle(pairs, payloads, pair_metric,
     PAIR_SCHEMA = pa.schema(
         [("a", pa.int64()), ("b", pa.int64()), ("jid", pa.int64()),
          ("payload", pa.large_binary()), ("is_pair", pa.int8()),
-         ("bucket2", pa.int32())]
-        + [(c, pa.float64()) for c in carry])
+         ("bucket2", pa.int32())])
 
     def pair_rows(t: pa.Table) -> pa.Table:
         a = np.asarray(t.column("a"), np.int64)
         b = np.asarray(t.column("b"), np.int64)
-        cols = {
+        return pa.table({
             "a": pa.array(a), "b": pa.array(b),
             "jid": pa.array(np.zeros(len(a), np.int64)),
             "payload": pa.nulls(len(a), pa.large_binary()),
             "is_pair": pa.array(np.ones(len(a), np.int8)),
             "bucket2": pa.array(_b2(a, b)),
-        }
-        for c in carry:
-            cols[c] = pa.array(np.asarray(t.column(c), np.float64))
-        return pa.table(cols, schema=PAIR_SCHEMA)
+        }, schema=PAIR_SCHEMA)
 
     def payload_rows(t: pa.Table) -> pa.Table:
         jid = np.asarray(t.column("jid"), np.int64)
         z = np.zeros(len(jid), np.int64)
-        cols = {
+        return pa.table({
             "a": pa.array(z), "b": pa.array(z),
             "jid": pa.array(jid),
             "payload": t.column("payload").cast(pa.large_binary()),
             "is_pair": pa.array(np.zeros(len(jid), np.int8)),
             "bucket2": t.column("bucket2").cast(pa.int32()),
-        }
-        for c in carry:
-            cols[c] = pa.array(np.zeros(len(jid), np.float64))
-        return pa.table(cols, schema=PAIR_SCHEMA)
+        }, schema=PAIR_SCHEMA)
 
     def score(g: pd.DataFrame) -> pd.DataFrame:
         pay = g[g["is_pair"] == 0]
@@ -381,7 +363,7 @@ def _pairs_payload_metric_shuffle(pairs, payloads, pair_metric,
                                  metric_name: pd.Series([], dtype="float64")})
         a = pr["a"].to_numpy(np.int64)
         b = pr["b"].to_numpy(np.int64)
-        if pair_metric_batch is not None and not carry:
+        if pair_metric_batch is not None:
             ids = pay["jid"].to_numpy(np.int64)
             order = np.argsort(ids)
             ids = ids[order]
@@ -393,14 +375,8 @@ def _pairs_payload_metric_shuffle(pairs, payloads, pair_metric,
                                  metric_name: pd.Series(
                                      np.asarray(m, np.float64))})
         pmap = dict(zip(pay["jid"].to_numpy(np.int64), pay["payload"]))
-        if carry:
-            carries = [pr[c].to_numpy(np.float64) for c in carry]
-            m = [pair_metric(pmap.get(x, b"") or b"", pmap.get(y, b"") or b"",
-                             **{c: float(v[i]) for c, v in zip(carry, carries)})
-                 for i, (x, y) in enumerate(zip(a, b))]
-        else:
-            m = [pair_metric(pmap.get(x, b"") or b"", pmap.get(y, b"") or b"")
-                 for x, y in zip(a, b)]
+        m = [pair_metric(pmap.get(x, b"") or b"", pmap.get(y, b"") or b"")
+             for x, y in zip(a, b)]
         return pd.DataFrame({"a": pd.Series(a, dtype="int64"),
                              "b": pd.Series(b, dtype="int64"),
                              metric_name: pd.Series(m, dtype="float64")})

@@ -20,13 +20,13 @@ pinned by test_shard.py).  Same corpus + same seed => byte-identical
 shard layout on ANY cluster size or partitioning; a new seed is a
 fresh epoch-level reshuffle.
 
-Scale shape: md5 is per row but vectorized at the buffer level (one
-hash over a memoryview slice per row — the `web._url_ids` cost,
-~380 MB/s/core); the sort is ONE all-to-all over (key, payload) — the
-same exchange any global shuffle pays, with Ray's sample-partitioned
-sort handling skew (keys are uniform by construction).  Shards land as
-hive-partitioned parquet (`shard_id=K/`), each row carrying its key so
-a reader that needs the exact global order can sort its shard locally.
+Scale shape: the key is a per-row Python loop (`to_pylist()`, one
+`hashlib.md5` and one hex string per id); the sort is ONE all-to-all
+over (key, payload) — the same exchange any global shuffle pays, with
+Ray's sample-partitioned sort handling skew (keys are uniform by
+construction).  Shards land as hive-partitioned parquet
+(`shard_id=K/`), each row carrying its key so a reader that needs the
+exact global order can sort its shard locally.
 """
 
 from __future__ import annotations

@@ -86,9 +86,10 @@ def iter_decoded_chunks(encoded_path: str | Path, columns: list[str] | None = No
     """Yield the chunks of an encoded partition file in order, one decoded
     record batch per row group; each is released once the caller drops it.
 
-    `columns` projects the decode: undesired columns' payloads are skipped
-    entirely (never decompressed past the parquet layer) — the selective
-    random access per-column encoding exists for.
+    `columns` projects the decode: only the wanted columns are decoded.
+    Every column's payload sits in the one `payload` Parquet column, so
+    each row group's payloads are still read and decompressed whole; the
+    projection saves the codec decode of the other columns, not the I/O.
     """
     want = set(columns) if columns is not None else None
     pf = pq.ParquetFile(encoded_path)

@@ -356,12 +356,10 @@ class EncodePartitions:
     for every batch of that partition).
     """
 
-    def __init__(self, out_dir: str, columns: list[str] | None = None,
-                 sample_rows: int = SAMPLE_ROWS):
+    def __init__(self, out_dir: str, columns: list[str] | None = None):
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.columns = columns
-        self.sample_rows = sample_rows
         self.manifest = Manifest(out_dir)
         self.manifest.init()
 
@@ -369,7 +367,7 @@ class EncodePartitions:
     def _plan(self, sample: pa.Table):
         """Sketch + train on the partition's sample rows, ONCE per column.
 
-        `sample` is the first `sample_rows` rows of the partition's first
+        `sample` is the first `SAMPLE_ROWS` rows of the partition's first
         row group, cut from the batches the encode loop reads (the file is
         read once).  String columns train their real FSST symbol table
         here and measure the realized ratio on the training sample — one
@@ -488,7 +486,7 @@ class EncodePartitions:
         batches = _read_batches(pf, spec, bpr, self.columns, dict_cols)
         # the plan's sample is the first rows of the first row group, taken
         # from the batches the encode loop then encodes: one read per file
-        need = min(self.sample_rows, pf.metadata.row_group(spec.row_groups[0]).num_rows)
+        need = min(SAMPLE_ROWS, pf.metadata.row_group(spec.row_groups[0]).num_rows)
         head, got = [], 0
         while got < need:
             rb = next(batches, None)

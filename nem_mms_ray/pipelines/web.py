@@ -280,8 +280,7 @@ def web_pipeline(input_paths, out_dir, quality_min: float = 0.0,
                     cur, bench_ds, ngram=decontam_ngram).map_batches(
                         lambda t: pa.table({"id": t.column("doc_id").filter(
                             t.column("contaminated")).cast(pa.int64())}),
-                        batch_format="pyarrow").materialize()
-                # ^ materialized: drop_ids consumes it twice (count + ids)
+                        batch_format="pyarrow")
                 cur = drop_ids(cur, flagged)
             if lm_max_bits is not None:
                 import pyarrow.compute as pc
@@ -299,7 +298,7 @@ def web_pipeline(input_paths, out_dir, quality_min: float = 0.0,
                     lambda t: pa.table({"id": t.column("doc_id").filter(
                         pc.greater(t.column("lm_bits"), lm_max_bits))
                         .cast(pa.int64())}),
-                    batch_format="pyarrow").materialize()
+                    batch_format="pyarrow")
                 cur = drop_ids(cur, noisy)
             cur.write_parquet(tmp)
 

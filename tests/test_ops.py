@@ -669,7 +669,7 @@ def test_repetition_and_quantiles(ray_session):
 
 def test_pairs_payload_metric_randomized(ray_session):
     """Randomized (seeded) check of the shuffle-join verify against a local
-    reference: many pairs, shared ids, missing ids, carry column."""
+    reference: many pairs, shared ids, missing ids."""
     import ray.data as rd
 
     from nem_mms_ray.ops.dedup import pairs_payload_metric
@@ -684,23 +684,20 @@ def test_pairs_payload_metric_randomized(ray_session):
         if a != b:
             pairs.add((int(a), int(b)))
     pairs = sorted(pairs)
-    carry_vals = {p: float(rng.integers(0, 100)) for p in pairs}
-    pairs_ds = rd.from_items([{"a": a, "b": b, "w": carry_vals[(a, b)]}
-                              for a, b in pairs])
+    pairs_ds = rd.from_items([{"a": a, "b": b} for a, b in pairs])
     pay_ds = rd.from_items([{"jid": i, "payload": payload_of[i]}
                             for i in range(n_ids)])
 
-    def metric(x, y, w=0.0):
-        return float(len(x) + 2 * len(y) + w)
+    def metric(x, y):
+        return float(len(x) + 2 * len(y))
 
     expect = {(a, b): float(len(payload_of.get(a, b"")) +
-                            2 * len(payload_of.get(b, b"")) + carry_vals[(a, b)])
+                            2 * len(payload_of.get(b, b"")))
               for a, b in pairs}
     # BOTH regimes must agree with the local reference: payload-broadcast
     # (default cap) and the two-shuffle path (cap forced to 0)
     for cap in (256 << 20, 0):
         out = pairs_payload_metric(pairs_ds, pay_ds, metric, "m",
-                                   carry=("w",),
                                    max_broadcast_payload=cap).to_pandas()
         got = {(int(r.a), int(r.b)): r.m for r in out.itertuples()}
         assert got == expect, f"cap={cap}"
@@ -781,7 +778,7 @@ def test_pairs_payload_metric_shuffle_vectorized_branch(ray_session):
 
 
 def test_curated_text_semijoin_both_paths(ray_session):
-    """Broadcast and hash-bucket semi-join return the same curated rows
+    """Broadcast and native-join semi-join return the same curated rows
     (doc_id, text, lang_pred, quality); non-winners never appear."""
     import ray.data as rd
 
@@ -799,8 +796,8 @@ def test_curated_text_semijoin_both_paths(ray_session):
 
     bc = curated_text_semijoin(src(), winners).to_pandas().sort_values("doc_id")
     winners2 = curate_documents(src(), quality_min=0.5, lang="en")
-    dist = curated_text_semijoin(src(), winners2, max_broadcast_ids=0,
-                                 n_buckets=3).to_pandas().sort_values("doc_id")
+    dist = curated_text_semijoin(src(), winners2, max_broadcast_ids=0
+                                 ).to_pandas().sort_values("doc_id")
 
     for out in (bc, dist):
         assert list(out["doc_id"]) == sorted(wins_pd["doc_id"])
@@ -1366,7 +1363,7 @@ def test_token_topk_sketch_empty_and_null(ray_session):
 
 def test_drop_ids_both_paths(ray_session):
     """Anti-join keeps exactly the non-dropped rows, all columns intact,
-    identically through the broadcast and hash-bucket shapes."""
+    identically through the broadcast and native-join shapes."""
     import ray.data as rd
 
     from nem_mms_ray.ops.curate import drop_ids
@@ -1378,7 +1375,7 @@ def test_drop_ids_both_paths(ray_session):
     bc = drop_ids(rd.from_pandas(df), rd.from_pandas(drop)
                   ).to_pandas().sort_values("doc_id")
     dist = drop_ids(rd.from_pandas(df), rd.from_pandas(drop),
-                    max_broadcast_ids=0, n_buckets=3
+                    max_broadcast_ids=0
                     ).to_pandas().sort_values("doc_id")
     want = df[~df["doc_id"].isin(drop["id"])]
     for out in (bc, dist):
@@ -1389,6 +1386,84 @@ def test_drop_ids_both_paths(ray_session):
                     rd.from_pandas(pd.DataFrame({"id": np.array([], np.int64)}))
                     ).to_pandas()
     assert len(none) == 20
+
+
+def test_id_join_empty_set_native_shape(ray_session):
+    """An empty id set with the native-join shape forced
+    (max_broadcast_ids=0): keep_ids returns no rows, drop_ids every row.
+    Ray's join rejects a right side with no rows, so this pins the guard
+    that keeps an empty set off it."""
+    import ray.data as rd
+
+    from nem_mms_ray.ops.curate import drop_ids, keep_ids
+
+    df = pd.DataFrame({"doc_id": np.arange(12, dtype=np.int64),
+                       "text": [f"t{i}" for i in range(12)]})
+    empty = rd.from_arrow(pa.table({"id": pa.array([], pa.int64())}))
+    assert keep_ids(rd.from_pandas(df), empty, max_broadcast_ids=0
+                    ).count() == 0
+    out = drop_ids(rd.from_pandas(df), empty, max_broadcast_ids=0
+                   ).to_pandas().sort_values("doc_id")
+    assert list(out["doc_id"]) == list(df["doc_id"])
+    assert list(out["text"]) == list(df["text"])
+
+
+def test_curate_with_text_label_pass_runs_once(ray_session, tmp_path):
+    """One curate_documents_with_text call runs each pass once: the label
+    + exact-dedup pass (the factory's first Dataset) and the semi-join
+    pass (its second) each read exactly the corpus row count."""
+    import ray.data as rd
+
+    from nem_mms_ray.ops.curate import curate_documents_with_text
+
+    en = ("the quick brown fox jumps over the lazy dog and runs to the "
+          "hills with great speed for that is what foxes do in the wild ")
+    df = pd.DataFrame({"doc_id": np.arange(60, dtype=np.int64),
+                       "text": [en * 3 + f"doc {i % 20}" for i in range(60)]})
+    log = tmp_path / "reads.txt"
+    made = []
+
+    def src():
+        k = len(made)
+        made.append(k)
+
+        def record(t: pa.Table) -> pa.Table:
+            with open(log, "a") as f:
+                f.write(f"{k} {t.num_rows}\n")
+            return t
+
+        return rd.from_pandas(df).map_batches(record, batch_format="pyarrow")
+
+    out = curate_documents_with_text(src, quality_min=0.5,
+                                     lang="en").to_pandas()
+    assert sorted(out["doc_id"]) == list(range(20))  # min id per text
+    read = {0: 0, 1: 0}
+    for line in log.read_text().splitlines():
+        k, n = map(int, line.split())
+        read[k] += n
+    assert made == [0, 1]
+    assert read == {0: len(df), 1: len(df)}
+
+
+def test_curate_with_text_renamed_columns(ray_session):
+    """The text join keys the winners by their `doc_id` label column
+    whatever the source's id column is called; the output keeps the
+    source's column names."""
+    import ray.data as rd
+
+    from nem_mms_ray.ops.curate import curate_documents_with_text
+
+    en = ("the quick brown fox jumps over the lazy dog and runs to the "
+          "hills with great speed ") * 4
+    df = pd.DataFrame({"key": np.arange(6, dtype=np.int64),
+                       "body": [en, en, en + "x", "kurz", en, en + "y"]})
+    for cap in (5_000_000, 0):
+        out = curate_documents_with_text(
+            lambda: rd.from_pandas(df), quality_min=0.5, lang="en",
+            id_col="key", text_col="body", max_broadcast_ids=cap
+        ).to_pandas().sort_values("key")
+        assert list(out.columns) == ["key", "body", "lang_pred", "quality"]
+        assert list(out["key"]) == [0, 2, 5]
 
 
 def test_curate_documents_near(ray_session):

@@ -256,7 +256,7 @@ def test_web_pipeline_hygiene_stages(ray_session, tmp_path):
 
 def test_keep_ids_both_regimes(ray_session):
     """keep_ids (the generic semi-join twin of drop_ids): broadcast and
-    bucketed regimes agree, empty keep set yields empty output."""
+    native-join regimes agree, empty keep set yields empty output."""
     import ray.data as rd
 
     from nem_mms_ray.ops.curate import keep_ids
