@@ -5,10 +5,9 @@ external data).
 Parity targets: package→url-part table (/root/reference/src/packages/
 fetch.rs:13-23), current/archive listing URLs (:205-213), the historic MMSDM
 URL template (:133-146), Year/Month validation (:41-103, incl. 2-digit year
-expansion "21"→"2021"), and `.zip` href extraction from a nemweb listing
-page (:227-236, fixture-tested at :288-322).  Downloading is represented by
-`download_plan` (url → create-new target path, skip-and-continue contract,
-:238-282) so a user can see exactly what the reference would fetch.
+expansion "21"→"2021").  Downloading is represented by `download_plan`
+(url → create-new target path, skip-and-continue contract, :238-282) so a
+user can see exactly what the reference would fetch.
 """
 
 from __future__ import annotations
@@ -72,15 +71,6 @@ def historic_url(package: str, year: str, month: str) -> str | None:
         f"{BASE_URL}/Data_Archive/Wholesale_Electricity/MMSDM/{y}/"
         f"MMSDM_{y}_{m}/MMSDM_Historical_Data_SQLLoader/DATA/{filename}"
     )
-
-
-_HREF_RE = re.compile(r"""<a\s[^>]*href\s*=\s*["']([^"']+)["']""", re.IGNORECASE)
-
-
-def find_zip_urls(listing_html: str) -> list[str]:
-    """All <a href> values ending in .zip, in document order — directory
-    links excluded by the suffix test exactly as the reference does."""
-    return [h for h in _HREF_RE.findall(listing_html) if h.endswith(".zip")]
 
 
 @dataclass(frozen=True)

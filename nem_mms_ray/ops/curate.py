@@ -240,8 +240,7 @@ def keep_ids(ds, keep_ds, id_col: str = "doc_id",
 def curate_documents_near(ds_factory, quality_min: float = 0.0,
                           lang: str | None = None, threshold: float = 1.0,
                           id_col: str = "doc_id", text_col: str = "text",
-                          minhash_kw: dict | None = None, text_map=None,
-                          **semijoin_kw):
+                          text_map=None, **semijoin_kw):
     """The full curation endgame (VERDICT r3 item 8): gate + exact dedup +
     text semi-join, then MinHash near-dup pairs -> connected components ->
     keep only each component's representative (its minimum id).
@@ -249,12 +248,12 @@ def curate_documents_near(ds_factory, quality_min: float = 0.0,
     Returns Dataset[(doc_id, text, lang_pred, quality)] — the curated
     corpus with near-duplicates collapsed.
 
-    The curated intermediate is materialized once: it is consumed three
-    times (minhash signature pass, minhash verify pass, final anti-join)
-    and is the natural checkpoint of a production run (which would
-    `write_parquet` it instead — post-gate + exact-dedup, so a fraction
-    of the corpus; Ray's object store spills it rather than re-running
-    three corpus reads + label passes).  Docs that appear in no near-dup
+    The curated intermediate is materialized once: it is consumed twice
+    (the minhash pass, which tokenizes each doc once, and the final
+    anti-join) and is the natural checkpoint of a production run (which
+    would `write_parquet` it instead — post-gate + exact-dedup, so a
+    fraction of the corpus; Ray's object store spills it rather than
+    re-running the corpus reads + label pass).  Docs that appear in no near-dup
     pair are their own representative and pass through untouched.
     """
     from nem_mms_ray.ops.dedup import connected_components, minhash_dedup
@@ -267,7 +266,7 @@ def curate_documents_near(ds_factory, quality_min: float = 0.0,
         near_in = near_in.map_batches(
             lambda t: t.rename_columns(["doc_id", "text"]),
             batch_format="pyarrow")
-    pairs = minhash_dedup(near_in, threshold=threshold, **(minhash_kw or {}))
+    pairs = minhash_dedup(near_in, threshold=threshold)
     comps = connected_components(pairs)
     losers = comps.map_batches(
         lambda t: pa.table({"id": t.column("id").filter(

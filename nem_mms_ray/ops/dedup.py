@@ -4,13 +4,17 @@ embedding-cosine near-dup.
 Scale shapes (ray_guide patterns):
 - exact: vectorized md5 per batch -> groupby(fp) keep min doc_id (one small
   shuffle over 16-byte keys, pre-hashed so text never shuffles)
-- minhash: shingle+minhash per batch (numpy) -> explode to
-  (band, band_hash, doc_id) -> groupby bands -> candidate pairs -> Jaccard
-  verify -> representative = min doc_id of the pair graph (label propagation)
+- minhash: ONE pass tokenizes each doc (`MinHashStage`: band keys plus the
+  serialized shingle set) -> explode to (band, band_key, doc_id) -> groupby
+  bands -> candidate pairs -> distinct -> exact Jaccard in
+  `pairs_payload_metric` over the same pass's shingle sets
 - simhash/embedding: per-batch signatures; bucket by prefix/hyperplane for
   candidate generation.
 
-All randomness is seeded; outputs are deterministic for a given input.
+`pairs_payload_metric` is the one pair scorer: every near-dup operator that
+verifies candidates against per-id payloads (shingle sets, vectors) goes
+through it.  All randomness is seeded; outputs are deterministic for a given
+input.
 """
 
 from __future__ import annotations
@@ -97,12 +101,13 @@ def _jaccard_store_batch(flat: np.ndarray, off: np.ndarray,
                          a_pos: np.ndarray, b_pos: np.ndarray,
                          min_metric: float = 0.0) -> np.ndarray:
     """Vectorized Jaccard over a `_payload_store` of serialized uint64
-    shingle sets (`_shingle_blobs` layout): one C merge-intersection call
-    for the whole batch (`ops/setops_kernel.c`), ~0.4us/pair with the
-    min_metric early exit vs ~12us/pair for per-pair np.intersect1d.
-    min_metric > 0: pairs provably below it report an upper bound that
-    still thresholds identically (see intersect_counts); survivors are
-    exact.  Matches `_jaccard_blobs` bit-for-bit above the threshold."""
+    shingle sets (the `MinHashStage` `payload` layout): one C
+    merge-intersection call for the whole batch (`ops/setops_kernel.c`),
+    ~0.4us/pair with the min_metric early exit vs ~12us/pair for per-pair
+    np.intersect1d.  min_metric > 0: pairs provably below it report an
+    upper bound that still thresholds identically (see intersect_counts);
+    survivors are exact.  Matches `_jaccard_blobs` bit-for-bit above the
+    threshold."""
     from nem_mms_ray.ops._setops_native import intersect_counts
 
     vals = flat.view(np.uint64)
@@ -115,169 +120,138 @@ def _jaccard_store_batch(flat: np.ndarray, off: np.ndarray,
                     np.where(union > 0, inter / np.maximum(union, 1), 0.0))
 
 
+def _keyed_store(jid: np.ndarray, payloads) -> tuple:
+    """(sorted ids, flat bytes, byte offsets): a `_payload_store` keyed by
+    `jid` (one payload per id), the form `_store_positions` probes."""
+    order = np.argsort(jid)
+    return (jid[order], *_payload_store(np.asarray(payloads, object)[order]))
+
+
 def pairs_payload_metric(pairs, payloads, pair_metric, metric_name: str,
                          n_buckets: int = 64,
                          max_broadcast_payload: int = 256 << 20,
                          max_probe_pairs: int = 4_000_000,
-                         pair_metric_batch=None, metric_min: float = 0.0):
-    """Score candidate pairs against per-id binary payloads, fully
-    distributed — the scale path when candidates / payloads no longer fit a
-    driver-side broadcast (VERDICT r1 items 2-3).
+                         pair_metric_batch=None,
+                         metric_min: float | None = None):
+    """Score candidate pairs against per-id binary payloads — the one pair
+    scorer of the near-dup operators.
 
     pairs: Dataset[(a: int64, b: int64)], a < b, distinct.  Materialized
-      here once (it is consumed by two branches in every regime; a lazy
-      lineage — e.g. the bucketed_pair_agg shuffle minhash_dedup feeds in —
-      would otherwise re-execute per consumption, ADVICE r4).
-    payloads: Dataset[(jid: int64, payload: binary-like)] — one row per id;
-      in the two-shuffle regime, ids never referenced by a pair are dropped
-      by the attach stage's inner merge (a distributed semi-join — nothing
-      pair-sized ever lands on the driver above `max_probe_pairs`).
-      Alternatively a FACTORY callable (id_ref_or_None -> that Dataset):
-      the broadcast regime passes the referenced-id ObjectRef so payload
-      construction itself can skip unreferenced rows (see minhash_dedup).
+      here once (every regime consumes it twice; a lazy lineage such as
+      a `bucketed_pair_agg` shuffle would otherwise re-execute).
+    payloads: Dataset[(jid: int64, payload: binary-like)], one row per id.
+      An id with no payload row scores as the empty payload b"".
     pair_metric(bytes, bytes) -> float, computed once per pair.
-
     pair_metric_batch (optional): vectorized twin with signature
-    (flat_u8, byte_offsets, a_pos, b_pos, metric_min) -> float64 scores
-    over a `_payload_store` — scores a whole batch in one call (C kernel
-    for Jaccard: `_jaccard_store_batch`) and lets the broadcast regime
-    ship payloads as a zero-copy numpy triple instead of a pickled
-    dict.  metric_min > 0 permits the metric to report any
-    value strictly below metric_min for pairs provably under it (the
-    early-exit contract); callers thresholding at metric_min see
-    identical survivors with exact scores.
+      (flat_u8, byte_offsets, a_pos, b_pos, metric_min) -> float64 scores
+      over a `_payload_store`, scoring a whole batch in one call (the C
+      kernel for Jaccard: `_jaccard_store_batch`).  It may report any
+      value strictly below metric_min for pairs provably under it (the
+      early-exit contract); those pairs are dropped anyway.
 
-    Shape — two coarse-bucketed all-to-alls, PAYLOAD-DEDUPLICATED (r4):
+    Returns Dataset[(a, b, <metric_name>)]: the pairs scoring at or above
+    `metric_min` (every pair when it is None), scores rounded to 6 places.
+    With no pair it is a zero-row Dataset with those typed columns.
+
+    Regimes, chosen from the materialized pair count:
+    - BROADCAST (at most `max_probe_pairs` pairs): the referenced ids
+      stream to the driver as per-batch uniques (never raw pair rows),
+      filter the payloads, and if the referenced payload rows fit
+      `max_broadcast_payload` bytes (`Dataset.size_bytes` of the
+      materialized rows) they ship once via ray.put as a keyed payload
+      store; scoring is a plain map_batches over the pair stream.
+    - TWO-SHUFFLE (above either cap): no pair id is ever collected on the
+      driver above `max_probe_pairs`.  Two coarse-bucketed all-to-alls,
+      payload-deduplicated:
       (1) group by hash(jid): each payload meets the DISTINCT set of score
           buckets (hash(a,b) %% n_buckets) whose pairs reference it and is
-          emitted ONCE PER (id, score bucket) — never once per pair.  A
-          mega-duplicate id referenced by M pairs therefore ships at most
-          min(M, n_buckets) payload copies instead of M (the r4 flagship
-          profile measured 2.37M pairs x ~1.6 KB blob = GBs of duplicated
-          payload under the old per-pair-row attach).
+          emitted once per (id, score bucket), never once per pair, so an
+          id referenced by M pairs ships at most min(M, n_buckets) copies;
+          the attach stage's inner merge drops unreferenced ids.
       (2) group by hash(a, b): pair rows (bare ints) meet the
-          deduplicated payloads; a per-bucket dict serves both sides of
-          every pair.  Coarse buckets keep Ray group count flat at any
-          candidate cardinality.
-
-    Skew bound: a score bucket holds the payloads its own pairs reference
-    (~uniform under the golden-ratio hash) plus pairs/n_buckets pair rows;
-    raise `n_buckets` when referenced-payload volume per bucket approaches
-    worker heap.  An id's attach-side fan-out is its DISTINCT bucket
-    count (<= n_buckets), so hot ids no longer concentrate memory.
-
-    BROADCAST middle regime (r4, gated r5): when the candidate count fits
-    `max_probe_pairs`, a driver-side referenced-id set (bounded at
-    2 x max_probe_pairs int64s, ~64 MB at the default) filters payloads,
-    their total bytes are summed DISTRIBUTED, and if they fit
-    `max_broadcast_payload` both shuffles are skipped — the filtered dict
-    ships once via ray.put and scoring is a plain map_batches over the
-    pair stream.  The r4 flagship profile measured the two-shuffle path
-    at 180s for 2.37M pairs whose referenced blobs total ~140 MB — the
-    broadcast regime scores the same set in seconds.  Above
-    `max_probe_pairs` (the 100-TB candidate regime) the probe is skipped
-    ENTIRELY: no pair ids are ever collected on the driver, and the
-    two-shuffle path runs with the attach-stage semi-join.
+          deduplicated payloads; each score bucket builds one payload
+          store and scores its pairs as the broadcast regime does.
+      Skew bound: a score bucket holds the payloads its own pairs
+      reference plus pairs/n_buckets pair rows; raise `n_buckets` when
+      referenced-payload volume per bucket approaches worker heap.
     """
     import ray
+    import ray.data as rd
 
-    # `payloads` may be a FACTORY (id_ref_or_None -> Dataset[(jid,
-    # payload)]): the broadcast regime then hands it the referenced-id
-    # ObjectRef so the caller can filter BEFORE building payload bytes —
-    # e.g. minhash_dedup shingles only the candidate docs instead of
-    # shingling the whole corpus and discarding ~2/3 of it (r5: ~7 core-s
-    # off the flagship verify stage at sf0.1).
-    payloads_factory = payloads if callable(payloads) else None
+    def rows(a: np.ndarray, b: np.ndarray, m) -> pa.Table:
+        m = np.asarray(m, np.float64)
+        if metric_min is not None:
+            keep = m >= metric_min
+            a, b, m = a[keep], b[keep], m[keep]
+        return pa.table({"a": pa.array(a, pa.int64()),
+                         "b": pa.array(b, pa.int64()),
+                         metric_name: pa.array(np.round(m, 6))})
 
-    # both regimes consume `pairs` twice — pin the lineage once
+    def score(store: tuple, a: np.ndarray, b: np.ndarray) -> pa.Table:
+        ids, flat, off = store
+        ia, ib = _store_positions(ids, a), _store_positions(ids, b)
+        if pair_metric_batch is not None:
+            return rows(a, b, pair_metric_batch(
+                flat, off, ia, ib, 0.0 if metric_min is None else metric_min))
+
+        def blob(k: int) -> bytes:
+            return flat[off[k]:off[k + 1]].tobytes()
+
+        return rows(a, b, [pair_metric(blob(x), blob(y))
+                           for x, y in zip(ia, ib)])
+
     pairs = pairs.materialize()
-    if pairs.count() > max_probe_pairs:
+    n_pairs = pairs.count()
+    if not n_pairs:
+        # a map over zero rows never runs, so its output has no schema
+        none = np.zeros(0, np.int64)
+        return rd.from_arrow(rows(none, none, none))
+    if n_pairs > max_probe_pairs:
         logger.info(
             "pairs_payload_metric: pair count exceeds max_probe_pairs=%d — "
             "skipping the broadcast probe; two-shuffle path with attach-side "
             "semi-join", max_probe_pairs)
-        return _pairs_payload_metric_shuffle(
-            pairs, payloads_factory(None) if payloads_factory else payloads,
-            pair_metric, metric_name, n_buckets,
-            pair_metric_batch=pair_metric_batch, metric_min=metric_min)
+        return _pairs_payload_metric_shuffle(pairs, payloads, score,
+                                             n_buckets)
 
-    # probe regime: referenced ids (bounded by the gate above) stream to
-    # the driver as per-batch uniques — never raw pair rows
     ab = [np.unique(np.concatenate([np.asarray(t.column("a"), np.int64),
                                     np.asarray(t.column("b"), np.int64)]))
-          for t in pairs.select_columns(["a", "b"])
-                        .iter_batches(batch_format="pyarrow", batch_size=65536)
+          for t in pairs.iter_batches(batch_format="pyarrow",
+                                      batch_size=65536)
           if t.num_rows]
-    ref_ids = np.unique(np.concatenate(ab)) if ab else np.zeros(0, np.int64)
-    id_ref = ray.put(ref_ids)
+    id_ref = ray.put(np.unique(np.concatenate(ab)))
 
     def keep_referenced(t: pa.Table) -> pa.Table:
         return _filter_by_sorted_ids(t, ray.get(id_ref), "jid")
 
-    referenced = (payloads_factory(id_ref) if payloads_factory
-                  else payloads.map_batches(
-                      keep_referenced, batch_format="pyarrow")).materialize()
-    blob_bytes = int(referenced.map_batches(
-        lambda t: {"nb": [int(pc.sum(pc.binary_length(
-            t.column("payload"))).as_py() or 0)]},
-        batch_format="pyarrow").sum("nb") or 0)
-    if blob_bytes <= max_broadcast_payload:
-        pdf = referenced.to_pandas()
-        if pair_metric_batch is not None:
-            # vectorized regime: payloads broadcast as a (sorted ids,
-            # flat bytes, offsets) numpy triple — zero-copy through the
-            # object store (a 100k-entry dict of bytes pickles; numpy
-            # plasma buffers don't) — and scored one BATCH per call
-            ids = pdf["jid"].to_numpy(np.int64)
-            order = np.argsort(ids)
-            ids = ids[order]
-            flat, off = _payload_store(pdf["payload"].to_numpy()[order])
-            store_ref = ray.put((ids, flat, off))
+    referenced = payloads.map_batches(keep_referenced,
+                                      batch_format="pyarrow").materialize()
+    if referenced.size_bytes() > max_broadcast_payload:
+        logger.info("pairs_payload_metric: referenced payloads %.0f MB exceed "
+                    "broadcast cap — two-shuffle path",
+                    referenced.size_bytes() / 1e6)
+        return _pairs_payload_metric_shuffle(pairs, referenced, score,
+                                             n_buckets)
+    # reindex: a zero-row frame (no id has a payload) has no columns
+    pdf = referenced.to_pandas().reindex(columns=["jid", "payload"])
+    store_ref = ray.put(_keyed_store(pdf["jid"].to_numpy(np.int64),
+                                     pdf["payload"]))
 
-            def score_vec(t: pa.Table) -> pa.Table:
-                sids, flat_, off_ = ray.get(store_ref)
-                a = np.asarray(t.column("a"), np.int64)
-                b = np.asarray(t.column("b"), np.int64)
-                m = pair_metric_batch(flat_, off_, _store_positions(sids, a),
-                                      _store_positions(sids, b), metric_min)
-                return pa.table({"a": pa.array(a), "b": pa.array(b),
-                                 metric_name: pa.array(
-                                     np.asarray(m, np.float64))})
+    def score_broadcast(t: pa.Table) -> pa.Table:
+        return score(ray.get(store_ref), np.asarray(t.column("a"), np.int64),
+                     np.asarray(t.column("b"), np.int64))
 
-            return pairs.map_batches(score_vec, batch_format="pyarrow",
-                                     batch_size=65536)
-        pmap_ref = ray.put(dict(zip(pdf["jid"].to_numpy(np.int64),
-                                    pdf["payload"])))
-
-        def score_broadcast(t: pa.Table) -> pa.Table:
-            pmap = ray.get(pmap_ref)
-            a = np.asarray(t.column("a"), np.int64)
-            b = np.asarray(t.column("b"), np.int64)
-            m = [pair_metric(pmap.get(x, b"") or b"", pmap.get(y, b"") or b"")
-                 for x, y in zip(a, b)]
-            return pa.table({"a": pa.array(a), "b": pa.array(b),
-                             metric_name: pa.array(np.asarray(m, np.float64))})
-
-        return pairs.map_batches(score_broadcast, batch_format="pyarrow",
-                                 batch_size=65536)
-    logger.info("pairs_payload_metric: referenced payloads %.0f MB exceed "
-                "broadcast cap — two-shuffle path", blob_bytes / 1e6)
-    return _pairs_payload_metric_shuffle(
-        pairs, referenced, pair_metric, metric_name, n_buckets,
-        pair_metric_batch=pair_metric_batch, metric_min=metric_min)
+    return pairs.map_batches(score_broadcast, batch_format="pyarrow",
+                             batch_size=65536)
 
 
-def _pairs_payload_metric_shuffle(pairs, payloads, pair_metric,
-                                  metric_name: str, n_buckets: int,
-                                  pair_metric_batch=None,
-                                  metric_min: float = 0.0):
+def _pairs_payload_metric_shuffle(pairs, payloads, score, n_buckets: int):
     """The fully-distributed two-shuffle scoring path (see
-    `pairs_payload_metric`).  `payloads` may be unfiltered: the attach
-    stage's inner merge IS the semi-join — unreferenced ids ship once
-    through the first bucket shuffle and are dropped there.  With
-    `pair_metric_batch`, each score bucket builds its payload store once
-    and scores its pairs in one vectorized call (the same kernel as the
-    broadcast regime, applied per bucket)."""
+    `pairs_payload_metric`, whose `score(store, a, b)` each score bucket
+    calls once over its keyed payload store).  `payloads` may be
+    unfiltered: the attach stage's inner merge IS the semi-join —
+    unreferenced ids ship once through the first bucket shuffle and are
+    dropped there."""
     REF_SCHEMA = pa.schema([("jid", pa.int64()), ("bucket2", pa.int32()),
                             ("payload", pa.large_binary()),
                             ("bucket", pa.int32())])
@@ -354,32 +328,13 @@ def _pairs_payload_metric_shuffle(pairs, payloads, pair_metric,
             "bucket2": t.column("bucket2").cast(pa.int32()),
         }, schema=PAIR_SCHEMA)
 
-    def score(g: pd.DataFrame) -> pd.DataFrame:
+    def score_bucket(g: pd.DataFrame) -> pa.Table:
+        # every payload row's bucket2 came from a pair, so pairs are present
         pay = g[g["is_pair"] == 0]
         pr = g[g["is_pair"] == 1]
-        if len(pr) == 0:
-            return pd.DataFrame({"a": pd.Series([], dtype="int64"),
-                                 "b": pd.Series([], dtype="int64"),
-                                 metric_name: pd.Series([], dtype="float64")})
-        a = pr["a"].to_numpy(np.int64)
-        b = pr["b"].to_numpy(np.int64)
-        if pair_metric_batch is not None:
-            ids = pay["jid"].to_numpy(np.int64)
-            order = np.argsort(ids)
-            ids = ids[order]
-            flat, off = _payload_store(pay["payload"].to_numpy()[order])
-            m = pair_metric_batch(flat, off, _store_positions(ids, a),
-                                  _store_positions(ids, b), metric_min)
-            return pd.DataFrame({"a": pd.Series(a, dtype="int64"),
-                                 "b": pd.Series(b, dtype="int64"),
-                                 metric_name: pd.Series(
-                                     np.asarray(m, np.float64))})
-        pmap = dict(zip(pay["jid"].to_numpy(np.int64), pay["payload"]))
-        m = [pair_metric(pmap.get(x, b"") or b"", pmap.get(y, b"") or b"")
-             for x, y in zip(a, b)]
-        return pd.DataFrame({"a": pd.Series(a, dtype="int64"),
-                             "b": pd.Series(b, dtype="int64"),
-                             metric_name: pd.Series(m, dtype="float64")})
+        return score(_keyed_store(pay["jid"].to_numpy(np.int64),
+                                  pay["payload"]),
+                     pr["a"].to_numpy(np.int64), pr["b"].to_numpy(np.int64))
 
     deduped_payloads = (
         pairs.map_batches(explode_refs, batch_format="pyarrow")
@@ -389,7 +344,8 @@ def _pairs_payload_metric_shuffle(pairs, payloads, pair_metric,
     )
     both = pairs.map_batches(pair_rows, batch_format="pyarrow").union(
         deduped_payloads.map_batches(payload_rows, batch_format="pyarrow"))
-    return both.groupby("bucket2").map_groups(score, batch_format="pandas")
+    return both.groupby("bucket2").map_groups(score_bucket,
+                                              batch_format="pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -521,11 +477,16 @@ def _minhash(shingles: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class MinHashStage:
-    """Stateful stage: doc -> minhash signature -> LSH band keys.
+    """Stateful stage: doc -> shingle set -> minhash signature -> LSH band
+    keys; the only pass of `minhash_dedup` that tokenizes text.
 
     Permutation parameters built once per worker (cached), applied per
-    batch; emits one row per (doc, band) ready for the band groupby.  Band
-    keys are a positional-polynomial combine of the band's signature rows
+    batch; emits one row per doc: `doc_id`, `band_keys` (fixed-size list
+    of `bands` int64 keys, exploded for the band groupby by
+    `_minhash_raw_pairs`) and `payload`, the doc's sorted shingle set as
+    serialized uint64s (large_binary; the `_jaccard_store_batch` layout,
+    the exact-Jaccard verify's input).  Band keys are a
+    positional-polynomial combine of the band's signature rows
     (vectorized, uint64 wraparound) — identical band vectors always map to
     identical keys, and the rare combine collision only adds a candidate
     pair that exact-Jaccard verification then rejects.
@@ -569,13 +530,21 @@ class MinHashStage:
                 sig = _minhash(sh, self.a, self.b)
                 keys[i] = (sig.reshape(nb, self.rows_per_band)
                            * self.band_mult).sum(axis=1, dtype=np.uint64)
-        return pa.table(
-            {
-                "doc_id": pa.array(np.repeat(ids, nb), type=pa.int64()),
-                "band": pa.array(np.tile(np.arange(nb, dtype=np.int32), len(ids))),
-                "band_key": pa.array(keys.reshape(-1).view(np.int64)),
-            }
-        )
+        # payload straight from the concatenated sets: one copy, no
+        # per-doc bytes objects
+        off = np.zeros(len(ids) + 1, np.int64)
+        off[1:] = 8 * np.cumsum(np.fromiter(
+            (len(sh) for sh in shingle_sets), np.int64, len(ids)))
+        flat = (np.concatenate(shingle_sets) if shingle_sets
+                else np.zeros(0, np.uint64))
+        return pa.table({
+            "doc_id": pa.array(ids, pa.int64()),
+            "band_keys": pa.FixedSizeListArray.from_arrays(
+                pa.array(keys.reshape(-1).view(np.int64)), nb),
+            "payload": pa.LargeBinaryArray.from_buffers(
+                pa.large_binary(), len(ids),
+                [None, pa.py_buffer(off), pa.py_buffer(flat)]),
+        })
 
 
 _WORKER_MINHASH: dict = {}
@@ -591,11 +560,14 @@ def _minhash_task(batch: pa.Table, **kw) -> pa.Table:
     return st(batch)
 
 
-def _pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
+def _pairs_in_bucket(g: dict) -> dict:
     """All candidate pairs inside one coarse bucket.  Coarse bucketing keeps
     the Ray group count at ~n_buckets instead of one Ray group per LSH key —
     per-group task overhead dominates otherwise (measured 13.7s -> <1s on
-    80k keys).
+    80k keys).  Groups arrive as numpy columns: converting each of the
+    n_buckets groups to pandas cost about as much as the pairing itself
+    (sf0.1: the band shuffle 0.29-0.41 s with pandas groups, 0.16-0.18 s
+    with numpy, 1 CPU).
 
     Fully vectorized (r5): one lexsort finds the fine (band, band_key)
     groups and de-dups docs within each; pair expansion then runs once per
@@ -606,11 +578,10 @@ def _pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
     identical to the per-group path (same sorted-unique docs, same a < b
     expansion, same >200 chain-to-min skew guard); only row order differs,
     and every consumer (distinct, verify shuffle) is order-insensitive."""
-    band = g["band"].to_numpy(np.int64)
-    key = g["band_key"].to_numpy(np.int64)
-    doc = g["doc_id"].to_numpy(np.int64)
-    empty = pd.DataFrame({"a": pd.Series([], dtype="int64"),
-                          "b": pd.Series([], dtype="int64")})
+    band = np.asarray(g["band"], np.int64)
+    key = np.asarray(g["band_key"], np.int64)
+    doc = np.asarray(g["doc_id"], np.int64)
+    empty = {"a": np.zeros(0, np.int64), "b": np.zeros(0, np.int64)}
     if not len(doc):
         return empty
     order = np.lexsort((doc, key, band))
@@ -641,34 +612,37 @@ def _pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         out_b.append(doc[(gs[:, None] + bi[None, :]).ravel()])
     if not out_a:
         return empty
-    return pd.DataFrame({"a": np.concatenate(out_a), "b": np.concatenate(out_b)})
+    return {"a": np.concatenate(out_a), "b": np.concatenate(out_b)}
 
 
-def _minhash_raw_pairs(ds, num_perm: int, bands: int, ngram: int, n_buckets: int):
-    """Dataset[(a, b)] of LSH candidate pairs, possibly repeated across bands."""
-    import functools
+def _minhash_raw_pairs(docs, n_buckets: int):
+    """Dataset[(a, b)] of LSH candidate pairs, possibly repeated across
+    bands, from `MinHashStage` rows: each doc's band keys explode to
+    (doc_id, band, band_key) rows, coarse-bucketed for the groupby.
 
-    sig = ds.map_batches(
-        functools.partial(_minhash_task, num_perm=num_perm, bands=bands, ngram=ngram),
-        batch_format="pyarrow",
-        num_cpus=1,
-    )
+    `docs` is materialized by `minhash_dedup` (the verify reads its
+    payloads too), so the explode streams from memory into the shuffle.
+    Do NOT also materialize or repartition the exploded rows to
+    "right-size" blocks: that barrier costs ~3x the per-block fixed
+    overhead it saves (measured, sf0.1 @ 8 CPUs)."""
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = np.asarray(t.column("band"), dtype=np.int64).astype(np.uint64)
-        k = np.asarray(t.column("band_key"), dtype=np.int64).view(np.uint64)
-        h = b * np.uint64(0x9E3779B97F4A7C15) + k
-        return t.append_column("bucket", pa.array((h % n_buckets).astype(np.int32)))
+    def explode_bands(t: pa.Table) -> pa.Table:
+        nb = t.schema.field("band_keys").type.list_size
+        key = np.asarray(pc.list_flatten(t.column("band_keys")), np.int64)
+        band = np.tile(np.arange(nb, dtype=np.int32), t.num_rows)
+        h = band.astype(np.uint64) * _GOLD + key.view(np.uint64)
+        return pa.table({
+            "doc_id": pa.array(np.repeat(
+                np.asarray(t.column("doc_id"), np.int64), nb)),
+            "band": pa.array(band),
+            "band_key": pa.array(key),
+            "bucket": pa.array((h % np.uint64(n_buckets)).astype(np.int32)),
+        })
 
-    # NOTE (measured, r3): do NOT materialize/repartition the keyed rows
-    # before this groupby to "right-size" blocks — the barrier kills the
-    # signature->shuffle streaming overlap and costs ~3x the per-block
-    # fixed overhead it saves (interleaved A/B: 1.6-4.0s without vs
-    # 4.6-5.6s with, sf0.1 @ 8 CPUs)
     return (
-        sig.map_batches(add_bucket, batch_format="pyarrow")
+        docs.map_batches(explode_bands, batch_format="pyarrow")
         .groupby("bucket")
-        .map_groups(_pairs_in_bucket, batch_format="pandas")
+        .map_groups(_pairs_in_bucket, batch_format="numpy")
     )
 
 
@@ -711,7 +685,7 @@ def bucketed_pair_agg(pairs, pd_agg, n_buckets: int = 64,
 
 
 def _pd_distinct_pairs(g: pd.DataFrame) -> pd.DataFrame:
-    return g.drop_duplicates(["a", "b"])[["a", "b"]]
+    return g.drop_duplicates(["a", "b"], ignore_index=True)[["a", "b"]]
 
 
 def _gram_pairs_in_bucket(g: pd.DataFrame, id_col: str,
@@ -912,116 +886,46 @@ def _jaccard_blobs(pa_: bytes, pb_: bytes) -> float:
         return 1.0
     inter = len(np.intersect1d(sa, sb, assume_unique=True))
     union = len(sa) + len(sb) - inter
-    return inter / union if union else 0.0  # caller thresholds then rounds
+    return inter / union if union else 0.0  # the scorer thresholds, rounds
 
 
-def _shingle_blobs(batch: pa.Table, ngram: int, id_col: str, text_col: str) -> pa.Table:
-    """(jid, payload) rows: each doc's shingle set serialized once."""
-    ids = np.asarray(batch.column(id_col), dtype=np.int64)
-    blobs = [s.tobytes() for s in
-             _batch_word_ngrams(batch.column(text_col), ngram)]
-    return pa.table({"jid": pa.array(ids, pa.int64()),
-                     "payload": pa.array(blobs, pa.large_binary())})
+# Raw LSH candidates at or under this count are made distinct on the driver
+# (a pandas drop_duplicates); above it, by one `bucketed_pair_agg` shuffle.
+MAX_DRIVER_DISTINCT_PAIRS = 50_000
 
 
 def minhash_dedup(ds, threshold: float = 0.8, num_perm: int = 128,
-                  bands: int = 16, ngram: int = 3,
-                  max_broadcast_pairs: int = 50_000,
-                  verify_buckets: int = 64):
+                  bands: int = 16, ngram: int = 3):
     """Near-dup pairs verified by exact n-gram Jaccard >= threshold.
 
-    Returns Dataset[(a, b, jaccard)].  Verify auto-selects by candidate
-    count: small sets broadcast the candidate docs' shingles via ray.put
-    (no shuffle); above `max_broadcast_pairs` raw candidates, a distributed
-    shuffle-join (`pairs_payload_metric`) attaches each side's shingle blob
-    and scores per pair — nothing materializes on the driver, so millions
-    of candidates with GB-scale shingle payloads stay worker-side.
-    `verify_buckets` sizes that join's attach tasks (ADVICE r2): raise it
-    when referenced-payload volume per bucket (≈ candidate docs x blob
-    size / verify_buckets) approaches worker heap.
+    Returns Dataset[(a, b, jaccard)], a < b (zero typed rows when no pair
+    qualifies).  One `MinHashStage` pass tokenizes each doc once and is
+    materialized: its band keys give the LSH candidates, its shingle sets
+    are the payloads `pairs_payload_metric` scores the distinct candidates
+    against.  That scorer picks its own regime (driver broadcast of the
+    referenced shingle sets, or a two-shuffle join) from the candidate
+    count and the referenced payload bytes.
     """
-    import ray
-
-    raw = _minhash_raw_pairs(ds, num_perm, bands, ngram, n_buckets=128).materialize()
-    if raw.count() > max_broadcast_pairs:
-        cand = bucketed_pair_agg(raw, _pd_distinct_pairs)
-
-        def payloads(id_ref=None):
-            """Shingle-blob factory: with the verify stage's referenced-id
-            ref, docs in no candidate pair are dropped BEFORE shingling
-            (the shingle pass is the payload cost — on the sf0.1 flagship
-            ~2/3 of docs are unreferenced, so filter-then-shingle saves
-            ~7 core-s vs shingle-then-filter)."""
-            def shingle_filtered(batch: pa.Table) -> pa.Table:
-                if id_ref is not None:  # ref ids are np.unique output: sorted
-                    batch = _filter_by_sorted_ids(batch, ray.get(id_ref),
-                                                  "doc_id")
-                return _shingle_blobs(batch, ngram=ngram, id_col="doc_id",
-                                      text_col="text")
-
-            return ds.map_batches(shingle_filtered, batch_format="pyarrow")
-
-        scored = pairs_payload_metric(cand, payloads, _jaccard_blobs, "jaccard",
-                                      n_buckets=verify_buckets,
-                                      pair_metric_batch=_jaccard_store_batch,
-                                      metric_min=threshold)
-
-        def keep(t: pa.Table) -> pa.Table:
-            j = np.asarray(t.column("jaccard"), np.float64)
-            m = j >= threshold
-            return pa.table({"a": t.column("a").filter(pa.array(m)),
-                             "b": t.column("b").filter(pa.array(m)),
-                             "jaccard": pa.array(np.round(j[m], 6))})
-
-        return scored.map_batches(keep, batch_format="pyarrow")
-
-    pairs = raw.to_pandas()
-    # candidates are collected driver-side anyway for the broadcast verify,
-    # so the cross-band distinct is a free pandas op here, not a Ray shuffle
-    pairs = pairs.drop_duplicates(["a", "b"], ignore_index=True)
-    if len(pairs) == 0:
-        return ray.data.from_items([]).map_batches(
-            lambda b: pa.table({"a": pa.array([], pa.int64()),
-                                "b": pa.array([], pa.int64()),
-                                "jaccard": pa.array([], pa.float64())}),
-            batch_format="pyarrow",
-        )
-    need = np.unique(np.concatenate([pairs["a"].values, pairs["b"].values]))
-
-    def shingles_needed(batch: pa.Table) -> pa.Table:
-        """Shingle each candidate doc ONCE (docs recur across many pairs)."""
-        all_ids = np.asarray(batch.column("doc_id"), dtype=np.int64)
-        mask = np.isin(all_ids, need)
-        texts = batch.column("text").take(pa.array(np.nonzero(mask)[0]))
-        blobs = [s.tobytes() for s in _batch_word_ngrams(texts, ngram)]
-        return pa.table({"doc_id": pa.array(all_ids[mask], pa.int64()),
-                         "sh": pa.array(blobs, pa.binary())})
-
-    sh_tbl = ds.map_batches(shingles_needed, batch_format="pyarrow").to_pandas()
-    sids = sh_tbl["doc_id"].to_numpy(np.int64)
-    order = np.argsort(sids)
-    sids = sids[order]
-    sh_flat, sh_off = _payload_store(sh_tbl["sh"].to_numpy()[order])
-    sh_ref = ray.put((sids, sh_flat, sh_off))
-
-    def verify(batch: pa.Table) -> pa.Table:
-        ids, flat, off = ray.get(sh_ref)
-        a = np.asarray(batch.column("a"), np.int64)
-        b = np.asarray(batch.column("b"), np.int64)
-        j = _jaccard_store_batch(flat, off, _store_positions(ids, a),
-                                 _store_positions(ids, b),
-                                 min_metric=threshold)
-        keep = j >= threshold
-        return pa.table({"a": pa.array(a[keep], pa.int64()),
-                         "b": pa.array(b[keep], pa.int64()),
-                         "jaccard": pa.array(np.round(j[keep], 6))})
+    import functools
 
     import ray.data as rd
 
-    nblocks = max(4, min(64, len(pairs) // 64 + 1))
-    return rd.from_pandas(pairs).repartition(nblocks).map_batches(
-        verify, batch_format="pyarrow"
-    )
+    docs = ds.map_batches(
+        functools.partial(_minhash_task, num_perm=num_perm, bands=bands,
+                          ngram=ngram),
+        batch_format="pyarrow", num_cpus=1).materialize()
+    raw = _minhash_raw_pairs(docs, n_buckets=128).materialize()
+    n_raw = raw.count()
+    if n_raw > MAX_DRIVER_DISTINCT_PAIRS:
+        cand = bucketed_pair_agg(raw, _pd_distinct_pairs)
+    else:  # a zero-row frame has no columns: no candidates pass as is
+        cand = rd.from_pandas(_pd_distinct_pairs(raw.to_pandas())) \
+            if n_raw else raw
+    payloads = docs.select_columns(["doc_id", "payload"]).rename_columns(
+        {"doc_id": "jid"})
+    return pairs_payload_metric(cand, payloads, _jaccard_blobs, "jaccard",
+                                pair_metric_batch=_jaccard_store_batch,
+                                metric_min=threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -1147,7 +1051,7 @@ def _cosine_blobs(pa_: bytes, pb_: bytes) -> float:
     na, nb = np.linalg.norm(va), np.linalg.norm(vb)
     if na == 0 or nb == 0:
         return 0.0
-    return float(va @ vb / (na * nb))  # caller thresholds then rounds
+    return float(va @ vb / (na * nb))  # the scorer thresholds, rounds
 
 
 def embedding_near_pairs(ds, threshold: float = 0.95, n_planes: int = 12,
@@ -1165,8 +1069,9 @@ def embedding_near_pairs(ds, threshold: float = 0.95, n_planes: int = 12,
 
     Shuffle discipline (r1 VERDICT item 3): the candidate stage moves ONLY
     (bucket, key, vec_id) int rows — raw vectors never replicate through the
-    xN-tables shuffle.  Verification shuffle-joins each pair's two vectors
-    via `pairs_payload_metric` (vector payload moves once per side).
+    xN-tables shuffle.  The distinct candidates are scored by exact cosine
+    in `pairs_payload_metric`, which keeps those at or above `threshold`:
+    Dataset[(a, b, cosine)] (zero typed rows when none qualifies).
     Deterministic: planes from a fixed seed, cached per worker.
     """
     from nem_mms_ray.ops.ann import _to_matrix
@@ -1222,18 +1127,10 @@ def embedding_near_pairs(ds, threshold: float = 0.95, n_planes: int = 12,
     )
     # a pair can surface from several tables: distinct before verify
     cand = bucketed_pair_agg(cand, _pd_distinct_pairs)
-    scored = pairs_payload_metric(
+    return pairs_payload_metric(
         cand, ds.map_batches(vec_blobs, batch_format="pyarrow"),
-        _cosine_blobs, "cosine", n_buckets=verify_buckets)
-
-    def keep(t: pa.Table) -> pa.Table:
-        c = np.asarray(t.column("cosine"), np.float64)
-        m = c >= threshold
-        return pa.table({"a": t.column("a").filter(pa.array(m)),
-                         "b": t.column("b").filter(pa.array(m)),
-                         "cosine": pa.array(np.round(c[m], 6))})
-
-    return scored.map_batches(keep, batch_format="pyarrow")
+        _cosine_blobs, "cosine", n_buckets=verify_buckets,
+        metric_min=threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -272,44 +272,12 @@ class ExtractFeatures:
         )
 
 
-def decode_media(ds, payload_col: str = "html", backend: str = "fake",
-                 concurrency: int | tuple = (1, 4), batch_size: int = 256):
-    """Small batch_size: multi-MB blobs x concurrency must fit worker heaps.
-    Pools are ELASTIC (min, max) by default: a fixed pool sized at the
-    session CPU count starves the upstream read and deadlocks small
-    clusters (measured on a 4-CPU session — see ops/bpe.apply_bpe)."""
-    return ds.map_batches(
-        DecodeMedia,
-        fn_constructor_kwargs={"payload_col": payload_col, "backend": backend},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
-
-
 def extract_features(ds, payload_col: str = "html",
                      concurrency: int | tuple = (1, 4),
                      batch_size: int = 256):
     return ds.map_batches(
         ExtractFeatures,
         fn_constructor_kwargs={"payload_col": payload_col},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
-
-
-def resize_media(ds, payload_col: str = "html", width: int = 64,
-                 height: int = 64, backend: str = "real",
-                 concurrency: int | tuple = (1, 4), batch_size: int = 256):
-    """Actor-pool resize over a binary image column (small batches: blob
-    payloads x concurrency must fit worker heaps)."""
-    return ds.map_batches(
-        ResizeMedia,
-        fn_constructor_kwargs={"payload_col": payload_col, "width": width,
-                               "height": height, "backend": backend},
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,

@@ -56,14 +56,6 @@ def add_shuffle_key(ds, seed: int = 0, id_col: str = "doc_id",
     return ds.map_batches(add, batch_format="pyarrow")
 
 
-def deterministic_shuffle(ds, seed: int = 0, id_col: str = "doc_id",
-                          key_col: str = "skey"):
-    """Globally shuffle rows into the order md5("{seed}:{id}") — a pure
-    function of (seed, id): identical output order on any cluster size,
-    any input partitioning, any run (unlike `random_shuffle`)."""
-    return add_shuffle_key(ds, seed, id_col, key_col).sort(key_col)
-
-
 def assign_shards(ds, n_shards: int, seed: int = 0, id_col: str = "doc_id",
                   key_col: str = "skey"):
     """Append (skey, shard_id): shard = int(skey[:15], 16) % n_shards —

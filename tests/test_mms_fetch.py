@@ -1,42 +1,13 @@
-"""Fetch-layer logic tests — the reference's own listing fixture
-(/root/reference/src/packages/fetch.rs:288-322) and URL/validation parity."""
+"""Fetch-layer logic tests — URL/validation parity with the reference's
+fetch layer and the download plan."""
 
 from nem_mms_ray.mms.fetch import (
     download_plan,
-    find_zip_urls,
     historic_url,
     listing_url,
     validate_month,
     validate_year,
 )
-
-LISTING_HTML = """
-<html>
-    <head><title>nemweb.com.au - /Reports/Current/Dispatch_SCADA/</title></head>
-    <body>
-        <H1>nemweb.com.au - /Reports/Current/Dispatch_SCADA/</H1>
-        <pre>
-            <A HREF="/Reports/Current/">[To Parent Directory]</A><br><br>
-            ... &lt;dir&gt; <A HREF="/Reports/Current/Dispatch_SCADA/DUPLICATE/">DUPLICATE</A><br>
-            ... 3157 <A HREF="/Reports/Current/Dispatch_SCADA/PUBLIC_DISPATCHSCADA_202112251045_0000000354978413.zip">PUBLIC_DISPATCHSCADA_202112251045_0000000354978413.zip</A><br>
-            ... 3128 <A HREF="/Reports/Current/Dispatch_SCADA/PUBLIC_DISPATCHSCADA_202112251050_0000000354978611.zip">PUBLIC_DISPATCHSCADA_202112251050_0000000354978611.zip</A><br>
-            ... 3145 <A HREF="/Reports/Current/Dispatch_SCADA/PUBLIC_DISPATCHSCADA_202112251055_0000000354978803.zip">PUBLIC_DISPATCHSCADA_202112251055_0000000354978803.zip</A><br>
-            ... 3144 <A HREF="/Reports/Current/Dispatch_SCADA/PUBLIC_DISPATCHSCADA_202112251100_0000000354979009.zip">PUBLIC_DISPATCHSCADA_202112251100_0000000354979009.zip</A><br>
-        </pre>
-    </body>
-</html>
-"""
-
-
-def test_find_zip_urls_matches_reference_fixture():
-    urls = find_zip_urls(LISTING_HTML)
-    assert urls == [
-        "/Reports/Current/Dispatch_SCADA/PUBLIC_DISPATCHSCADA_202112251045_0000000354978413.zip",
-        "/Reports/Current/Dispatch_SCADA/PUBLIC_DISPATCHSCADA_202112251050_0000000354978611.zip",
-        "/Reports/Current/Dispatch_SCADA/PUBLIC_DISPATCHSCADA_202112251055_0000000354978803.zip",
-        "/Reports/Current/Dispatch_SCADA/PUBLIC_DISPATCHSCADA_202112251100_0000000354979009.zip",
-    ]
-
 
 def test_year_month_validation():
     assert validate_year("2021") == "2021"
@@ -75,7 +46,10 @@ def test_historic_url_template_and_support_matrix():
 
 
 def test_download_plan_create_new_targets():
-    urls = find_zip_urls(LISTING_HTML)[:2]
+    urls = [
+        "/Reports/Current/Dispatch_SCADA/PUBLIC_DISPATCHSCADA_202112251045_0000000354978413.zip",
+        "/Reports/Current/Dispatch_SCADA/PUBLIC_DISPATCHSCADA_202112251050_0000000354978611.zip",
+    ]
     plan = download_plan(urls, "/tmp/raw")
     assert plan[0].url.startswith("https://www.nemweb.com.au/Reports/")
     assert plan[0].target == "/tmp/raw/PUBLIC_DISPATCHSCADA_202112251045_0000000354978413.zip"

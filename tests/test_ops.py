@@ -100,18 +100,88 @@ def test_minhash_finds_planted_dups(docs_ds):
     assert (20, 60) in got  # near-dup (1 of ~38 3-grams changed -> j ~ 0.85)
 
 
-def test_minhash_distributed_verify_matches_broadcast(docs_ds):
-    """max_broadcast_pairs=0 forces the shuffle-join verify
-    (pairs_payload_metric); output must equal the broadcast path's."""
-    from nem_mms_ray.ops.dedup import minhash_dedup
+def test_minhash_distributed_verify_matches_broadcast(docs_ds, monkeypatch):
+    """Both distinct shapes (driver drop_duplicates, or bucketed_pair_agg
+    when MAX_DRIVER_DISTINCT_PAIRS is 0) and both pairs_payload_metric
+    regimes (broadcast, or two-shuffle when max_probe_pairs is 0) return
+    the same pairs.  Both choices are made on the driver, so patching
+    the module here forces them."""
+    import functools
+    from unittest import mock
+
+    from nem_mms_ray.ops import dedup
 
     ds, df = docs_ds
-    small = minhash_dedup(ds, threshold=0.7).to_pandas()
-    dist = minhash_dedup(ds, threshold=0.7, max_broadcast_pairs=0).to_pandas()
     key = lambda d: sorted(zip(d["a"].astype(int), d["b"].astype(int),
                                d["jaccard"].round(6)))
-    assert key(dist) == key(small)
-    assert len(dist) > 0
+    want = key(dedup.minhash_dedup(ds, threshold=0.7).to_pandas())
+    assert len(want) > 0
+    agg = mock.Mock(wraps=dedup.bucketed_pair_agg)
+    shuffle = mock.Mock(wraps=dedup._pairs_payload_metric_shuffle)
+    monkeypatch.setattr(dedup, "bucketed_pair_agg", agg)
+    monkeypatch.setattr(dedup, "_pairs_payload_metric_shuffle", shuffle)
+    scorer = dedup.pairs_payload_metric
+    for cap, probe in ((0, 4_000_000), (50_000, 0), (0, 0)):
+        monkeypatch.setattr(dedup, "MAX_DRIVER_DISTINCT_PAIRS", cap)
+        monkeypatch.setattr(dedup, "pairs_payload_metric",
+                            functools.partial(scorer, max_probe_pairs=probe))
+        got = key(dedup.minhash_dedup(ds, threshold=0.7).to_pandas())
+        assert got == want, (cap, probe)
+    assert (agg.call_count, shuffle.call_count) == (2, 2)
+
+
+def test_minhash_dedup_tokenizes_input_once(docs_ds, tmp_path):
+    """The MinHash pass is the only pass over the input: its shingle sets
+    feed the exact-Jaccard verify, so the input is read once."""
+    import ray.data as rd
+
+    from nem_mms_ray.ops.dedup import minhash_dedup
+
+    _, df = docs_ds
+    log = tmp_path / "reads.txt"
+
+    def record(t: pa.Table) -> pa.Table:
+        with open(log, "a") as f:
+            f.write(f"{t.num_rows}\n")
+        return t
+
+    src = rd.from_pandas(df).map_batches(record, batch_format="pyarrow")
+    pairs = minhash_dedup(src, threshold=0.7).to_pandas()
+    assert len(pairs) > 0
+    assert sum(map(int, log.read_text().split())) == len(df)
+
+
+def _assert_no_pairs(out, metric: str):
+    """Zero rows, typed (a, b, metric) columns."""
+    assert out.count() == 0
+    schema = out.schema()
+    assert list(schema.names) == ["a", "b", metric]
+    assert list(schema.types) == [pa.int64(), pa.int64(), pa.float64()]
+
+
+def test_near_pairs_without_candidates_are_typed_empty(ray_session):
+    """No candidate pair at all: the scorer returns zero typed rows (it
+    used to raise KeyError: 'jid' on the zero-row payload frame)."""
+    import ray.data as rd
+
+    from nem_mms_ray.ops.dedup import embedding_near_pairs, minhash_dedup
+
+    e0 = np.zeros(8)
+    e0[0] = 1.0
+    vecs = rd.from_pandas(pd.DataFrame({
+        "vec_id": np.array([0, 1], np.int64),
+        "embedding": [list(e0), list(-e0)]}))  # opposite: never one bucket
+    _assert_no_pairs(embedding_near_pairs(vecs, threshold=0.9), "cosine")
+
+    empty = rd.from_arrow(pa.table({"doc_id": pa.array([], pa.int64()),
+                                    "text": pa.array([], pa.string())}))
+    _assert_no_pairs(minhash_dedup(empty, threshold=0.5), "jaccard")
+
+    distinct = rd.from_pandas(pd.DataFrame({
+        "doc_id": np.arange(30, dtype=np.int64),
+        "text": [" ".join(f"w{i}x{k}" for k in range(20))
+                 for i in range(30)]}))
+    _assert_no_pairs(minhash_dedup(distinct, threshold=0.5), "jaccard")
 
 
 def test_pairs_payload_metric_joins_payloads(ray_session):
@@ -436,14 +506,13 @@ def test_lang_id(ray_session):
 def test_multimodal_plumbing(ray_session):
     import ray.data as rd
 
-    from nem_mms_ray.ops.multimodal import DecodeMedia, decode_media, extract_features
+    from nem_mms_ray.ops.multimodal import DecodeMedia, extract_features
 
     df = pd.DataFrame({
         "url": ["a", "b", "c"],
         "html": [b"x" * 1000, None, b"hello world" * 50],
     })
-    ds = rd.from_pandas(df)
-    dec = decode_media(ds, concurrency=1).to_pandas()
+    dec = DecodeMedia()(pa.Table.from_pandas(df)).to_pandas()
     assert list(dec["media_ok"]) == [True, False, True]
     assert dec.loc[0, "media_bytes"] == 1000
 
@@ -455,14 +524,12 @@ def test_multimodal_plumbing(ray_session):
         DecodeMedia(backend="bogus")
 
 
-def test_decode_media_real_backend(ray_session):
+def test_decode_media_real_backend():
     """backend='real' parses actual image headers with no media library:
     hand-built PNG/GIF/BMP/JPEG/PPM byte streams decode to true dims."""
     import struct
 
-    import ray.data as rd
-
-    from nem_mms_ray.ops.multimodal import decode_media, sniff_media
+    from nem_mms_ray.ops.multimodal import DecodeMedia, sniff_media
 
     png = (b"\x89PNG\r\n\x1a\n" + struct.pack(">I", 13) + b"IHDR"
            + struct.pack(">II", 320, 200) + b"\x08\x02\x00\x00\x00" + b"\x00" * 8)
@@ -482,8 +549,8 @@ def test_decode_media_real_backend(ray_session):
 
     df = pd.DataFrame({"url": list("abcdef"),
                        "html": [png, gif, bmp, ppm, jpeg, b"junk"]})
-    dec = decode_media(rd.from_pandas(df), backend="real",
-                       concurrency=1).to_pandas().sort_values("url")
+    dec = DecodeMedia(backend="real")(
+        pa.Table.from_pandas(df)).to_pandas().sort_values("url")
     assert list(dec["media_ok"]) == [True] * 5 + [False]
     assert list(dec["media_format"].dropna()) == ["png", "gif", "bmp", "pnm", "jpeg"]
     assert list(dec["media_w"].dropna().astype(int)) == [320, 640, 800, 1024, 123]
@@ -618,12 +685,10 @@ def test_sniff_media_fuzz_no_crash():
         assert r is None or (isinstance(r[0], str) and len(r) == 3)
 
 
-def test_resize_media_real_pnm(ray_session):
+def test_resize_media_real_pnm():
     """Real pixel kernel: a generated P6 gradient resizes with exact
     nearest-neighbor values, round-tripped through the PNM codec."""
-    import ray.data as rd
-
-    from nem_mms_ray.ops.multimodal import decode_pnm, encode_pnm, resize_media
+    from nem_mms_ray.ops.multimodal import ResizeMedia, decode_pnm, encode_pnm
 
     h, w = 40, 60
     img = np.zeros((h, w, 3), np.uint8)
@@ -635,8 +700,8 @@ def test_resize_media_real_pnm(ray_session):
 
     df = pd.DataFrame({"url": ["a", "b", "c", "d"],
                        "html": [buf, gray, b"\x89PNGnotreallydecodable", None]})
-    out = resize_media(rd.from_pandas(df), width=20, height=10,
-                       concurrency=1).to_pandas().set_index("url")
+    out = ResizeMedia(width=20, height=10)(
+        pa.Table.from_pandas(df)).to_pandas().set_index("url")
     assert list(out["resize_ok"]) == [True, True, False, False]
     r = decode_pnm(out.loc["a", "resized"])
     assert r.shape == (10, 20, 3)

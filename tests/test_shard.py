@@ -13,11 +13,11 @@ def test_shuffle_matches_duckdb(ray_session):
     exact, over the sf0.001 documents table."""
     import ray.data as rd
 
-    from nem_mms_ray.ops.shard import deterministic_shuffle
+    from nem_mms_ray.ops.shard import add_shuffle_key
 
     ds = rd.read_parquet(f"{SF_DIR}/documents.parquet",
                          columns=["doc_id"])
-    got = deterministic_shuffle(ds, seed=7).to_pandas()
+    got = add_shuffle_key(ds, seed=7).sort("skey").to_pandas()
     want = duckdb.sql(f"""
         SELECT doc_id, md5(concat('7:', CAST(doc_id AS VARCHAR))) AS skey
         FROM read_parquet('{SF_DIR}/documents.parquet')
@@ -33,13 +33,13 @@ def test_shuffle_partition_invariance_and_seed(ray_session):
     seed is a different permutation of the same rows."""
     import ray.data as rd
 
-    from nem_mms_ray.ops.shard import deterministic_shuffle
+    from nem_mms_ray.ops.shard import add_shuffle_key
 
     df = pd.DataFrame({"doc_id": np.arange(500, dtype=np.int64)})
-    a = deterministic_shuffle(rd.from_pandas(df), seed=1).to_pandas()
-    b = deterministic_shuffle(rd.from_pandas(df).repartition(9),
-                              seed=1).to_pandas()
-    c = deterministic_shuffle(rd.from_pandas(df), seed=2).to_pandas()
+    a = add_shuffle_key(rd.from_pandas(df), seed=1).sort("skey").to_pandas()
+    b = add_shuffle_key(rd.from_pandas(df).repartition(9),
+                        seed=1).sort("skey").to_pandas()
+    c = add_shuffle_key(rd.from_pandas(df), seed=2).sort("skey").to_pandas()
     pd.testing.assert_frame_equal(a, b)
     assert not a["doc_id"].equals(c["doc_id"])
     assert sorted(a["doc_id"]) == sorted(c["doc_id"])
