@@ -5,15 +5,12 @@ external data).
 Parity targets: package→url-part table (/root/reference/src/packages/
 fetch.rs:13-23), current/archive listing URLs (:205-213), the historic MMSDM
 URL template (:133-146), Year/Month validation (:41-103, incl. 2-digit year
-expansion "21"→"2021").  Downloading is represented by `download_plan`
-(url → create-new target path, skip-and-continue contract, :238-282) so a
-user can see exactly what the reference would fetch.
+expansion "21"→"2021").
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 BASE_URL = "https://www.nemweb.com.au"
 
@@ -71,21 +68,3 @@ def historic_url(package: str, year: str, month: str) -> str | None:
         f"{BASE_URL}/Data_Archive/Wholesale_Electricity/MMSDM/{y}/"
         f"MMSDM_{y}_{m}/MMSDM_Historical_Data_SQLLoader/DATA/{filename}"
     )
-
-
-@dataclass(frozen=True)
-class DownloadItem:
-    url: str
-    target: str      # create-new local path (existing file = error, :268-272)
-
-
-def download_plan(zip_urls: list[str], out_dir: str) -> list[DownloadItem]:
-    """What the reference's sequential download loop would do — each failed
-    unit is skipped and logged, the rest continue (:250-258); our pipeline
-    inherits that via manifest-gated partition writes."""
-    items = []
-    for u in zip_urls:
-        name = u.rsplit("/", 1)[-1]
-        full = u if u.startswith("http") else f"{BASE_URL}{u}"
-        items.append(DownloadItem(url=full, target=f"{out_dir}/{name}"))
-    return items

@@ -13,8 +13,8 @@ and broadcast via ray.put; the corpus pass is then a pure `map_batches`
 with a per-batch vectorized searchsorted membership — zero shuffles, and
 the corpus text streams through exactly once.  Gram hashing reuses the
 dedup module's `_batch_word_ngrams` (one dictionary-encode word-hash pass
-per batch, `ops/dedup.py:472`), so decontamination n-grams are
-bit-compatible with the Jaccard/minhash family.
+per batch), so decontamination n-grams are bit-compatible with the
+Jaccard/minhash family.
 
 Scale bound: the broadcast is the benchmark's distinct gram count x 8 B,
 gated by `max_benchmark_grams` (default 50M ~ 400 MB, the same order as
@@ -65,7 +65,7 @@ def benchmark_gram_union(benchmark, ngram: int = 8,
         parts = [np.asarray(t.column("gram"), np.uint64)
                  for t in benchmark.map_batches(
                      batch_union, batch_format="pyarrow")
-                 .iter_batches(batch_format="pyarrow")
+                 .iter_batches(batch_format="pyarrow", batch_size=None)
                  if t.num_rows]
     grams = (np.unique(np.concatenate(parts)) if parts
              else np.zeros(0, np.uint64))

@@ -10,11 +10,16 @@ Scale shapes (ray_guide patterns):
   `pairs_payload_metric` over the same pass's shingle sets
 - simhash/embedding: per-batch signatures; bucket by prefix/hyperplane for
   candidate generation.
+- clusters: `connected_components` turns pairs into min-id components (a
+  streamed driver union-find, or distributed label propagation).
 
-`pairs_payload_metric` is the one pair scorer: every near-dup operator that
-verifies candidates against per-id payloads (shingle sets, vectors) goes
-through it.  All randomness is seeded; outputs are deterministic for a given
-input.
+One implementation per step: `_group_pairs` is the one expander of key
+groups into candidate pairs (MinHash bands, n-gram and winnow grams,
+SimHash bands, embedding hyperplane buckets; each caller keeps its own
+oversized-group rule), and `pairs_payload_metric` the one pair scorer of
+the operators that verify candidates against per-id payloads (shingle
+sets, vectors).  All randomness is seeded; outputs are deterministic for a
+given input.
 """
 
 from __future__ import annotations
@@ -42,14 +47,62 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _chain_to_min(u: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Degenerate-bucket fallback: pair every id against the bucket's min id
-    (O(n) pairs) instead of silently truncating — duplicates still link to a
-    representative, and the metric-verify stage rejects false candidates.
-    Logged, per the no-silent-caps rule."""
-    logger.warning("dedup: oversized %s bucket (%d ids) — chaining to min id",
-                   what, len(u))
-    return np.full(len(u) - 1, u[0], np.int64), u[1:].astype(np.int64)
+def _group_pairs(keys: tuple, doc: np.ndarray, cap: int,
+                 chain: str | None = None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every doc pair sharing a key group: (ia, ib, big), where ia/ib are
+    ROW POSITIONS into the inputs (doc[ia] < doc[ib]; a caller reads any
+    per-row column through them) and big holds the sizes of the groups
+    above `cap` docs.  A group is the rows with equal values in every
+    array of `keys`; a doc repeated under one key counts once.
+
+    The one candidate-pair expander of the near-dup operators.  One
+    lexsort (keys, then doc) finds the groups and the repeats; pairs then
+    expand once per DISTINCT GROUP SIZE through a shared triu_indices
+    broadcast, not once per group — a per-group Python loop was 32 core-s
+    on the sf0.1 flagship's ~100k multi-doc MinHash keys, more than the
+    MinHash pass itself.  Row order of the pairs is unspecified; every
+    consumer is order-insensitive.
+
+    Oversized groups (the skew guard against an M^2/2 blow-up): with
+    `chain` set they pair each doc with the group's min doc (O(M) pairs;
+    duplicates still link to a representative and the verify rejects
+    false candidates), logged under that label; without it they emit no
+    pair, and the caller reports them from `big`."""
+    doc = np.asarray(doc, np.int64)
+    none = np.zeros(0, np.int64)
+    if not len(doc):
+        return none, none, none
+    keys = [np.asarray(k) for k in keys]
+    order = np.lexsort((doc, *keys[::-1]))
+    skeys = [k[order] for k in keys]
+    sdoc = doc[order]
+    new_grp = np.zeros(len(doc), np.bool_)
+    new_grp[0] = True
+    for k in skeys:
+        new_grp[1:] |= k[1:] != k[:-1]
+    keep = np.ones(len(doc), np.bool_)
+    keep[1:] = new_grp[1:] | (sdoc[1:] != sdoc[:-1])
+    rows, new_grp = order[keep], new_grp[keep]
+    starts = np.nonzero(new_grp)[0]
+    sizes = np.diff(np.append(starts, len(rows)))
+    big = (sizes > cap) & (sizes >= 2)
+    out_a, out_b = [none], [none]
+    if chain is not None and big.any():
+        logger.warning("dedup: %d oversized %s group(s), largest %d ids — "
+                       "chaining to min id", int(big.sum()), chain,
+                       int(sizes[big].max()))
+        out_a.append(np.repeat(starts[big], sizes[big] - 1))
+        out_b.append(np.nonzero(np.repeat(big, sizes) & ~new_grp)[0])
+    norm = ~big & (sizes >= 2)
+    nstarts, nsizes = starts[norm], sizes[norm]
+    for s in np.unique(nsizes):
+        gs = nstarts[nsizes == s]
+        ai, bi = np.triu_indices(int(s), k=1)
+        out_a.append((gs[:, None] + ai[None, :]).ravel())
+        out_b.append((gs[:, None] + bi[None, :]).ravel())
+    return (rows[np.concatenate(out_a)], rows[np.concatenate(out_b)],
+            sizes[big])
 
 
 # ---------------------------------------------------------------------------
@@ -560,59 +613,24 @@ def _minhash_task(batch: pa.Table, **kw) -> pa.Table:
     return st(batch)
 
 
+#: key groups above this many docs chain to their min doc (`_group_pairs`)
+#: in the MinHash and SimHash candidate stages; embedding LSH uses 500
+_LSH_MAX_GROUP = 200
+
+
 def _pairs_in_bucket(g: dict) -> dict:
-    """All candidate pairs inside one coarse bucket.  Coarse bucketing keeps
-    the Ray group count at ~n_buckets instead of one Ray group per LSH key —
+    """All MinHash candidate pairs inside one coarse bucket: the docs
+    sharing a fine (band, band_key) group.  Coarse bucketing keeps the Ray
+    group count at ~n_buckets instead of one Ray group per LSH key —
     per-group task overhead dominates otherwise (measured 13.7s -> <1s on
     80k keys).  Groups arrive as numpy columns: converting each of the
     n_buckets groups to pandas cost about as much as the pairing itself
     (sf0.1: the band shuffle 0.29-0.41 s with pandas groups, 0.16-0.18 s
-    with numpy, 1 CPU).
-
-    Fully vectorized (r5): one lexsort finds the fine (band, band_key)
-    groups and de-dups docs within each; pair expansion then runs once per
-    DISTINCT GROUP SIZE (all size-s groups expand through one shared
-    triu_indices broadcast) instead of once per group — the per-group
-    Python loop was 32 core-s on the sf0.1 flagship's 1.85M rows / ~100k
-    multi-doc keys, larger than the minhash pass itself.  Pair SET is
-    identical to the per-group path (same sorted-unique docs, same a < b
-    expansion, same >200 chain-to-min skew guard); only row order differs,
-    and every consumer (distinct, verify shuffle) is order-insensitive."""
-    band = np.asarray(g["band"], np.int64)
-    key = np.asarray(g["band_key"], np.int64)
+    with numpy, 1 CPU)."""
     doc = np.asarray(g["doc_id"], np.int64)
-    empty = {"a": np.zeros(0, np.int64), "b": np.zeros(0, np.int64)}
-    if not len(doc):
-        return empty
-    order = np.lexsort((doc, key, band))
-    band, key, doc = band[order], key[order], doc[order]
-    new_grp = np.empty(len(doc), np.bool_)
-    new_grp[0] = True
-    new_grp[1:] = (band[1:] != band[:-1]) | (key[1:] != key[:-1])
-    dup = np.zeros(len(doc), np.bool_)
-    dup[1:] = ~new_grp[1:] & (doc[1:] == doc[:-1])
-    if dup.any():  # same doc under the same key (duplicate signature rows)
-        keep = ~dup
-        doc, new_grp = doc[keep], new_grp[keep]
-    starts = np.nonzero(new_grp)[0]
-    sizes = np.diff(np.append(starts, len(doc)))
-    out_a: list[np.ndarray] = []
-    out_b: list[np.ndarray] = []
-    big = sizes > 200  # skew guard: degenerate key (e.g. empty docs)
-    for s0, sz in zip(starts[big], sizes[big]):
-        ca, cb = _chain_to_min(doc[s0:s0 + sz], "minhash LSH")
-        out_a.append(ca)
-        out_b.append(cb)
-    norm = ~big & (sizes >= 2)
-    nstarts, nsizes = starts[norm], sizes[norm]
-    for s in np.unique(nsizes):
-        gs = nstarts[nsizes == s]
-        ai, bi = np.triu_indices(int(s), k=1)
-        out_a.append(doc[(gs[:, None] + ai[None, :]).ravel()])
-        out_b.append(doc[(gs[:, None] + bi[None, :]).ravel()])
-    if not out_a:
-        return empty
-    return {"a": np.concatenate(out_a), "b": np.concatenate(out_b)}
+    ia, ib, _ = _group_pairs((g["band"], g["band_key"]), doc,
+                             _LSH_MAX_GROUP, chain="minhash LSH")
+    return {"a": doc[ia], "b": doc[ib]}
 
 
 def _minhash_raw_pairs(docs, n_buckets: int):
@@ -684,6 +702,16 @@ def bucketed_pair_agg(pairs, pd_agg, n_buckets: int = 64,
                                            batch_format="pandas"))
 
 
+def _or_typed_empty(out, schema: pa.Schema):
+    """`out` materialized, or zero rows typed by `schema` when it has no
+    row: a Ray Data map over zero rows never calls its function, so its
+    output has no schema and a consumer would get no columns."""
+    import ray.data as rd
+
+    out = out.materialize()
+    return out if out.count() else rd.from_arrow(schema.empty_table())
+
+
 def _pd_distinct_pairs(g: pd.DataFrame) -> pd.DataFrame:
     return g.drop_duplicates(["a", "b"], ignore_index=True)[["a", "b"]]
 
@@ -703,55 +731,14 @@ def _gram_pairs_in_bucket(g: pd.DataFrame, id_col: str,
     so the downstream jaccard needs no second pass over the corpus."""
     if max_gram_df is None:
         max_gram_df = np.iinfo(np.int64).max  # no cap: fully exact
-    empty = pd.DataFrame({"a": pd.Series([], dtype="int64"),
-                          "b": pd.Series([], dtype="int64"),
-                          "cnt": pd.Series([], dtype="int64"),
-                          "na": pd.Series([], dtype="int64"),
-                          "nb": pd.Series([], dtype="int64")})
-    gram = g["gram"].to_numpy(np.int64)
     doc = g[id_col].to_numpy(np.int64)
-    sz = g["sz"].to_numpy(np.int64)
-    dropped = 0
-    max_df_seen = 0
-    out_a: list[np.ndarray] = []
-    out_b: list[np.ndarray] = []
-    out_na: list[np.ndarray] = []
-    out_nb: list[np.ndarray] = []
-    if len(doc):
-        # vectorized per-gram grouping (r5, the _pairs_in_bucket shape):
-        # one lexsort, doc de-dup within gram, then pair expansion once per
-        # DISTINCT per-gram doc count via a shared triu broadcast.  sz is
-        # constant per doc, so any representative row matches the old
-        # drop_duplicates-first semantics.
-        order = np.lexsort((doc, gram))
-        gram, doc, sz = gram[order], doc[order], sz[order]
-        new_grp = np.empty(len(doc), np.bool_)
-        new_grp[0] = True
-        new_grp[1:] = gram[1:] != gram[:-1]
-        dup = np.zeros(len(doc), np.bool_)
-        dup[1:] = ~new_grp[1:] & (doc[1:] == doc[:-1])
-        if dup.any():
-            keep = ~dup
-            doc, sz, new_grp = doc[keep], sz[keep], new_grp[keep]
-        starts = np.nonzero(new_grp)[0]
-        sizes = np.diff(np.append(starts, len(doc)))
-        # skew guard: stop-gram M^2/2 blow-up; singletons are SKIPPED, not
-        # dropped (the scalar path's check order), so a degenerate cap < 2
-        # never counts them against recall
-        big = (sizes > max_gram_df) & (sizes >= 2)
-        dropped = int(big.sum())
-        max_df_seen = int(sizes[big].max()) if dropped else 0
-        norm = ~big & (sizes >= 2)
-        nstarts, nsizes = starts[norm], sizes[norm]
-        for s in np.unique(nsizes):
-            gs = nstarts[nsizes == s]
-            ai, bi = np.triu_indices(int(s), k=1)
-            ia = (gs[:, None] + ai[None, :]).ravel()
-            ib = (gs[:, None] + bi[None, :]).ravel()
-            out_a.append(doc[ia])
-            out_b.append(doc[ib])
-            out_na.append(sz[ia])
-            out_nb.append(sz[ib])
+    sz = g["sz"].to_numpy(np.int64)  # constant per doc: any row serves
+    # skew guard: a stop-gram's docs pair with nobody; singletons are never
+    # counted as dropped, so a degenerate cap < 2 costs no recall report
+    ia, ib, big = _group_pairs((g["gram"].to_numpy(np.int64),), doc,
+                               max_gram_df)
+    dropped = len(big)
+    max_df_seen = int(big.max()) if dropped else 0
     if dropped:
         logger.warning(
             "ngram_jaccard: dropped %d frequent gram(s) from pair generation "
@@ -760,14 +747,13 @@ def _gram_pairs_in_bucket(g: pd.DataFrame, id_col: str,
     stats = pd.DataFrame({"a": [0], "b": [0], "cnt": [-1],
                           "na": [dropped], "nb": [max_df_seen]}
                          ).astype("int64") if emit_stats and dropped else None
-    if not out_a:
+    if not len(ia):
+        empty = pd.DataFrame({c: pd.Series([], dtype="int64")
+                              for c in ("a", "b", "cnt", "na", "nb")})
         return empty if stats is None else stats
     # per-pair aggregate (cnt = shared-gram count = |intersection|),
     # vectorized: sort pairs, run-length the (a, b) groups
-    A = np.concatenate(out_a)
-    B = np.concatenate(out_b)
-    NA = np.concatenate(out_na)
-    NB = np.concatenate(out_nb)
+    A, B, NA, NB = doc[ia], doc[ib], sz[ia], sz[ib]
     o = np.lexsort((B, A))
     A, B, NA, NB = A[o], B[o], NA[o], NB[o]
     ng = np.empty(len(A), np.bool_)
@@ -865,7 +851,10 @@ def ngram_jaccard_pairs(ds, threshold: float = 0.2, ngram: int = 3,
         return pa.table({"a": pa.array(a[keep]), "b": pa.array(b[keep]),
                          "jaccard": pa.array(np.round(j[keep], 6))})
 
-    scored = inter.map_batches(score, batch_format="pyarrow")
+    scored = _or_typed_empty(
+        inter.map_batches(score, batch_format="pyarrow"),
+        pa.schema([("a", pa.int64()), ("b", pa.int64()),
+                   ("jaccard", pa.float64())]))
     return (scored, stats) if return_dropped_stats else scored
 
 
@@ -978,50 +967,34 @@ def simhash_near_pairs(ds, max_hamming: int = 3, prefix_bits: int = 16):
         bands = np.tile(np.arange(4, dtype=np.int32), n)
         keys = ((sh[:, None] >> (np.uint64(16) * np.arange(4, dtype=np.uint64)))
                 & np.uint64(0xFFFF)).astype(np.int32).reshape(-1)
+        bucket = (bands.astype(np.int64) * 65537 + keys) % 128
         return pa.table({"doc_id": pa.array(np.repeat(ids, 4)),
                          "band": pa.array(bands),
                          "key": pa.array(keys),
-                         "simhash": pa.array(np.repeat(sh.view(np.int64), 4))})
+                         "simhash": pa.array(np.repeat(sh.view(np.int64), 4)),
+                         "bucket": pa.array(bucket.astype(np.int32))})
 
-    def pairs_in_coarse_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        """Vectorized fine groupby within a coarse bucket (see minhash note)."""
-        out = []
-        for _, sub in g.groupby(["band", "key"]):
-            sub = sub.drop_duplicates("doc_id").sort_values("doc_id")
-            if len(sub) < 2:
-                continue
-            ids = sub["doc_id"].values
-            sh = sub["simhash"].values.astype(np.int64).astype(np.uint64)
-            if len(sub) > 200:  # skew guard: chain to min id, O(n) pairs
-                ai, bi = _chain_to_min(np.arange(len(ids)), "simhash")
-            else:
-                ai, bi = np.triu_indices(len(ids), k=1)
-            x = sh[ai] ^ sh[bi]
-            ham = _popcount64(x)
-            keep = ham <= max_hamming
-            if keep.any():
-                out.append(pd.DataFrame({"a": ids[ai][keep], "b": ids[bi][keep],
-                                         "hamming": ham[keep]}))
-        if not out:
-            return pd.DataFrame({"a": pd.Series([], dtype="int64"),
-                                 "b": pd.Series([], dtype="int64"),
-                                 "hamming": pd.Series([], dtype="int64")})
-        return pd.concat(out, ignore_index=True)
+    def pairs_in_coarse_bucket(g: dict) -> dict:
+        """Candidate pairs of the fine (band, key) groups in one coarse
+        bucket (see `_pairs_in_bucket`), kept within max_hamming."""
+        doc = np.asarray(g["doc_id"], np.int64)
+        ia, ib, _ = _group_pairs((g["band"], g["key"]), doc, _LSH_MAX_GROUP,
+                                 chain="simhash")
+        sh = np.asarray(g["simhash"], np.int64).view(np.uint64)
+        ham = _popcount64(sh[ia] ^ sh[ib])
+        keep = ham <= max_hamming
+        return {"a": doc[ia[keep]], "b": doc[ib[keep]], "hamming": ham[keep]}
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = np.asarray(t.column("band"), dtype=np.int64)
-        k = np.asarray(t.column("key"), dtype=np.int64)
-        return t.append_column(
-            "bucket", pa.array(((b * 65537 + k) % 128).astype(np.int32))
-        )
-
-    sig = ds.map_batches(simhash_batch, batch_format="pyarrow")
-    pairs = sig.map_batches(explode, batch_format="pyarrow") \
-               .map_batches(add_bucket, batch_format="pyarrow") \
-               .groupby("bucket").map_groups(pairs_in_coarse_bucket, batch_format="pandas")
-    return bucketed_pair_agg(
-        pairs,
-        lambda g: g.groupby(["a", "b"], as_index=False)["hamming"].min())
+    pairs = (ds.map_batches(simhash_batch, batch_format="pyarrow")
+             .map_batches(explode, batch_format="pyarrow")
+             .groupby("bucket")
+             .map_groups(pairs_in_coarse_bucket, batch_format="numpy"))
+    return _or_typed_empty(
+        bucketed_pair_agg(
+            pairs,
+            lambda g: g.groupby(["a", "b"], as_index=False)["hamming"].min()),
+        pa.schema([("a", pa.int64()), ("b", pa.int64()),
+                   ("hamming", pa.int64())]))
 
 
 # ---------------------------------------------------------------------------
@@ -1091,26 +1064,11 @@ def embedding_near_pairs(ds, threshold: float = 0.95, n_planes: int = 12,
                          "key": pa.array(key),
                          "bucket": pa.array((key % n_buckets).astype(np.int32))})
 
-    def cand_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def cand_in_bucket(g: dict) -> dict:
         """Candidate pairs for all fine buckets in one coarse group."""
-        out_a, out_b = [], []
-        for _, sub in g.groupby("key"):
-            u = np.sort(sub[id_col].unique())
-            if len(u) < 2:
-                continue
-            if len(u) > 500:  # skew guard: chain to min id, O(n) pairs
-                ca, cb = _chain_to_min(u, "embedding LSH")
-                out_a.append(ca)
-                out_b.append(cb)
-                continue
-            ai, bi = np.triu_indices(len(u), k=1)
-            out_a.append(u[ai])
-            out_b.append(u[bi])
-        if not out_a:
-            return pd.DataFrame({"a": pd.Series([], dtype="int64"),
-                                 "b": pd.Series([], dtype="int64")})
-        return pd.DataFrame({"a": np.concatenate(out_a),
-                             "b": np.concatenate(out_b)})
+        doc = np.asarray(g[id_col], np.int64)
+        ia, ib, _ = _group_pairs((g["key"],), doc, 500, chain="embedding LSH")
+        return {"a": doc[ia], "b": doc[ib]}
 
     def vec_blobs(batch: pa.Table) -> pa.Table:
         m = _to_matrix(batch.column(vec_col))
@@ -1123,7 +1081,7 @@ def embedding_near_pairs(ds, threshold: float = 0.95, n_planes: int = 12,
     cand = (
         ds.map_batches(bucketize, batch_format="pyarrow")
         .groupby("bucket")
-        .map_groups(cand_in_bucket, batch_format="pandas")
+        .map_groups(cand_in_bucket, batch_format="numpy")
     )
     # a pair can surface from several tables: distinct before verify
     cand = bucketed_pair_agg(cand, _pd_distinct_pairs)
@@ -1197,43 +1155,43 @@ def _streamed_unique_ids(raw, ceiling: int) -> np.ndarray | None:
     return cur if len(cur) <= ceiling else None
 
 
+#: node-set ceiling of the driver union-find in `connected_components`
+#: (~16 B/node of driver heap); a larger graph clusters distributedly
+MAX_DRIVER_NODES = 50_000_000
+
+
 def connected_components(pairs, max_iters: int = 25,
-                         num_partitions: int | None = None,
-                         max_local_edges: int = 5_000_000,
-                         max_local_nodes: int = 50_000_000):
+                         num_partitions: int | None = None):
     """Dataset[(id, component)] for every node appearing in the pair list:
     component = the MINIMUM id reachable through the pair graph — the
     canonical representative a dedup run keeps.
 
-    Three regimes, chosen by measured crossovers:
+    Two regimes:
 
-    1. LOCAL (<= `max_local_edges` edges, ~80 MB driver heap): pull the
-       pair list, C union-find.  0.17s on the sf0.1 flagship's 114k-pair
-       graph.
-    2. STREAMING (any edge count whose NODE set fits `max_local_nodes`,
-       ~16 B/node): edges stream batch-by-batch through an incremental C
-       union-find — memory is O(nodes), edges never coexist.  Union-find
-       is one-pass over edges, so this is 2 linear streams (id-collect,
-       then union) vs the distributed path's ~log(diameter) rounds of
-       joins (measured: 24 rounds x 8.2s of join fixed-cost on the same
-       114k-pair graph = 195s).  The driver NIC is the bottleneck —
-       honest crossover: prefer this while total edge bytes stream in
-       less time than ~25 distributed join rounds would take.
-    3. DISTRIBUTED min-label propagation with pointer jumping: labels
+    1. DRIVER (node set at most `MAX_DRIVER_NODES`, ~16 B/node): the
+       distinct ids stream to the driver, then the edges stream through
+       a union-find batch by batch (`StreamingUnionFind`: the C kernel,
+       or its interpreted reference without a compiler) — memory is
+       O(nodes), edges never coexist.  Two linear streams, against the
+       distributed regime's ~log(diameter) rounds of joins (measured: 24
+       rounds x 8.2s of join fixed cost on the sf0.1 flagship's 114k-pair
+       graph = 195s).
+    2. DISTRIBUTED min-label propagation with pointer jumping: labels
        start as own id; each round ships labels across the (symmetrized)
        edges with Ray Data's native hash join and takes the per-node
        minimum, then label-doubling halves every chain — O(log diameter)
        rounds, each bounded by the EDGE list (~16 B/edge), never the
-       corpus.  The only regime when even the node set exceeds the
-       driver (beyond ~10^9 nodes at the 50M default x 20).  If
-       `max_iters` rounds pass without convergence the loop stops and
+       corpus.  The only regime when the node set exceeds the driver.
+       If `max_iters` rounds pass without convergence the loop stops and
        LOGS the residual (no-silent-caps rule); labels are then upper
        bounds, still a valid (finer) partition.
 
-    All three produce identical labels (test_cc_regimes_identical).
+    Both produce identical labels (test_cc_regimes_identical).
     """
     import ray.data as rd
     from ray.data.aggregate import Min
+
+    from nem_mms_ray.ops._setops_native import StreamingUnionFind
 
     def symmetrize(t: pa.Table) -> pa.Table:
         a = np.asarray(t.column("a"), np.int64)
@@ -1242,88 +1200,25 @@ def connected_components(pairs, max_iters: int = 25,
                          "dst": pa.array(np.concatenate([b, a]))})
 
     raw = pairs.select_columns(["a", "b"]).materialize()
-    n_pairs = raw.count()
-    if n_pairs == 0:
+    if raw.count() == 0:
         # no pairs -> no components; the empty-block Dataset would lose
         # its schema before the join (observed: Arrow "no match for key
         # field src"), so return a TYPED empty result instead
         return rd.from_arrow(pa.table({"id": pa.array([], pa.int64()),
                                        "component": pa.array([], pa.int64())}))
-    if 2 * n_pairs <= max_local_edges:
-        # small-graph shortcut: every distributed round costs ~seconds of
-        # hash-join actor overhead regardless of size (observed: 112k
-        # edges, 396s through the join path), while path-compressed
-        # union-find on the driver is O(E a(E)) — milliseconds.  16 B/edge:
-        # the default 5M-edge ceiling is ~80 MB of driver heap.  Same
-        # min-id-representative contract as the distributed path.  Union-
-        # find treats edges as undirected, so the raw (a, b) list streams
-        # straight to the driver — no symmetrize pass, no second
-        # materialize (those existed only for the distributed rounds).
-        t = pa.concat_tables(
-            [b for b in raw.iter_batches(batch_format="pyarrow")])
-        src = np.asarray(t.column("a"), np.int64)
-        dst = np.asarray(t.column("b"), np.int64)
-        nodes, codes = np.unique(np.concatenate([src, dst]),
-                                 return_inverse=True)
-        half = len(src)
-        from nem_mms_ray.ops import _setops_native
-
-        # C union-find when a compiler is present (test_cc_native_parity:
-        # identical labels) — the interpreted loop below costs ~1us/edge,
-        # the kernel ~50ns/edge (2.0s -> 0.14s on a 2.37M-edge graph; the
-        # loop was the CC stage's dominant cost on the sf0.1 flagship)
-        par = _setops_native.union_find_minroot(
-            codes[:half], codes[half:], len(nodes))
-        if par is not None:
-            comp = nodes[par]
-            return rd.from_arrow(pa.table({"id": pa.array(nodes),
-                                           "component": pa.array(comp)}))
-        parent = np.arange(len(nodes), dtype=np.int64)
-
-        def find(x: int) -> int:
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:       # path compression
-                parent[x], x = root, parent[x]
-            return root
-
-        for a_c, b_c in zip(codes[:half].tolist(), codes[half:].tolist()):
-            ra, rb = find(a_c), find(b_c)
-            if ra != rb:
-                # union by MIN NODE ID so the root is the representative
-                if nodes[ra] <= nodes[rb]:
-                    parent[rb] = ra
-                else:
-                    parent[ra] = rb
-        comp = np.array([nodes[find(i)] for i in range(len(nodes))], np.int64)
+    nodes = _streamed_unique_ids(raw, MAX_DRIVER_NODES)
+    if nodes is not None:
+        uf = StreamingUnionFind(len(nodes))
+        for t in raw.iter_batches(batch_format="pyarrow", batch_size=1 << 20):
+            if t.num_rows:
+                uf.add_edges(
+                    np.searchsorted(nodes, np.asarray(t.column("a"), np.int64)),
+                    np.searchsorted(nodes, np.asarray(t.column("b"), np.int64)))
+        comp = nodes[uf.flatten()]
         return rd.from_arrow(pa.table({"id": pa.array(nodes),
                                        "component": pa.array(comp)}))
-
-    # STREAMING middle regime: node set fits the driver even though the
-    # edge list does not — see the docstring's regime table
-    if max_local_nodes > 0:
-        from nem_mms_ray.ops._setops_native import StreamingUnionFind
-
-        nodes = _streamed_unique_ids(raw, max_local_nodes)
-        uf = (StreamingUnionFind.create(len(nodes))
-              if nodes is not None else None)
-        if uf is not None:
-            for t in raw.iter_batches(batch_format="pyarrow",
-                                      batch_size=1 << 20):
-                if not t.num_rows:
-                    continue
-                a = np.asarray(t.column("a"), np.int64)
-                b = np.asarray(t.column("b"), np.int64)
-                uf.add_edges(np.searchsorted(nodes, a),
-                             np.searchsorted(nodes, b))
-            comp = nodes[uf.flatten()]
-            return rd.from_arrow(pa.table({"id": pa.array(nodes),
-                                           "component": pa.array(comp)}))
-        if nodes is None:
-            logger.info(
-                "connected_components: node set exceeds max_local_nodes=%d "
-                "— distributed label-propagation regime", max_local_nodes)
+    logger.info("connected_components: node set exceeds MAX_DRIVER_NODES=%d "
+                "— distributed label-propagation regime", MAX_DRIVER_NODES)
 
     # distributed rounds need the symmetrized edge list (labels propagate
     # along both directions of every pair)

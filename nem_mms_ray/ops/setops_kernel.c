@@ -96,40 +96,15 @@ long intersect_count_pairs(const uint64_t *vals, const int64_t *off,
     return 0;
 }
 
-/* Union-find over edge lists (the connected-components local path).
- * Nodes are dense codes 0..n_nodes-1 ALREADY SORTED BY NODE ID (np.unique
- * output), so "union by min root code" makes every root the minimum id
- * of its set — the dedup representative contract.  Path halving during
- * finds keeps amortized cost near-constant; a final flatten leaves
- * parent[i] = root for every node.  Textbook algorithm (public domain);
- * original code. */
-void union_find_minroot(const int64_t *src, const int64_t *dst,
-                        long n_edges, int64_t *parent, long n_nodes) {
-    for (long i = 0; i < n_nodes; i++) parent[i] = i;
-    for (long e = 0; e < n_edges; e++) {
-        int64_t a = src[e], b = dst[e];
-        while (parent[a] != a) { parent[a] = parent[parent[a]]; a = parent[a]; }
-        while (parent[b] != b) { parent[b] = parent[parent[b]]; b = parent[b]; }
-        if (a == b) continue;
-        if (a < b) parent[b] = a; else parent[a] = b;
-    }
-    for (long i = 0; i < n_nodes; i++) {
-        int64_t r = i;
-        while (parent[r] != r) r = parent[r];
-        int64_t x = i;
-        while (parent[x] != r) { int64_t nx = parent[x]; parent[x] = r; x = nx; }
-    }
-}
-
-/* Incremental form of union_find_minroot for STREAMED edge lists:
- * the caller inits parent once, feeds any number of edge batches (each
+/* Streamed union-find (the connected-components driver regime): the
+ * caller sets parent[i] = i once, feeds any number of edge batches (each
  * a src/dst code pair array), and flattens at the end.  Memory is
- * O(nodes); edges never need to exist in one buffer.  Semantics match
- * union_find_minroot exactly (same union-by-min-root, path halving). */
-void union_find_init(int64_t *parent, long n_nodes) {
-    for (long i = 0; i < n_nodes; i++) parent[i] = i;
-}
-
+ * O(nodes); edges never need to exist in one buffer.  Nodes are dense
+ * codes 0..n_nodes-1 ALREADY SORTED BY NODE ID (np.unique output), so
+ * "union by min root code" makes every root the minimum id of its set —
+ * the dedup representative contract.  Path halving during finds keeps
+ * amortized cost near-constant; the flatten leaves parent[i] = root.
+ * Textbook algorithm (public domain); original code. */
 void union_find_edges(const int64_t *src, const int64_t *dst,
                       long n_edges, int64_t *parent) {
     for (long e = 0; e < n_edges; e++) {

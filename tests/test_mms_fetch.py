@@ -1,8 +1,7 @@
 """Fetch-layer logic tests — URL/validation parity with the reference's
-fetch layer and the download plan."""
+fetch layer."""
 
 from nem_mms_ray.mms.fetch import (
-    download_plan,
     historic_url,
     listing_url,
     validate_month,
@@ -43,16 +42,6 @@ def test_historic_url_template_and_support_matrix():
     assert historic_url("DISPATCH_NEGATIVE_RESIDUE", "2021", "04") is None
     assert historic_url("ROOFTOP_PV_FORECAST", "2021", "04") is not None
     assert historic_url("DISPATCH_UNIT_SCADA", "2021", "13") is None
-
-
-def test_download_plan_create_new_targets():
-    urls = [
-        "/Reports/Current/Dispatch_SCADA/PUBLIC_DISPATCHSCADA_202112251045_0000000354978413.zip",
-        "/Reports/Current/Dispatch_SCADA/PUBLIC_DISPATCHSCADA_202112251050_0000000354978611.zip",
-    ]
-    plan = download_plan(urls, "/tmp/raw")
-    assert plan[0].url.startswith("https://www.nemweb.com.au/Reports/")
-    assert plan[0].target == "/tmp/raw/PUBLIC_DISPATCHSCADA_202112251045_0000000354978413.zip"
 
 
 def test_cli_info_and_packages(capsys):

@@ -151,20 +151,23 @@ def test_minhash_dedup_tokenizes_input_once(docs_ds, tmp_path):
     assert sum(map(int, log.read_text().split())) == len(df)
 
 
-def _assert_no_pairs(out, metric: str):
+def _assert_no_pairs(out, metric: str, metric_type=pa.float64()):
     """Zero rows, typed (a, b, metric) columns."""
     assert out.count() == 0
     schema = out.schema()
     assert list(schema.names) == ["a", "b", metric]
-    assert list(schema.types) == [pa.int64(), pa.int64(), pa.float64()]
+    assert list(schema.types) == [pa.int64(), pa.int64(), metric_type]
 
 
 def test_near_pairs_without_candidates_are_typed_empty(ray_session):
-    """No candidate pair at all: the scorer returns zero typed rows (it
-    used to raise KeyError: 'jid' on the zero-row payload frame)."""
+    """No candidate pair at all: zero typed rows (the scorer used to raise
+    KeyError: 'jid' on the zero-row payload frame; the n-gram and SimHash
+    operators returned a Dataset with no schema on a zero-row input)."""
     import ray.data as rd
 
-    from nem_mms_ray.ops.dedup import embedding_near_pairs, minhash_dedup
+    from nem_mms_ray.ops.dedup import (embedding_near_pairs, minhash_dedup,
+                                       ngram_jaccard_pairs,
+                                       simhash_near_pairs)
 
     e0 = np.zeros(8)
     e0[0] = 1.0
@@ -176,12 +179,76 @@ def test_near_pairs_without_candidates_are_typed_empty(ray_session):
     empty = rd.from_arrow(pa.table({"doc_id": pa.array([], pa.int64()),
                                     "text": pa.array([], pa.string())}))
     _assert_no_pairs(minhash_dedup(empty, threshold=0.5), "jaccard")
+    _assert_no_pairs(ngram_jaccard_pairs(empty), "jaccard")
+    _assert_no_pairs(simhash_near_pairs(empty), "hamming", pa.int64())
 
     distinct = rd.from_pandas(pd.DataFrame({
         "doc_id": np.arange(30, dtype=np.int64),
         "text": [" ".join(f"w{i}x{k}" for k in range(20))
                  for i in range(30)]}))
     _assert_no_pairs(minhash_dedup(distinct, threshold=0.5), "jaccard")
+    _assert_no_pairs(ngram_jaccard_pairs(distinct), "jaccard")
+
+
+def _naive_group_pairs(keys, doc, cap, chain):
+    """Reference for `_group_pairs`: per key, the distinct docs' pairs by
+    itertools.combinations (a pair repeats once per key it shares); above
+    `cap` docs, min-doc chaining or none."""
+    import itertools
+
+    groups: dict = {}
+    for k, d in zip(zip(*[np.asarray(x).tolist() for x in keys]),
+                    np.asarray(doc).tolist()):
+        groups.setdefault(k, set()).add(d)
+    pairs, big = [], []
+    for members in groups.values():
+        u = sorted(members)
+        if len(u) > cap and len(u) >= 2:
+            big.append(len(u))
+            if chain:
+                pairs += [(u[0], x) for x in u[1:]]
+        else:
+            pairs += list(itertools.combinations(u, 2))
+    return pairs, sorted(big)
+
+
+@pytest.mark.parametrize("chain", [True, False])
+def test_group_pairs_matches_naive_combinations(chain):
+    """The one pair expander against a per-key itertools reference: docs
+    repeated under one key, groups of exactly `cap` and `cap` + 1 docs,
+    two-column keys, an empty input, both oversized-group rules."""
+    from collections import Counter
+
+    from nem_mms_ray.ops.dedup import _group_pairs
+
+    cap = 6
+    rng = np.random.default_rng(18)
+    none = np.zeros(0, np.int64)
+    ia, ib, big = _group_pairs((none,), none, cap, chain="t" if chain else None)
+    assert len(ia) == len(ib) == len(big) == 0
+    for trial in range(40):
+        n = int(rng.integers(1, 400))
+        k1 = rng.integers(0, 3, n)
+        k2 = rng.integers(0, int(rng.integers(1, 60)), n)
+        doc = rng.integers(0, 200, n).astype(np.int64)
+        # a group of exactly cap docs, one of cap + 1, one repeated doc
+        for size, key in ((cap, 1000), (cap + 1, 1001)):
+            k1 = np.concatenate([k1, np.zeros(size, np.int64)])
+            k2 = np.concatenate([k2, np.full(size, key)])
+            doc = np.concatenate([doc, rng.choice(500, size, replace=False)])
+        k1 = np.concatenate([k1, [2, 2, 2]])
+        k2 = np.concatenate([k2, [1002, 1002, 1002]])
+        doc = np.concatenate([doc, [7, 7, 9]]).astype(np.int64)
+        perm = rng.permutation(len(doc))
+        k1, k2, doc = k1[perm], k2[perm], doc[perm]
+        ia, ib, big = _group_pairs((k1, k2), doc, cap,
+                                   chain="t" if chain else None)
+        assert (k1[ia] == k1[ib]).all() and (k2[ia] == k2[ib]).all()
+        got = Counter(zip(doc[ia].tolist(), doc[ib].tolist()))
+        want, want_big = _naive_group_pairs((k1, k2), doc, cap, chain)
+        assert got == Counter(want), trial  # once per group sharing it
+        assert sorted(big.tolist()) == want_big
+        assert cap + 1 in want_big  # the cap-sized group expands in full
 
 
 def test_pairs_payload_metric_joins_payloads(ray_session):
@@ -1556,12 +1623,14 @@ def test_curate_documents_near(ray_session):
     assert out.set_index("doc_id").loc[0, "text"] == en
 
 
-def test_connected_components_local_matches_distributed(ray_session):
-    """The small-graph union-find shortcut and the distributed
-    pointer-jumping path produce identical (id, component) labelings on a
-    mixed graph (chain + triangle + isolated pair)."""
+def test_connected_components_driver_matches_distributed(ray_session,
+                                                         monkeypatch):
+    """The driver union-find and the distributed pointer-jumping path
+    produce identical (id, component) labelings on a mixed graph (chain +
+    triangle + isolated pair)."""
     import ray.data as rd
 
+    from nem_mms_ray.ops import dedup
     from nem_mms_ray.ops.dedup import connected_components
 
     pairs = pd.DataFrame({
@@ -1569,83 +1638,118 @@ def test_connected_components_local_matches_distributed(ray_session):
         "b": np.array([2, 3, 4, 11, 12, 12, 51, 6, 5, 1], np.int64),
         "jaccard": np.ones(10),
     })
-    loc = (connected_components(rd.from_pandas(pairs))
+    drv = (connected_components(rd.from_pandas(pairs))
            .to_pandas().sort_values("id").reset_index(drop=True))
-    dist = (connected_components(rd.from_pandas(pairs), max_local_edges=0)
+    monkeypatch.setattr(dedup, "MAX_DRIVER_NODES", 0)
+    dist = (connected_components(rd.from_pandas(pairs))
             .to_pandas().sort_values("id").reset_index(drop=True))
-    pd.testing.assert_frame_equal(loc, dist)
+    pd.testing.assert_frame_equal(drv, dist)
     # chain 1-2-3-4 merges with 5-6-7 via (5,1): component 1 for all
-    m = dict(zip(loc["id"], loc["component"]))
+    m = dict(zip(drv["id"], drv["component"]))
     assert {m[i] for i in (1, 2, 3, 4, 5, 6, 7)} == {1}
     assert {m[i] for i in (10, 11, 12)} == {10}
     assert m[50] == 50 and m[51] == 50
 
 
-def test_cc_native_parity(ray_session, monkeypatch):
-    """C union-find == interpreted union-find, label-for-label, on a
-    fuzzed multigraph (self-loops, duplicate edges, chains that exercise
-    path compression) — and both equal min-reachable-id semantics."""
-    import ray.data as rd
+def _fuzzed_pair_graph(seed: int, n_ids: int, n_edges: int, n_chain: int,
+                       top: int, step: int) -> pd.DataFrame:
+    """Random multigraph (self-loops, repeated edges) over `n_ids` ids,
+    multiples of `step` below `top`, plus a long sorted chain — the worst
+    case for naive union trees."""
+    rng = np.random.default_rng(seed)
+    ids = rng.choice(top // step, n_ids, replace=False).astype(np.int64) * step
+    chain = np.sort(rng.choice(ids, n_chain, replace=False))
+    return pd.DataFrame({
+        "a": np.concatenate([rng.choice(ids, n_edges), chain[:-1]]),
+        "b": np.concatenate([rng.choice(ids, n_edges), chain[1:]]),
+        "jaccard": 1.0})
 
+
+def test_cc_native_parity(monkeypatch):
+    """StreamingUnionFind: the C kernel and the interpreted reference give
+    the same roots, edge batch by edge batch, and both equal the minimum
+    code reachable from each node (a BFS over the same multigraph)."""
     from nem_mms_ray.ops import _setops_native
-    from nem_mms_ray.ops.dedup import connected_components
+    from nem_mms_ray.ops._setops_native import StreamingUnionFind
 
     if _setops_native.get_lib() is None:
         pytest.skip("no C compiler in this environment")
+    g = _fuzzed_pair_graph(11, 400, 3000, 200, 1 << 40, 7919)
+    nodes, codes = np.unique(np.concatenate([g["a"], g["b"]]),
+                             return_inverse=True)
+    src, dst = codes[:len(g)], codes[len(g):]
 
-    rng = np.random.default_rng(11)
-    ids = rng.choice(np.arange(0, 1 << 40, 7919, dtype=np.int64), 400,
-                     replace=False)
-    a = rng.choice(ids, 3000)
-    b = rng.choice(ids, 3000)
-    # long chain: worst case for naive union trees
-    chain = np.sort(rng.choice(ids, 200, replace=False))
-    pairs = pd.DataFrame({
-        "a": np.concatenate([a, chain[:-1]]),
-        "b": np.concatenate([b, chain[1:]]),
-        "jaccard": 1.0,
-    })
-    with_c = (connected_components(rd.from_pandas(pairs))
-              .to_pandas().sort_values("id").reset_index(drop=True))
-    with monkeypatch.context() as mp:
-        mp.setattr(_setops_native, "union_find_minroot",
-                   lambda *x: None)
-        no_c = (connected_components(rd.from_pandas(pairs))
-                .to_pandas().sort_values("id").reset_index(drop=True))
-    pd.testing.assert_frame_equal(with_c, no_c)
+    def run() -> np.ndarray:
+        uf = StreamingUnionFind(len(nodes))
+        for lo in range(0, len(src), 701):  # several uneven batches
+            uf.add_edges(src[lo:lo + 701], dst[lo:lo + 701])
+        return uf.flatten().copy()
+
+    with_c = run()
+    monkeypatch.setattr(_setops_native, "get_lib", lambda: None)
+    reference = run()
+    np.testing.assert_array_equal(with_c, reference)
+    adj: dict = {}
+    for x, y in zip(src.tolist(), dst.tolist()):
+        adj.setdefault(x, set()).add(y)
+        adj.setdefault(y, set()).add(x)
+    for start in range(0, len(nodes), 37):
+        seen, todo = {start}, [start]
+        while todo:
+            for y in adj[todo.pop()] - seen:
+                seen.add(y)
+                todo.append(y)
+        assert with_c[start] == min(seen)
 
 
-def test_cc_regimes_identical(ray_session):
-    """LOCAL (full pull), STREAMING (incremental C union-find), and
-    DISTRIBUTED (label propagation) produce identical labelings on a
-    fuzzed graph with chains, triangles, isolated pairs, and 64-bit ids."""
+def test_cc_without_compiler_stays_on_driver(ray_session, monkeypatch):
+    """No C kernel: connected_components still clusters on the driver
+    (through the interpreted union-find) — no Dataset.join runs — and its
+    labels equal the C run's."""
     import ray.data as rd
 
     from nem_mms_ray.ops import _setops_native
     from nem_mms_ray.ops.dedup import connected_components
 
-    rng = np.random.default_rng(41)
-    ids = rng.choice(np.arange(0, 1 << 62, (1 << 40) + 9, dtype=np.int64),
-                     300, replace=False)
-    a = rng.choice(ids, 1500)
-    b = rng.choice(ids, 1500)
-    chain = np.sort(rng.choice(ids, 120, replace=False))
-    pairs = pd.DataFrame({"a": np.concatenate([a, chain[:-1]]),
-                          "b": np.concatenate([b, chain[1:]]),
-                          "jaccard": 1.0})
-    ds = rd.from_pandas(pairs).repartition(5)
+    pairs = _fuzzed_pair_graph(23, 300, 2000, 150, 1 << 62, (1 << 40) + 9)
 
-    def run(**kw):
-        return (connected_components(ds, **kw)
+    def run() -> pd.DataFrame:
+        return (connected_components(rd.from_pandas(pairs))
                 .to_pandas().sort_values("id").reset_index(drop=True))
 
-    local = run()
-    dist = run(max_local_edges=0, max_local_nodes=0)
-    pd.testing.assert_frame_equal(local, dist)
-    if _setops_native.get_lib() is not None:
-        streaming = run(max_local_edges=0)  # node ceiling default: huge
-        pd.testing.assert_frame_equal(local, streaming)
-        # ceiling smaller than the node count -> falls through to
-        # distributed, still identical
-        fallthrough = run(max_local_edges=0, max_local_nodes=10)
-        pd.testing.assert_frame_equal(local, fallthrough)
+    with_c = run()
+    joins = []
+    real_join = rd.Dataset.join
+    monkeypatch.setattr(rd.Dataset, "join",
+                        lambda self, *a, **kw: joins.append(1)
+                        or real_join(self, *a, **kw))
+    monkeypatch.setattr(_setops_native, "get_lib", lambda: None)
+    pd.testing.assert_frame_equal(with_c, run())
+    assert joins == []
+
+
+def test_cc_regimes_identical(ray_session, monkeypatch):
+    """The driver union-find (C kernel, and its interpreted reference) and
+    DISTRIBUTED label propagation produce identical labelings on a fuzzed
+    graph with chains, triangles, isolated pairs, and 64-bit ids; a node
+    ceiling below the node count falls through to distributed."""
+    import ray.data as rd
+
+    from nem_mms_ray.ops import _setops_native, dedup
+    from nem_mms_ray.ops.dedup import connected_components
+
+    ds = rd.from_pandas(
+        _fuzzed_pair_graph(41, 300, 1500, 120, 1 << 62, (1 << 40) + 9)
+    ).repartition(5)
+
+    def run() -> pd.DataFrame:
+        return (connected_components(ds)
+                .to_pandas().sort_values("id").reset_index(drop=True))
+
+    streaming = run()
+    with monkeypatch.context() as mp:
+        mp.setattr(_setops_native, "get_lib", lambda: None)
+        pd.testing.assert_frame_equal(streaming, run())
+    for ceiling in (0, 10):
+        monkeypatch.setattr(dedup, "MAX_DRIVER_NODES", ceiling)
+        pd.testing.assert_frame_equal(streaming, run())
