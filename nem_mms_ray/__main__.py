@@ -6,7 +6,10 @@ columnar output + manifest), `verify` is the round-trip check the reference
 only had as unit tests, `describe` is `info` + `manage` (codec registry +
 manifest metrics of a depository), `gen` synthesizes the FIXTURES webtable.
 
-Owns its Ray session (library code never calls ray.init — driver contract).
+`main` owns the Ray session of every command but describe and gen: it
+starts one only if none is running, and shuts down the one it started
+however the command ends (library code never calls ray.init — driver
+contract).
 
 Usage:
   python -m nem_mms_ray encode IN.parquet [IN2...] -o OUT_DIR [--target-mb 64]
@@ -70,18 +73,6 @@ import json
 import sys
 
 
-def _init_ray(num_cpus: int | None):
-    """Own a session only if none exists (never tear down a caller's)."""
-    import ray
-
-    owned = not ray.is_initialized()
-    if owned:
-        kw = {"num_cpus": num_cpus} if num_cpus else {}
-        ray.init(address="local", include_dashboard=False,
-                 logging_level="ERROR", **kw)
-    return ray, owned
-
-
 def _expand_inputs(inputs: list[str]) -> list[str]:
     """Directories expand to their *.parquet members (sorted)."""
     from pathlib import Path
@@ -97,7 +88,6 @@ def _expand_inputs(inputs: list[str]) -> list[str]:
 
 
 def cmd_encode(args) -> int:
-    ray, owned = _init_ray(args.num_cpus)
     from nem_mms_ray.pipelines.encode import encode_files
     from nem_mms_ray.state.manifest import Manifest
 
@@ -107,13 +97,10 @@ def cmd_encode(args) -> int:
     summ = Manifest(args.out).summary()
     print(json.dumps({"partitions_run": len(df),
                       "skipped": int(df["skipped"].sum()), **summ}))
-    if owned:
-        ray.shutdown()
     return 0
 
 
 def cmd_verify(args) -> int:
-    ray, owned = _init_ray(args.num_cpus)
     from nem_mms_ray.pipelines.decode import verify_files
 
     cols = args.columns.split(",") if args.columns else None
@@ -121,26 +108,20 @@ def cmd_verify(args) -> int:
     ok = bool(df["ok"].all())
     bad = df.loc[~df["ok"], ["pid", "mismatched_columns"]].to_dict("records")
     print(json.dumps({"partitions": len(df), "ok": ok, "mismatches": bad}))
-    if owned:
-        ray.shutdown()
     return 0 if ok else 1
 
 
 def cmd_decode(args) -> int:
-    ray, owned = _init_ray(args.num_cpus)
     from nem_mms_ray.pipelines.decode import decode_files
 
     df = decode_files(args.enc_dir, args.out).to_pandas()
     print(json.dumps({"partitions": len(df), "rows": int(df["rows"].sum())}))
-    if owned:
-        ray.shutdown()
     return 0
 
 
 def cmd_scan(args) -> int:
     """Predicate-pushdown scan over an encoded dir; writes matching rows as
     plain parquet.  Bounds parse as float, int, then ISO timestamp."""
-    ray, owned = _init_ray(args.num_cpus)
     from nem_mms_ray.pipelines.decode import scan_encoded
 
     def parse_bound(x: str):
@@ -164,8 +145,6 @@ def cmd_scan(args) -> int:
 
     n = rd.read_parquet(args.out).count()
     print(json.dumps({"rows": n, "out": args.out}))
-    if owned:
-        ray.shutdown()
     return 0
 
 
@@ -173,7 +152,6 @@ def cmd_near_dedup(args) -> int:
     """MinHash+LSH near-dup pairs over a documents table, collapsed to
     clusters by min-label propagation; writes (id, component) parquet —
     keep rows where id == component, drop the rest."""
-    ray, owned = _init_ray(args.num_cpus)
     import ray.data as rd
 
     from nem_mms_ray.ops.dedup import connected_components, minhash_dedup
@@ -195,8 +173,6 @@ def cmd_near_dedup(args) -> int:
     print(json.dumps({"near_dup_nodes": int(n_nodes),
                       "clusters": int(n_comps),
                       "duplicates_to_drop": int(n_nodes - n_comps)}))
-    if owned:
-        ray.shutdown()
     return 0
 
 
@@ -205,7 +181,6 @@ def cmd_semdedup(args) -> int:
     centroids (deterministic sample, optionally refined by distributed
     Lloyd iterations) -> nearest-centroid assignment -> within-cluster
     cosine prune; writes the SURVIVING (id, cluster) rows as parquet."""
-    ray, owned = _init_ray(args.num_cpus)
     import ray.data as rd
 
     from nem_mms_ray.ops.ann import build_ivf_centroids, train_kmeans
@@ -224,15 +199,12 @@ def cmd_semdedup(args) -> int:
     print(json.dumps({"rows_in": int(n_in), "rows_kept": int(n_kept),
                       "semantic_dups_dropped": int(n_in - n_kept),
                       "clusters": int(args.clusters)}))
-    if owned:
-        ray.shutdown()
     return 0
 
 
 def cmd_shard(args) -> int:
     """Deterministic shuffle-shard: the training-output step.  Same
     corpus + same seed => byte-identical shard layout on any cluster."""
-    ray, owned = _init_ray(args.num_cpus)
     import ray.data as rd
 
     from nem_mms_ray.ops.shard import write_training_shards
@@ -241,8 +213,6 @@ def cmd_shard(args) -> int:
     res = write_training_shards(ds, args.out, n_shards=args.shards,
                                 seed=args.seed, id_col=args.id_col)
     print(json.dumps(res))
-    if owned:
-        ray.shutdown()
     return 0
 
 
@@ -250,7 +220,6 @@ def cmd_curate(args) -> int:
     """Quality/lang gate + exact dedup over a documents table; writes the
     surviving (doc_id, lang_pred, quality) labels as parquet — or, with
     --with-text, the curated DATA (text semi-joined back to the winners)."""
-    ray, owned = _init_ray(args.num_cpus)
     import ray.data as rd
 
     from nem_mms_ray.ops.curate import curate_documents, curate_documents_with_text
@@ -270,15 +239,12 @@ def cmd_curate(args) -> int:
     n_out = rd.read_parquet(args.out).count()
     print(json.dumps({"input_rows": n_in, "curated_rows": n_out,
                       "kept_pct": round(100.0 * n_out / max(1, n_in), 2)}))
-    if owned:
-        ray.shutdown()
     return 0
 
 
 def cmd_web(args) -> int:
     """extract -> curate -> encode over a web table (pipelines/web.py);
     stage outputs are checkpoints, the summary JSON is per-stage."""
-    ray, owned = _init_ray(args.num_cpus)
     from nem_mms_ray.pipelines.web import web_pipeline
 
     summary = web_pipeline(
@@ -292,8 +258,6 @@ def cmd_web(args) -> int:
         lm_ngram=args.lm_ngram, shards=args.shards,
         shard_seed=args.shard_seed)
     print(json.dumps(summary))
-    if owned:
-        ray.shutdown()
     return 0
 
 
@@ -350,7 +314,6 @@ def cmd_describe(args) -> int:
 def cmd_scrub(args) -> int:
     """PII-redact the text column of a documents table; writes the scrubbed
     rows as parquet and prints the corpus-level per-pattern match totals."""
-    ray, owned = _init_ray(args.num_cpus)
     import ray.data as rd
 
     from nem_mms_ray.ops.scrub import scrub_stats, scrub_text
@@ -360,8 +323,6 @@ def cmd_scrub(args) -> int:
     stats = scrub_stats(ds, text_col=args.text_col)
     n = rd.read_parquet(args.out).count()
     print(json.dumps({"rows": int(n), "redactions": stats}))
-    if owned:
-        ray.shutdown()
     return 0
 
 
@@ -369,7 +330,6 @@ def cmd_winnow(args) -> int:
     """Substring-level dedup (winnowing local fingerprints): drop all but
     each substring-sharing cluster's min-id representative; writes the
     surviving rows as parquet."""
-    ray, owned = _init_ray(args.num_cpus)
     import ray.data as rd
 
     from nem_mms_ray.ops.winnow import winnow_dedup
@@ -383,15 +343,12 @@ def cmd_winnow(args) -> int:
     n_out = rd.read_parquet(args.out).count()
     print(json.dumps({"rows_in": int(n_in), "rows_kept": int(n_out),
                       "dropped": int(n_in - n_out)}))
-    if owned:
-        ray.shutdown()
     return 0
 
 
 def cmd_lm(args) -> int:
     """Char n-gram LM perplexity scoring (the CCNet filter signal): train
     on --ref (or the corpus itself) and write (id, lm_bits) parquet."""
-    ray, owned = _init_ray(args.num_cpus)
     import ray.data as rd
 
     from nem_mms_ray.ops.charlm import lm_score, train_char_lm
@@ -417,8 +374,6 @@ def cmd_lm(args) -> int:
     print(json.dumps({"rows": int(len(bits)), "ngram_types": model.n_types,
                       "charset": model.v, "bits_mean": bits_mean,
                       "bits_p90": bits_p90}))
-    if owned:
-        ray.shutdown()
     return 0
 
 
@@ -426,7 +381,6 @@ def cmd_decontam(args) -> int:
     """Flag corpus docs sharing word n-grams with a benchmark parquet
     (same text column); writes (doc_id, n_grams, hits, overlap,
     contaminated) parquet."""
-    ray, owned = _init_ray(args.num_cpus)
     import ray.data as rd
 
     from nem_mms_ray.ops.decontam import decontaminate
@@ -449,15 +403,12 @@ def cmd_decontam(args) -> int:
             pa.int64())).as_py() or 0)]},
         batch_format="pyarrow").sum("c") or 0)
     print(json.dumps({"rows": int(n), "contaminated": n_bad}))
-    if owned:
-        ray.shutdown()
     return 0
 
 
 def cmd_chunk(args) -> int:
     """Split each doc's text into fixed-size token windows (context-window
     packing); writes (doc_id, chunk_id, text, n_tokens) parquet."""
-    ray, owned = _init_ray(args.num_cpus)
     import ray.data as rd
 
     from nem_mms_ray.ops.chunking import chunk_documents
@@ -470,8 +421,6 @@ def cmd_chunk(args) -> int:
     n = rd.read_parquet(args.out).count()
     print(json.dumps({"chunks": int(n), "max_tokens": args.max_tokens,
                       "stride": args.stride or args.max_tokens}))
-    if owned:
-        ray.shutdown()
     return 0
 
 
@@ -479,7 +428,6 @@ def cmd_pack(args) -> int:
     """Pack sequences into fixed-token-budget training rows (next-fit or
     stream discipline); writes (bucket, pack_id, text, n_tokens[, n_seqs])
     parquet."""
-    ray, owned = _init_ray(args.num_cpus)
     import ray.data as rd
 
     from nem_mms_ray.ops.packing import pack_sequences
@@ -496,8 +444,6 @@ def cmd_pack(args) -> int:
     n = rd.read_parquet(args.out).count()
     print(json.dumps({"packs": int(n), "budget": args.budget,
                       "mode": args.mode}))
-    if owned:
-        ray.shutdown()
     return 0
 
 
@@ -507,7 +453,6 @@ def cmd_bpe(args) -> int:
     sidecar so a later run can re-apply the same tokenizer."""
     from pathlib import Path
 
-    ray, owned = _init_ray(args.num_cpus)
     import ray.data as rd
 
     from nem_mms_ray.ops.bpe import apply_bpe, train_bpe, word_frequencies
@@ -530,8 +475,6 @@ def cmd_bpe(args) -> int:
     n = rd.read_parquet(
         args.out, file_extensions=["parquet"]).count()
     print(json.dumps({"rows": int(n), "merges": len(merges)}))
-    if owned:
-        ray.shutdown()
     return 0
 
 
@@ -546,28 +489,28 @@ def cmd_gen(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(prog="nem_mms_ray", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
+    ray_opts = argparse.ArgumentParser(add_help=False)
+    ray_opts.add_argument("--num-cpus", type=int, default=None,
+                          help="CPUs of the Ray session this command starts")
 
-    pe = sub.add_parser("encode", help="encode parquet inputs into codec partitions")
+    pe = sub.add_parser("encode", parents=[ray_opts], help="encode parquet inputs into codec partitions")
     pe.add_argument("inputs", nargs="+")
     pe.add_argument("-o", "--out", required=True)
     pe.add_argument("--target-mb", type=int, default=64)
     pe.add_argument("--columns", default=None,
                     help="comma-separated column projection")
-    pe.add_argument("--num-cpus", type=int, default=None)
     pe.set_defaults(fn=cmd_encode)
 
-    pv = sub.add_parser("verify", help="decode + bit-identical round-trip check")
+    pv = sub.add_parser("verify", parents=[ray_opts], help="decode + bit-identical round-trip check")
     pv.add_argument("inputs", nargs="+")
     pv.add_argument("-o", "--out", required=True)
     pv.add_argument("--columns", default=None,
                     help="comma-separated column projection")
-    pv.add_argument("--num-cpus", type=int, default=None)
     pv.set_defaults(fn=cmd_verify)
 
-    pdc = sub.add_parser("decode", help="decode encoded partitions back to plain parquet")
+    pdc = sub.add_parser("decode", parents=[ray_opts], help="decode encoded partitions back to plain parquet")
     pdc.add_argument("enc_dir")
     pdc.add_argument("-o", "--out", required=True)
-    pdc.add_argument("--num-cpus", type=int, default=None)
     pdc.set_defaults(fn=cmd_decode)
 
     pd_ = sub.add_parser("describe", help="codec registry + native kernels + manifest metrics")
@@ -581,16 +524,15 @@ def main(argv: list[str] | None = None) -> int:
                           " so a resume re-encodes exactly those partitions")
     pd_.set_defaults(fn=cmd_describe)
 
-    ps = sub.add_parser("scan", help="zone-map range scan over encoded partitions")
+    ps = sub.add_parser("scan", parents=[ray_opts], help="zone-map range scan over encoded partitions")
     ps.add_argument("enc_dir")
     ps.add_argument("-o", "--out", required=True)
     ps.add_argument("--columns", default=None)
     ps.add_argument("--range", nargs=3, action="append",
                     metavar=("COL", "LO", "HI"))
-    ps.add_argument("--num-cpus", type=int, default=None)
     ps.set_defaults(fn=cmd_scan)
 
-    pc = sub.add_parser("curate", help="quality/lang gate + exact dedup over documents")
+    pc = sub.add_parser("curate", parents=[ray_opts], help="quality/lang gate + exact dedup over documents")
     pc.add_argument("inputs", nargs="+")
     pc.add_argument("-o", "--out", required=True)
     pc.add_argument("--quality-min", type=float, default=0.5)
@@ -600,10 +542,9 @@ def main(argv: list[str] | None = None) -> int:
     pc.add_argument("--with-text", action="store_true",
                     help="semi-join winners back to full rows (curated data,"
                          " not just labels); reads the corpus twice")
-    pc.add_argument("--num-cpus", type=int, default=None)
     pc.set_defaults(fn=cmd_curate)
 
-    pn = sub.add_parser("near-dedup",
+    pn = sub.add_parser("near-dedup", parents=[ray_opts],
                         help="minhash near-dup pairs -> connected components"
                              " -> (id, component) parquet")
     pn.add_argument("inputs", nargs="+")
@@ -611,10 +552,9 @@ def main(argv: list[str] | None = None) -> int:
     pn.add_argument("--threshold", type=float, default=0.8)
     pn.add_argument("--id-col", default="doc_id")
     pn.add_argument("--text-col", default="text")
-    pn.add_argument("--num-cpus", type=int, default=None)
     pn.set_defaults(fn=cmd_near_dedup)
 
-    psd = sub.add_parser("semdedup",
+    psd = sub.add_parser("semdedup", parents=[ray_opts],
                          help="semantic dedup: k-means clusters -> within-"
                               "cluster cosine prune -> surviving (id, "
                               "cluster) parquet")
@@ -627,10 +567,9 @@ def main(argv: list[str] | None = None) -> int:
                           "full corpus (0 = deterministic sample centroids)")
     psd.add_argument("--id-col", default="vec_id")
     psd.add_argument("--vec-col", default="embedding")
-    psd.add_argument("--num-cpus", type=int, default=None)
     psd.set_defaults(fn=cmd_semdedup)
 
-    psh = sub.add_parser("shard",
+    psh = sub.add_parser("shard", parents=[ray_opts],
                          help="deterministic global shuffle -> hive-"
                               "partitioned training shards (pure function "
                               "of seed + id: identical on any cluster)")
@@ -639,10 +578,9 @@ def main(argv: list[str] | None = None) -> int:
     psh.add_argument("--shards", type=int, default=8)
     psh.add_argument("--seed", type=int, default=0)
     psh.add_argument("--id-col", default="doc_id")
-    psh.add_argument("--num-cpus", type=int, default=None)
     psh.set_defaults(fn=cmd_shard)
 
-    pw = sub.add_parser("web", help="composed flagship: extract -> curate"
+    pw = sub.add_parser("web", parents=[ray_opts], help="composed flagship: extract -> curate"
                                     " -> encode with stage checkpoints")
     pw.add_argument("inputs", nargs="+")
     pw.add_argument("-o", "--out", required=True)
@@ -671,18 +609,16 @@ def main(argv: list[str] | None = None) -> int:
                     help="also write the curated corpus as N training "
                          "shards (deterministic shuffle, ops/shard)")
     pw.add_argument("--shard-seed", type=int, default=0)
-    pw.add_argument("--num-cpus", type=int, default=None)
     pw.set_defaults(fn=cmd_web)
 
-    psc = sub.add_parser("scrub", help="PII-redact the text column"
+    psc = sub.add_parser("scrub", parents=[ray_opts], help="PII-redact the text column"
                                        " (email/IP/SSN/phone/card)")
     psc.add_argument("inputs", nargs="+")
     psc.add_argument("-o", "--out", required=True)
     psc.add_argument("--text-col", default="text")
-    psc.add_argument("--num-cpus", type=int, default=None)
     psc.set_defaults(fn=cmd_scrub)
 
-    pwn = sub.add_parser("winnow", help="substring-level dedup: winnowing"
+    pwn = sub.add_parser("winnow", parents=[ray_opts], help="substring-level dedup: winnowing"
                                         " fingerprints -> clusters -> keep"
                                         " representative")
     pwn.add_argument("inputs", nargs="+")
@@ -692,10 +628,9 @@ def main(argv: list[str] | None = None) -> int:
     pwn.add_argument("--window", type=int, default=4)
     pwn.add_argument("--id-col", default="doc_id")
     pwn.add_argument("--text-col", default="text")
-    pwn.add_argument("--num-cpus", type=int, default=None)
     pwn.set_defaults(fn=cmd_winnow)
 
-    plm = sub.add_parser("lm", help="char n-gram LM perplexity scoring"
+    plm = sub.add_parser("lm", parents=[ray_opts], help="char n-gram LM perplexity scoring"
                                     " (CCNet filter signal)")
     plm.add_argument("inputs", nargs="+")
     plm.add_argument("-o", "--out", required=True)
@@ -706,10 +641,9 @@ def main(argv: list[str] | None = None) -> int:
     plm.add_argument("--min-count", type=int, default=1)
     plm.add_argument("--id-col", default="doc_id")
     plm.add_argument("--text-col", default="text")
-    plm.add_argument("--num-cpus", type=int, default=None)
     plm.set_defaults(fn=cmd_lm)
 
-    pdx = sub.add_parser("decontam",
+    pdx = sub.add_parser("decontam", parents=[ray_opts],
                          help="flag docs sharing word n-grams with a"
                               " benchmark parquet")
     pdx.add_argument("inputs", nargs="+")
@@ -722,10 +656,9 @@ def main(argv: list[str] | None = None) -> int:
                           " share of the doc's own grams")
     pdx.add_argument("--id-col", default="doc_id")
     pdx.add_argument("--text-col", default="text")
-    pdx.add_argument("--num-cpus", type=int, default=None)
     pdx.set_defaults(fn=cmd_decontam)
 
-    pck = sub.add_parser("chunk",
+    pck = sub.add_parser("chunk", parents=[ray_opts],
                          help="split docs into fixed-size token windows"
                               " (context-window packing)")
     pck.add_argument("inputs", nargs="+")
@@ -736,10 +669,9 @@ def main(argv: list[str] | None = None) -> int:
                           " (non-overlapping)")
     pck.add_argument("--id-col", default="doc_id")
     pck.add_argument("--text-col", default="text")
-    pck.add_argument("--num-cpus", type=int, default=None)
     pck.set_defaults(fn=cmd_chunk)
 
-    ppk = sub.add_parser("pack",
+    ppk = sub.add_parser("pack", parents=[ray_opts],
                          help="pack sequences into fixed-token-budget"
                               " training rows (chunk's downstream step)")
     ppk.add_argument("inputs", nargs="+")
@@ -759,10 +691,9 @@ def main(argv: list[str] | None = None) -> int:
                      help="precomputed token-count column (chunk output"
                           " carries n_tokens); counted per batch when"
                           " absent")
-    ppk.add_argument("--num-cpus", type=int, default=None)
     ppk.set_defaults(fn=cmd_pack)
 
-    pb = sub.add_parser("bpe", help="train a BPE vocabulary on corpus word "
+    pb = sub.add_parser("bpe", parents=[ray_opts], help="train a BPE vocabulary on corpus word "
                         "frequencies and write per-doc subword counts")
     pb.add_argument("inputs", nargs="+")
     pb.add_argument("-o", "--out", required=True)
@@ -774,7 +705,6 @@ def main(argv: list[str] | None = None) -> int:
                     help="skip training: re-apply a bpe_merges.json")
     pb.add_argument("--id-col", default="doc_id")
     pb.add_argument("--text-col", default="text")
-    pb.add_argument("--num-cpus", type=int, default=None)
     pb.set_defaults(fn=cmd_bpe)
 
     pg = sub.add_parser("gen", help="synthesize the FIXTURES webtable")
@@ -784,7 +714,22 @@ def main(argv: list[str] | None = None) -> int:
     pg.set_defaults(fn=cmd_gen)
 
     args = p.parse_args(argv)
-    return args.fn(args)
+    if not hasattr(args, "num_cpus"):  # describe, gen: no Ray session
+        return args.fn(args)
+    import ray
+
+    # own a session only if none exists (never tear down a caller's), and
+    # shut it down however the command ends
+    owned = not ray.is_initialized()
+    if owned:
+        kw = {"num_cpus": args.num_cpus} if args.num_cpus else {}
+        ray.init(address="local", include_dashboard=False,
+                 logging_level="ERROR", **kw)
+    try:
+        return args.fn(args)
+    finally:
+        if owned:
+            ray.shutdown()
 
 
 if __name__ == "__main__":

@@ -63,8 +63,8 @@ def rolling_hashes(flat32: np.ndarray, k: int, bmul: int
                    ) -> np.ndarray | None:
     """All k-gram hashes of a flat uint32 buffer (one Rabin-Karp pass, no
     doc-boundary masking — callers mask), or None when the kernel is
-    unavailable.  Bit-identical to `ops/winnow._flat_hashes`' numpy
-    prefix-product form; feeds the charlm train/score hash pass where two
+    unavailable.  Bit-identical to the reference `ops/winnow._kgram_hashes`;
+    feeds the charlm train/score hash pass where two
     full-corpus hash sweeps (n and n-1 grams) dominate the batch wall."""
     lib = get_lib()
     if lib is None or k < 1:

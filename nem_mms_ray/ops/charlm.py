@@ -14,10 +14,12 @@ perplexity = 2^H.  Docs with no n-gram position (len < n) score null.
 
 100-TB shape:
 * TRAIN is ONE streaming corpus pass: per-batch vectorized k-gram hashing
-  (`ops/winnow._kgram_hashes` — n-gram and ctx hashes share the multiplier,
+  (`ops/winnow._flat_hashes` — n-gram and ctx hashes share the multiplier,
   so they are consistent by construction) -> within-batch np.unique
-  combiner -> coarse-bucket groupby (hash(key) % n_buckets keeps Ray group
-  count flat; per-bucket pandas sum) -> driver-side model.  The model is
+  combiner -> group shuffle keyed by hash (`readutil.keyed_map_groups` keeps
+  the Ray group count flat; per-bucket pandas sum) -> driver-side model.
+  Without a C compiler the hash pass holds N x k uint64 temporaries per
+  batch (k <= 3 by default; see `_flat_hashes`).  The model is
   bounded by the n-gram TYPE space (charset^n), not the corpus — the same
   driver-residency argument as the BPE vocabulary (`ops/bpe.py`) — and the
   `max_types` gate makes the bound explicit instead of silent.
@@ -39,6 +41,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from nem_mms_ray.ops.readutil import keyed_map_groups
 from nem_mms_ray.ops.winnow import (
     _codepoints,
     _flat_corpus,
@@ -48,8 +51,6 @@ from nem_mms_ray.ops.winnow import (
 )
 
 logger = logging.getLogger(__name__)
-
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
 
 
 @dataclass
@@ -97,7 +98,6 @@ def _batch_hashes(texts, n: int
 
 def train_char_lm(ds, n: int = 3, text_col: str = "text",
                   alpha: float = 0.1, min_count: int = 1,
-                  n_buckets: int = 64,
                   max_types: int = 50_000_000) -> CharLM:
     """Fit the LM in one distributed counting pass over `ds[text_col]`.
 
@@ -130,16 +130,13 @@ def train_char_lm(ds, n: int = 3, text_col: str = "text",
         if not keys:
             return pa.table({"key": pa.array([], pa.int64()),
                              "cnt": pa.array([], pa.int64()),
-                             "kind": pa.array([], pa.int8()),
-                             "bucket": pa.array([], pa.int32())})
+                             "kind": pa.array([], pa.int8())})
         # uint64: with every doc shorter than n only the codepoints remain
         key = np.concatenate(keys).astype(np.uint64, copy=False)
         return pa.table({
             "key": pa.array(key.view(np.int64)),
             "cnt": pa.array(np.concatenate(cnts)),
             "kind": pa.array(np.concatenate(kinds)),
-            "bucket": pa.array(((key * _GOLD) % np.uint64(n_buckets))
-                               .astype(np.int32)),
         })
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -148,9 +145,8 @@ def train_char_lm(ds, n: int = 3, text_col: str = "text",
             out.loc[out["kind"] == 2, "cnt"] = 1  # distinct, not summed
         return out
 
-    agg = (ds.map_batches(partials, batch_format="pyarrow")
-           .groupby("bucket").map_groups(per_bucket, batch_format="pandas")
-           .materialize())
+    agg = keyed_map_groups(ds.map_batches(partials, batch_format="pyarrow"),
+                           ["key"], per_bucket, "pandas").materialize()
     total = agg.count()
     if total > max_types:
         raise ValueError(

@@ -7,8 +7,8 @@ The flagship composition a 100 TB pre-training pipeline runs end-to-end
   fingerprint) and filters immediately — rejected docs never leave the
   stage, and the text column never enters the shuffle;
 - the dedup shuffle moves only (doc_id, fp, lang_pred, quality) rows
-  (~50 B/doc), coarse-bucketed by fingerprint hash so the Ray group count
-  stays flat at any corpus size;
+  (~50 B/doc), keyed by fingerprint through `readutil.keyed_map_groups`
+  so the Ray group count stays flat at any corpus size;
 - the winner per fingerprint is the minimum doc_id (deterministic), with
   its labels — SQL-mirrorable, so the whole composition is oracle-checked.
 
@@ -25,6 +25,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from nem_mms_ray.ops.readutil import keyed_map_groups
 from nem_mms_ray.ops.textstats import LangId, fingerprint_batch, quality_score_batch
 
 
@@ -83,8 +84,7 @@ def _label_task(batch: pa.Table, **kw) -> pa.Table:
 
 
 def curate_documents(ds, quality_min: float = 0.0, lang: str | None = None,
-                     id_col: str = "doc_id", text_col: str = "text",
-                     n_buckets: int = 64):
+                     id_col: str = "doc_id", text_col: str = "text"):
     """Dataset[(doc_id, lang_pred, quality)] of curated survivors:
     quality >= quality_min, (optional) lang_pred == lang, exact-dedup
     winner (min doc_id) per md5 fingerprint."""
@@ -106,13 +106,6 @@ def curate_documents(ds, quality_min: float = 0.0, lang: str | None = None,
         w = df.loc[df.groupby("fp")["doc_id"].idxmin()]
         return pa.Table.from_pandas(w, preserve_index=False)
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        # first 15 hex chars of the md5 -> int; uniform by construction
-        fp = t.column("fp").to_pylist()
-        h = np.array([int(x[:15], 16) for x in fp], np.int64)
-        return t.append_column("bucket",
-                               pa.array((h % n_buckets).astype(np.int32)))
-
     def pick_winners(g: pd.DataFrame) -> pd.DataFrame:
         w = g.loc[g.groupby("fp")["doc_id"].idxmin()]
         return pd.DataFrame({
@@ -121,12 +114,9 @@ def curate_documents(ds, quality_min: float = 0.0, lang: str | None = None,
             "quality": w["quality"].to_numpy(np.float64),
         })
 
-    return (
-        labeled.map_batches(partial_winners, batch_format="pyarrow")
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(pick_winners, batch_format="pandas")
-    )
+    return keyed_map_groups(
+        labeled.map_batches(partial_winners, batch_format="pyarrow"),
+        ["fp"], pick_winners, "pandas")
 
 
 def curated_text_semijoin(source_ds, winners_ds, id_col: str = "doc_id",

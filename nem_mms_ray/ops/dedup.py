@@ -18,8 +18,9 @@ groups into candidate pairs (MinHash bands, n-gram and winnow grams,
 SimHash bands, embedding hyperplane buckets; each caller keeps its own
 oversized-group rule), and `pairs_payload_metric` the one pair scorer of
 the operators that verify candidates against per-id payloads (shingle
-sets, vectors).  All randomness is seeded; outputs are deterministic for a
-given input.
+sets, vectors).  Every keyed shuffle here (band keys, grams, pairs,
+payload ids) is `readutil.keyed_map_groups`.  All randomness is seeded;
+outputs are deterministic for a given input.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from nem_mms_ray.ops import readutil
+from nem_mms_ray.ops.readutil import key_buckets, keyed_map_groups
 
 logger = logging.getLogger(__name__)
 
@@ -44,7 +48,6 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
         return np.zeros(0, np.int64)
     return _POPCNT[np.ascontiguousarray(x).view(np.uint8).reshape(len(x), 8)].sum(
         axis=1).astype(np.int64)
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _group_pairs(keys: tuple, doc: np.ndarray, cap: int,
@@ -181,7 +184,6 @@ def _keyed_store(jid: np.ndarray, payloads) -> tuple:
 
 
 def pairs_payload_metric(pairs, payloads, pair_metric, metric_name: str,
-                         n_buckets: int = 64,
                          max_broadcast_payload: int = 256 << 20,
                          max_probe_pairs: int = 4_000_000,
                          pair_metric_batch=None,
@@ -214,19 +216,19 @@ def pairs_payload_metric(pairs, payloads, pair_metric, metric_name: str,
       materialized rows) they ship once via ray.put as a keyed payload
       store; scoring is a plain map_batches over the pair stream.
     - TWO-SHUFFLE (above either cap): no pair id is ever collected on the
-      driver above `max_probe_pairs`.  Two coarse-bucketed all-to-alls,
+      driver above `max_probe_pairs`.  Two `keyed_map_groups` shuffles,
       payload-deduplicated:
-      (1) group by hash(jid): each payload meets the DISTINCT set of score
-          buckets (hash(a,b) %% n_buckets) whose pairs reference it and is
-          emitted once per (id, score bucket), never once per pair, so an
-          id referenced by M pairs ships at most min(M, n_buckets) copies;
+      (1) keyed by jid: each payload meets the DISTINCT set of score
+          routes (`key_buckets` of (a, b)) whose pairs reference it and is
+          emitted once per (id, route), never once per pair, so an id
+          referenced by M pairs ships at most min(M, N_BUCKETS) copies;
           the attach stage's inner merge drops unreferenced ids.
-      (2) group by hash(a, b): pair rows (bare ints) meet the
-          deduplicated payloads; each score bucket builds one payload
-          store and scores its pairs as the broadcast regime does.
+      (2) keyed by route: pair rows (bare ints) meet the deduplicated
+          payloads; each bucket builds one payload store and scores its
+          pairs as the broadcast regime does.
       Skew bound: a score bucket holds the payloads its own pairs
-      reference plus pairs/n_buckets pair rows; raise `n_buckets` when
-      referenced-payload volume per bucket approaches worker heap.
+      reference plus about pairs/N_BUCKETS pair rows; `readutil.N_BUCKETS`
+      sizes every keyed shuffle of the operators at once.
     """
     import ray
     import ray.data as rd
@@ -264,8 +266,7 @@ def pairs_payload_metric(pairs, payloads, pair_metric, metric_name: str,
             "pairs_payload_metric: pair count exceeds max_probe_pairs=%d — "
             "skipping the broadcast probe; two-shuffle path with attach-side "
             "semi-join", max_probe_pairs)
-        return _pairs_payload_metric_shuffle(pairs, payloads, score,
-                                             n_buckets)
+        return _pairs_payload_metric_shuffle(pairs, payloads, score)
 
     ab = [np.unique(np.concatenate([np.asarray(t.column("a"), np.int64),
                                     np.asarray(t.column("b"), np.int64)]))
@@ -283,8 +284,7 @@ def pairs_payload_metric(pairs, payloads, pair_metric, metric_name: str,
         logger.info("pairs_payload_metric: referenced payloads %.0f MB exceed "
                     "broadcast cap — two-shuffle path",
                     referenced.size_bytes() / 1e6)
-        return _pairs_payload_metric_shuffle(pairs, referenced, score,
-                                             n_buckets)
+        return _pairs_payload_metric_shuffle(pairs, referenced, score)
     # reindex: a zero-row frame (no id has a payload) has no columns
     pdf = referenced.to_pandas().reindex(columns=["jid", "payload"])
     store_ref = ray.put(_keyed_store(pdf["jid"].to_numpy(np.int64),
@@ -298,58 +298,49 @@ def pairs_payload_metric(pairs, payloads, pair_metric, metric_name: str,
                              batch_size=65536)
 
 
-def _pairs_payload_metric_shuffle(pairs, payloads, score, n_buckets: int):
+def _pairs_payload_metric_shuffle(pairs, payloads, score):
     """The fully-distributed two-shuffle scoring path (see
     `pairs_payload_metric`, whose `score(store, a, b)` each score bucket
     calls once over its keyed payload store).  `payloads` may be
     unfiltered: the attach stage's inner merge IS the semi-join —
-    unreferenced ids ship once through the first bucket shuffle and are
-    dropped there."""
-    REF_SCHEMA = pa.schema([("jid", pa.int64()), ("bucket2", pa.int32()),
-                            ("payload", pa.large_binary()),
-                            ("bucket", pa.int32())])
-
-    def _b2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return ((a.astype(np.uint64) * _GOLD + b.astype(np.uint64))
-                % np.uint64(n_buckets)).astype(np.int32)
+    unreferenced ids ship once through the first shuffle and are dropped
+    there.  A pair's route is its (a, b) bucket; a payload row carries the
+    route of each pair that references it, so both meet in the second
+    shuffle, keyed by route."""
+    REF_SCHEMA = pa.schema([("jid", pa.int64()), ("route", pa.int32()),
+                            ("payload", pa.large_binary())])
+    n_routes = readutil.N_BUCKETS
 
     def explode_refs(t: pa.Table) -> pa.Table:
-        # (jid, bucket2) per pair side, deduped per batch: what the attach
+        # (jid, route) per pair side, deduped per batch: what the attach
         # shuffle routes — bare ints, no payloads
-        a = np.asarray(t.column("a"), np.int64)
-        b = np.asarray(t.column("b"), np.int64)
-        b2 = _b2(a, b)
-        jid = np.concatenate([a, b])
-        bb = np.concatenate([b2, b2])
-        u = np.unique(np.stack([jid, bb.astype(np.int64)], axis=1), axis=0)
-        jid, bb = u[:, 0], u[:, 1].astype(np.int32)
+        route = key_buckets(t, ["a", "b"], n_routes)
+        jid = np.concatenate([np.asarray(t.column("a"), np.int64),
+                              np.asarray(t.column("b"), np.int64)])
+        u = np.unique(np.stack([jid, np.tile(route, 2).astype(np.int64)],
+                               axis=1), axis=0)
         return pa.table({
-            "jid": pa.array(jid),
-            "bucket2": pa.array(bb),
-            "payload": pa.nulls(len(jid), pa.large_binary()),
-            "bucket": pa.array(((jid.astype(np.uint64) * _GOLD)
-                                % np.uint64(n_buckets)).astype(np.int32)),
+            "jid": pa.array(u[:, 0]),
+            "route": pa.array(u[:, 1].astype(np.int32)),
+            "payload": pa.nulls(len(u), pa.large_binary()),
         }, schema=REF_SCHEMA)
 
     def tag_payloads(t: pa.Table) -> pa.Table:
-        jid = np.asarray(t.column("jid"), np.int64)
         return pa.table({
-            "jid": pa.array(jid),
-            "bucket2": pa.array(np.full(len(jid), -1, np.int32)),
+            "jid": t.column("jid").cast(pa.int64()),
+            "route": pa.array(np.full(t.num_rows, -1, np.int32)),
             "payload": t.column("payload").cast(pa.large_binary()),
-            "bucket": pa.array(((jid.astype(np.uint64) * _GOLD)
-                                % np.uint64(n_buckets)).astype(np.int32)),
         }, schema=REF_SCHEMA)
 
     def attach(g: pd.DataFrame) -> pd.DataFrame:
-        # one output payload row per DISTINCT (jid, score bucket)
-        pay = g[g["bucket2"] < 0]
-        refs = g[g["bucket2"] >= 0].drop_duplicates(["jid", "bucket2"])
+        # one output payload row per DISTINCT (jid, route)
+        pay = g[g["route"] < 0]
+        refs = g[g["route"] >= 0].drop_duplicates(["jid", "route"])
         m = refs.merge(pay[["jid", "payload"]], on="jid", how="inner",
                        suffixes=("", "_p"))
         return pd.DataFrame({
             "jid": m["jid"].to_numpy(np.int64),
-            "bucket2": m["bucket2"].to_numpy(np.int32),
+            "route": m["route"].to_numpy(np.int32),
             "payload": m["payload_p"]
                        if "payload_p" in m.columns else m["payload"],
         })
@@ -357,48 +348,45 @@ def _pairs_payload_metric_shuffle(pairs, payloads, score, n_buckets: int):
     PAIR_SCHEMA = pa.schema(
         [("a", pa.int64()), ("b", pa.int64()), ("jid", pa.int64()),
          ("payload", pa.large_binary()), ("is_pair", pa.int8()),
-         ("bucket2", pa.int32())])
+         ("route", pa.int32())])
 
     def pair_rows(t: pa.Table) -> pa.Table:
-        a = np.asarray(t.column("a"), np.int64)
-        b = np.asarray(t.column("b"), np.int64)
+        n = t.num_rows
         return pa.table({
-            "a": pa.array(a), "b": pa.array(b),
-            "jid": pa.array(np.zeros(len(a), np.int64)),
-            "payload": pa.nulls(len(a), pa.large_binary()),
-            "is_pair": pa.array(np.ones(len(a), np.int8)),
-            "bucket2": pa.array(_b2(a, b)),
+            "a": t.column("a").cast(pa.int64()),
+            "b": t.column("b").cast(pa.int64()),
+            "jid": pa.array(np.zeros(n, np.int64)),
+            "payload": pa.nulls(n, pa.large_binary()),
+            "is_pair": pa.array(np.ones(n, np.int8)),
+            "route": pa.array(key_buckets(t, ["a", "b"], n_routes)),
         }, schema=PAIR_SCHEMA)
 
     def payload_rows(t: pa.Table) -> pa.Table:
-        jid = np.asarray(t.column("jid"), np.int64)
-        z = np.zeros(len(jid), np.int64)
+        z = pa.array(np.zeros(t.num_rows, np.int64))
         return pa.table({
-            "a": pa.array(z), "b": pa.array(z),
-            "jid": pa.array(jid),
+            "a": z, "b": z,
+            "jid": t.column("jid").cast(pa.int64()),
             "payload": t.column("payload").cast(pa.large_binary()),
-            "is_pair": pa.array(np.zeros(len(jid), np.int8)),
-            "bucket2": t.column("bucket2").cast(pa.int32()),
+            "is_pair": pa.array(np.zeros(t.num_rows, np.int8)),
+            "route": t.column("route").cast(pa.int32()),
         }, schema=PAIR_SCHEMA)
 
     def score_bucket(g: pd.DataFrame) -> pa.Table:
-        # every payload row's bucket2 came from a pair, so pairs are present
-        pay = g[g["is_pair"] == 0]
+        # every payload row's route came from a pair, so pairs are present;
+        # an id routed twice into one bucket stores one payload
+        pay = g[g["is_pair"] == 0].drop_duplicates("jid")
         pr = g[g["is_pair"] == 1]
         return score(_keyed_store(pay["jid"].to_numpy(np.int64),
                                   pay["payload"]),
                      pr["a"].to_numpy(np.int64), pr["b"].to_numpy(np.int64))
 
-    deduped_payloads = (
+    deduped_payloads = keyed_map_groups(
         pairs.map_batches(explode_refs, batch_format="pyarrow")
-        .union(payloads.map_batches(tag_payloads, batch_format="pyarrow"))
-        .groupby("bucket")
-        .map_groups(attach, batch_format="pandas")
-    )
+        .union(payloads.map_batches(tag_payloads, batch_format="pyarrow")),
+        ["jid"], attach, "pandas")
     both = pairs.map_batches(pair_rows, batch_format="pyarrow").union(
         deduped_payloads.map_batches(payload_rows, batch_format="pyarrow"))
-    return both.groupby("bucket2").map_groups(score_bucket,
-                                              batch_format="pandas")
+    return keyed_map_groups(both, ["route"], score_bucket, "pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -619,12 +607,10 @@ _LSH_MAX_GROUP = 200
 
 
 def _pairs_in_bucket(g: dict) -> dict:
-    """All MinHash candidate pairs inside one coarse bucket: the docs
-    sharing a fine (band, band_key) group.  Coarse bucketing keeps the Ray
-    group count at ~n_buckets instead of one Ray group per LSH key —
-    per-group task overhead dominates otherwise (measured 13.7s -> <1s on
-    80k keys).  Groups arrive as numpy columns: converting each of the
-    n_buckets groups to pandas cost about as much as the pairing itself
+    """All MinHash candidate pairs inside one `keyed_map_groups` bucket:
+    the docs sharing a fine (band, band_key) group.  Groups arrive as
+    numpy columns: converting each bucket to pandas cost about as much as
+    the pairing itself
     (sf0.1: the band shuffle 0.29-0.41 s with pandas groups, 0.16-0.18 s
     with numpy, 1 CPU)."""
     doc = np.asarray(g["doc_id"], np.int64)
@@ -633,10 +619,10 @@ def _pairs_in_bucket(g: dict) -> dict:
     return {"a": doc[ia], "b": doc[ib]}
 
 
-def _minhash_raw_pairs(docs, n_buckets: int):
+def _minhash_raw_pairs(docs):
     """Dataset[(a, b)] of LSH candidate pairs, possibly repeated across
     bands, from `MinHashStage` rows: each doc's band keys explode to
-    (doc_id, band, band_key) rows, coarse-bucketed for the groupby.
+    (doc_id, band, band_key) rows, grouped by (band, band_key).
 
     `docs` is materialized by `minhash_dedup` (the verify reads its
     payloads too), so the explode streams from memory into the shuffle.
@@ -646,60 +632,45 @@ def _minhash_raw_pairs(docs, n_buckets: int):
 
     def explode_bands(t: pa.Table) -> pa.Table:
         nb = t.schema.field("band_keys").type.list_size
-        key = np.asarray(pc.list_flatten(t.column("band_keys")), np.int64)
-        band = np.tile(np.arange(nb, dtype=np.int32), t.num_rows)
-        h = band.astype(np.uint64) * _GOLD + key.view(np.uint64)
         return pa.table({
             "doc_id": pa.array(np.repeat(
                 np.asarray(t.column("doc_id"), np.int64), nb)),
-            "band": pa.array(band),
-            "band_key": pa.array(key),
-            "bucket": pa.array((h % np.uint64(n_buckets)).astype(np.int32)),
+            "band": pa.array(np.tile(np.arange(nb, dtype=np.int32),
+                                     t.num_rows)),
+            "band_key": pa.array(np.asarray(
+                pc.list_flatten(t.column("band_keys")), np.int64)),
         })
 
-    return (
-        docs.map_batches(explode_bands, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(_pairs_in_bucket, batch_format="numpy")
-    )
+    return keyed_map_groups(
+        docs.map_batches(explode_bands, batch_format="pyarrow"),
+        ["band", "band_key"], _pairs_in_bucket, "numpy")
 
 
-def bucketed_pair_agg(pairs, pd_agg, n_buckets: int = 64,
-                      pre_combine: bool = True):
-    """Aggregate rows sharing an (a, b) pair key via ONE coarse-bucket
-    shuffle + a vectorized pandas aggregation per bucket.
+def bucketed_pair_agg(pairs, pd_agg):
+    """Aggregate rows sharing an (a, b) pair key: a per-batch combiner,
+    then ONE `keyed_map_groups` shuffle keyed by (a, b) with a vectorized
+    pandas aggregation per bucket.
 
     Ray Data's hash groupby degrades when the number of DISTINCT keys is
     large: groupby(["a","b"]).aggregate(Count) over 5.7M candidate rows /
     2.37M distinct pairs measured 605s (r4 flagship profile) where this
-    shape — hash(a,b) %% n_buckets, then pandas inside each of the
-    n_buckets groups — runs the identical aggregation in seconds.  All
-    rows of one pair land in one bucket, so per-pair results are exact,
-    and the bucket count bounds Ray group count at any candidate scale
-    (the repo's standard coarse-bucket pattern).
+    shape runs the identical aggregation in seconds.  All rows of one
+    pair land in one bucket, so per-pair results are exact.
 
     `pd_agg` must be a CLOSED aggregation over same-named columns
-    (distinct / min / max / sum compose with themselves): with
-    `pre_combine` it also runs per input batch as a combiner before the
-    shuffle, cutting exchange volume — exactly the class of aggregations
-    used by the dedup candidate paths.
+    (distinct / min / max / sum compose with themselves): it also runs
+    per input batch as the combiner, cutting exchange volume — exactly
+    the class of aggregations used by the dedup candidate paths.
     """
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        if pre_combine and t.num_rows:
-            t = pa.Table.from_pandas(pd_agg(t.to_pandas()),
-                                     preserve_index=False)
-        a = np.asarray(t.column("a"), np.int64).astype(np.uint64)
-        b = np.asarray(t.column("b"), np.int64).astype(np.uint64)
-        h = ((a * _GOLD + b) % np.uint64(n_buckets)).astype(np.int32)
-        return t.append_column("pbucket", pa.array(h))
+    def combine(t: pa.Table) -> pa.Table:
+        if not t.num_rows:
+            return t
+        return pa.Table.from_pandas(pd_agg(t.to_pandas()),
+                                    preserve_index=False)
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        return pd_agg(g.drop(columns=["pbucket"]))
-
-    return (pairs.map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("pbucket").map_groups(per_bucket,
-                                           batch_format="pandas"))
+    return keyed_map_groups(pairs.map_batches(combine, batch_format="pyarrow"),
+                            ["a", "b"], pd_agg, "pandas")
 
 
 def _or_typed_empty(out, schema: pa.Schema):
@@ -719,16 +690,17 @@ def _pd_distinct_pairs(g: pd.DataFrame) -> pd.DataFrame:
 def _gram_pairs_in_bucket(g: pd.DataFrame, id_col: str,
                           max_gram_df: int | None,
                           emit_stats: bool = False) -> pd.DataFrame:
-    """Per-gram doc pairs inside one coarse bucket, with the frequent-gram
-    skew guard: a gram shared by > max_gram_df docs is excluded from pair
-    generation (a stop-gram shared by M docs would emit M^2/2 pairs — the
-    quadratic blow-up VERDICT r2 flagged).  Dropped grams are logged, per
-    the no-silent-caps rule; with `emit_stats` they ALSO ride the data
-    plane as one sentinel row per bucket (cnt=-1, na=dropped gram count,
-    nb=max doc freq seen) so the caller can aggregate recall loss instead
-    of scraping logs (ADVICE r4).  Each pair carries both docs' total set
-    sizes (the "sz" column the explode stage stamped on every gram row),
-    so the downstream jaccard needs no second pass over the corpus."""
+    """Per-gram doc pairs inside one `keyed_map_groups` bucket, with the
+    frequent-gram skew guard: a gram shared by > max_gram_df docs is
+    excluded from pair generation (a stop-gram shared by M docs would emit
+    M^2/2 pairs — the quadratic blow-up VERDICT r2 flagged).  Dropped
+    grams are logged, per the no-silent-caps rule; with `emit_stats` they
+    ALSO ride the data plane as one sentinel row per bucket (cnt=-1,
+    na=dropped gram count, nb=max doc freq seen) so the caller can
+    aggregate recall loss instead of scraping logs (ADVICE r4).  Each pair
+    carries both docs' total set sizes (the "sz" column the explode stage
+    stamped on every gram row), so the downstream jaccard needs no second
+    pass over the corpus."""
     if max_gram_df is None:
         max_gram_df = np.iinfo(np.int64).max  # no cap: fully exact
     doc = g[id_col].to_numpy(np.int64)
@@ -769,13 +741,13 @@ def _gram_pairs_in_bucket(g: pd.DataFrame, id_col: str,
 
 def ngram_jaccard_pairs(ds, threshold: float = 0.2, ngram: int = 3,
                         id_col: str = "doc_id", text_col: str = "text",
-                        n_buckets: int = 256, max_gram_df: int | None = None,
+                        max_gram_df: int | None = None,
                         return_dropped_stats: bool = False):
     """EXACT n-gram Jaccard pairs (no LSH): Dataset[(a, b, jaccard)], a < b.
 
-    Distributed shape: ONE explode pass emits (doc, gram, bucket, sz) where
-    sz is the doc's total distinct-gram count stamped on every gram row ->
-    group by gram (coarse-bucketed like the LSH path) -> per-gram doc pairs
+    Distributed shape: ONE explode pass emits (doc, gram, sz) where sz is
+    the doc's total distinct-gram count stamped on every gram row -> group
+    by gram (`keyed_map_groups`, like the LSH path) -> per-gram doc pairs
     carrying (na, nb) -> sum shared-gram counts per pair (= |intersection|,
     grams are distinct per doc) -> jaccard = inter / (na + nb - inter)
     computed per batch.  Carrying sz on the exploded rows costs 8 B/gram but
@@ -811,18 +783,14 @@ def ngram_jaccard_pairs(ds, threshold: float = 0.2, ngram: int = 3,
         return pa.table({
             id_col: pa.array(np.repeat(ids, counts)),
             "gram": pa.array(grams.view(np.int64)),
-            "bucket": pa.array((grams % n_buckets).astype(np.int32)),
             "sz": pa.array(np.repeat(counts, counts)),
         })
 
-    inter = (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(functools.partial(_gram_pairs_in_bucket, id_col=id_col,
-                                      max_gram_df=max_gram_df,
-                                      emit_stats=return_dropped_stats),
-                    batch_format="pandas")
-    )
+    inter = keyed_map_groups(
+        ds.map_batches(explode, batch_format="pyarrow"), ["gram"],
+        functools.partial(_gram_pairs_in_bucket, id_col=id_col,
+                          max_gram_df=max_gram_df,
+                          emit_stats=return_dropped_stats), "pandas")
     stats = None
     if return_dropped_stats:
         inter = inter.materialize()
@@ -903,7 +871,7 @@ def minhash_dedup(ds, threshold: float = 0.8, num_perm: int = 128,
         functools.partial(_minhash_task, num_perm=num_perm, bands=bands,
                           ngram=ngram),
         batch_format="pyarrow", num_cpus=1).materialize()
-    raw = _minhash_raw_pairs(docs, n_buckets=128).materialize()
+    raw = _minhash_raw_pairs(docs).materialize()
     n_raw = raw.count()
     if n_raw > MAX_DRIVER_DISTINCT_PAIRS:
         cand = bucketed_pair_agg(raw, _pd_distinct_pairs)
@@ -957,26 +925,23 @@ def simhash_batch(batch: pa.Table, id_col: str = "doc_id", text_col: str = "text
                      "simhash": pa.array(out.view(np.int64))})
 
 
-def simhash_near_pairs(ds, max_hamming: int = 3, prefix_bits: int = 16):
-    """Near-dup pairs by SimHash: bucket on each of 4 16-bit bands (any band
+def simhash_near_pairs(ds, max_hamming: int = 3):
+    """Near-dup pairs by SimHash: group on each of 4 16-bit bands (any band
     equal -> candidate), verify Hamming distance <= max_hamming."""
     def explode(batch: pa.Table) -> pa.Table:
         ids = np.asarray(batch.column("doc_id"), np.int64)
         sh = np.asarray(batch.column("simhash"), np.int64).view(np.uint64)
-        n = len(ids)
-        bands = np.tile(np.arange(4, dtype=np.int32), n)
+        bands = np.tile(np.arange(4, dtype=np.int32), len(ids))
         keys = ((sh[:, None] >> (np.uint64(16) * np.arange(4, dtype=np.uint64)))
                 & np.uint64(0xFFFF)).astype(np.int32).reshape(-1)
-        bucket = (bands.astype(np.int64) * 65537 + keys) % 128
         return pa.table({"doc_id": pa.array(np.repeat(ids, 4)),
                          "band": pa.array(bands),
                          "key": pa.array(keys),
-                         "simhash": pa.array(np.repeat(sh.view(np.int64), 4)),
-                         "bucket": pa.array(bucket.astype(np.int32))})
+                         "simhash": pa.array(np.repeat(sh.view(np.int64), 4))})
 
-    def pairs_in_coarse_bucket(g: dict) -> dict:
-        """Candidate pairs of the fine (band, key) groups in one coarse
-        bucket (see `_pairs_in_bucket`), kept within max_hamming."""
+    def pairs_in_bucket(g: dict) -> dict:
+        """Candidate pairs of the (band, key) groups in one bucket (see
+        `_pairs_in_bucket`), kept within max_hamming."""
         doc = np.asarray(g["doc_id"], np.int64)
         ia, ib, _ = _group_pairs((g["band"], g["key"]), doc, _LSH_MAX_GROUP,
                                  chain="simhash")
@@ -985,10 +950,10 @@ def simhash_near_pairs(ds, max_hamming: int = 3, prefix_bits: int = 16):
         keep = ham <= max_hamming
         return {"a": doc[ia[keep]], "b": doc[ib[keep]], "hamming": ham[keep]}
 
-    pairs = (ds.map_batches(simhash_batch, batch_format="pyarrow")
-             .map_batches(explode, batch_format="pyarrow")
-             .groupby("bucket")
-             .map_groups(pairs_in_coarse_bucket, batch_format="numpy"))
+    pairs = keyed_map_groups(
+        ds.map_batches(simhash_batch, batch_format="pyarrow")
+        .map_batches(explode, batch_format="pyarrow"),
+        ["band", "key"], pairs_in_bucket, "numpy")
     return _or_typed_empty(
         bucketed_pair_agg(
             pairs,
@@ -1029,8 +994,7 @@ def _cosine_blobs(pa_: bytes, pb_: bytes) -> float:
 
 def embedding_near_pairs(ds, threshold: float = 0.95, n_planes: int = 12,
                          n_tables: int = 4, seed: int = 42,
-                         vec_col: str = "embedding", id_col: str = "vec_id",
-                         n_buckets: int = 128, verify_buckets: int = 64):
+                         vec_col: str = "embedding", id_col: str = "vec_id"):
     """Cosine near-dup via multi-table random-hyperplane LSH + exact verify.
 
     Scale path (exact baseline: `ann.cosine_pairs_exact`): each vector lands
@@ -1041,7 +1005,7 @@ def embedding_near_pairs(ds, threshold: float = 0.95, n_planes: int = 12,
     Lth power.
 
     Shuffle discipline (r1 VERDICT item 3): the candidate stage moves ONLY
-    (bucket, key, vec_id) int rows — raw vectors never replicate through the
+    (key, vec_id) int rows — raw vectors never replicate through the
     xN-tables shuffle.  The distinct candidates are scored by exact cosine
     in `pairs_payload_metric`, which keeps those at or above `threshold`:
     Dataset[(a, b, cosine)] (zero typed rows when none qualifies).
@@ -1059,13 +1023,11 @@ def embedding_near_pairs(ds, threshold: float = 0.95, n_planes: int = 12,
             keys = (signs * (1 << np.arange(n_planes))).sum(axis=1).astype(np.int64)
             out_id.append(ids)
             out_key.append(keys + (t << n_planes))  # fine key: (table, bucket)
-        key = np.concatenate(out_key)
         return pa.table({id_col: pa.array(np.concatenate(out_id)),
-                         "key": pa.array(key),
-                         "bucket": pa.array((key % n_buckets).astype(np.int32))})
+                         "key": pa.array(np.concatenate(out_key))})
 
     def cand_in_bucket(g: dict) -> dict:
-        """Candidate pairs for all fine buckets in one coarse group."""
+        """Candidate pairs of the sign buckets in one coarse bucket."""
         doc = np.asarray(g[id_col], np.int64)
         ia, ib, _ = _group_pairs((g["key"],), doc, 500, chain="embedding LSH")
         return {"a": doc[ia], "b": doc[ib]}
@@ -1078,17 +1040,13 @@ def embedding_near_pairs(ds, threshold: float = 0.95, n_planes: int = 12,
                                 pa.large_binary()),
         })
 
-    cand = (
-        ds.map_batches(bucketize, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(cand_in_bucket, batch_format="numpy")
-    )
+    cand = keyed_map_groups(ds.map_batches(bucketize, batch_format="pyarrow"),
+                            ["key"], cand_in_bucket, "numpy")
     # a pair can surface from several tables: distinct before verify
     cand = bucketed_pair_agg(cand, _pd_distinct_pairs)
     return pairs_payload_metric(
         cand, ds.map_batches(vec_blobs, batch_format="pyarrow"),
-        _cosine_blobs, "cosine", n_buckets=verify_buckets,
-        metric_min=threshold)
+        _cosine_blobs, "cosine", metric_min=threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,11 @@ into bins of weight <= ceil(total / capacity).  Properties:
   continuous-data error bound is pinned by tests.
 
 Distributed shape (`digest_quantiles`): per-batch digests (<= capacity
-rows each) -> one groupby over a value-hash bucket merges ~1/n_buckets of
-the centroid rows each -> driver merges <= n_buckets * capacity rows.
-The corpus itself never shuffles and the driver never sees raw rows.
+rows each) -> one groupby over a value-hash bucket merges ~1/_MERGE_BUCKETS
+of the centroid rows each -> driver merges <= _MERGE_BUCKETS * capacity
+rows.  The corpus itself never shuffles and the driver never sees raw rows.
+The merge buckets are the digest's own (not `readutil.keyed_map_groups`):
+which centroids merge with which shapes the approximate quantiles.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+
+_MERGE_BUCKETS = 32
 
 
 def _compress(values: np.ndarray, weights: np.ndarray,
@@ -91,14 +95,14 @@ def digest_quantile(values: np.ndarray, weights: np.ndarray,
 
 
 def digest_quantiles(ds, col: str = "value", qs: tuple = (0.25, 0.5, 0.75),
-                     capacity: int = 512, n_buckets: int = 32) -> pa.Table:
+                     capacity: int = 512) -> pa.Table:
     """Distributed quantile sketch over a Dataset column.
 
     Returns pa.table({q, value}).  See module docstring for the shape and
     the exact-regime contract the oracle uses."""
     def per_batch(t: pa.Table) -> pa.Table:
         v, w = digest_batch(np.asarray(t.column(col), np.float64), capacity)
-        h = pd.util.hash_array(v.view(np.uint64)) % n_buckets
+        h = pd.util.hash_array(v.view(np.uint64)) % _MERGE_BUCKETS
         return pa.table({"v": pa.array(v), "w": pa.array(w),
                          "bucket": pa.array(h.astype(np.int32))})
 

@@ -17,6 +17,16 @@ policy (8 x 10^5 blocks); at bench scale it collapses fixed per-block
 overhead that otherwise dominates — and flattens the measured scaling
 curve, because fixed overhead is what a bigger cluster cannot
 amortize.
+
+`keyed_map_groups` is the operators' one keyed group shuffle.  Grouping
+on a high-cardinality key (a user, an LSH band key, a gram, a pair, a
+fingerprint, a domain) would make one Ray group per key, and per-group
+task overhead dominates at that count (13.7 s -> under 1 s on 80k MinHash
+keys).  So the keys hash into `N_BUCKETS` coarse buckets, the shuffle
+groups on the bucket, and the caller's function groups the keys inside
+each bucket in vectorized pandas/numpy.  Every row of one key lands in
+one bucket, so results are exact; the bucket count bounds the Ray group
+count at any scale (the reduce-side skew remedy of FP-Hadoop, VLDB'15).
 """
 
 from __future__ import annotations
@@ -24,7 +34,17 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+
 TARGET_BLOCK_BYTES = 128 << 20
+
+#: coarse buckets of `keyed_map_groups`; one bucket must fit a worker heap
+N_BUCKETS = 64
+_BUCKET_COL = "__key_bucket"
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd: folds each key hash into the next
 
 
 def _remote(path: str):
@@ -103,3 +123,48 @@ def read_parquet_sized(path_or_paths, columns: list[str] | None = None,
         paths = [p for _, p in remote]
     return rd.read_parquet(paths, columns=columns,
                            override_num_blocks=n, **kw)
+
+
+def _column_hash(col: pa.ChunkedArray) -> np.ndarray:
+    """uint64 hash of each value of an Arrow column.  Pandas' `hash_array`
+    has a fixed key, so equal values hash equal in every batch and every
+    process (never Python's salted `hash()`); numeric values go through
+    a splitmix64 finalizer, so keys sharing low bits still spread.  Nulls
+    all hash alike: a null string to one fixed value, a null number as 0."""
+    if col.null_count and not (pa.types.is_string(col.type)
+                               or pa.types.is_large_string(col.type)):
+        col = pc.fill_null(col, pa.scalar(0, col.type))
+    return pd.util.hash_array(col.to_numpy())
+
+
+def key_buckets(t: pa.Table, keys: list[str], n: int) -> np.ndarray:
+    """int32 bucket in [0, n) of each row of the Arrow table `t`, from one
+    hash mixing the `keys` columns."""
+    h = np.zeros(t.num_rows, np.uint64)
+    for k in keys:
+        h = h * _MIX + _column_hash(t.column(k))
+    return (h % np.uint64(n)).astype(np.int32)
+
+
+def keyed_map_groups(ds, keys: list[str], fn, batch_format: str = "pandas"):
+    """`fn` over the rows of `ds` grouped by the `keys` columns, through
+    one coarse-bucket shuffle (see the module docstring).
+
+    Each `fn` call gets one bucket's rows in `batch_format` ("pandas",
+    "pyarrow" or "numpy"): every row of each key it holds, and usually
+    several keys, which `fn` tells apart itself.  `fn` never sees the
+    bucket column.  Returns the Dataset of `fn`'s outputs."""
+    n = N_BUCKETS  # read on the driver: a worker imports the module afresh
+
+    def tag(t: pa.Table) -> pa.Table:
+        return t.append_column(_BUCKET_COL, pa.array(key_buckets(t, keys, n)))
+
+    def run(g):
+        if batch_format == "pyarrow":
+            return fn(g.drop_columns([_BUCKET_COL]))
+        del g[_BUCKET_COL]  # a pandas frame or a numpy column dict
+        return fn(g)
+
+    return (ds.map_batches(tag, batch_format="pyarrow")
+            .groupby(_BUCKET_COL)
+            .map_groups(run, batch_format=batch_format))

@@ -15,6 +15,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from nem_mms_ray.ops.readutil import keyed_map_groups
+
 logger = logging.getLogger(__name__)
 
 # Window-shape ops (sessionize, sliding) hold one hash-bucket of users per
@@ -184,47 +186,35 @@ def events_per_user_hour(events_ds):
     )
 
 
-def events_running_seq(events_ds, n_buckets: int = 64):
+def events_running_seq(events_ds):
     """Per-user running sequence number ordered by (ts, event_id) — the
     partitioned window-function shape (SQL: row_number() OVER).
 
-    Scale shape: shuffle on a user-hash bucket (bounded Ray group count,
-    same pattern as sessionize/sliding below — one Ray group per user was
-    the r2 VERDICT's per-group-overhead finding) then one vectorized
-    cumcount per bucket; every user's rows land in one bucket so the
-    per-user order is total after the in-group sort."""
-    def add_bucket(t: pa.Table) -> pa.Table:
-        u = np.asarray(t.column("user_id"), dtype=np.int64)
-        return t.append_column("bucket", pa.array((u % n_buckets).astype(np.int32)))
-
+    Scale shape: one user-keyed group shuffle (`keyed_map_groups`:
+    bounded Ray group count — one Ray group per user was the r2 VERDICT's
+    per-group-overhead finding) then one vectorized cumcount per bucket;
+    every user's rows land in one bucket so the per-user order is total
+    after the in-group sort."""
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         _warn_skewed_users(g, "events_running_seq")
         g = g.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
         g["seq"] = (g.groupby("user_id", sort=False).cumcount() + 1).astype(np.int64)
         return g[["user_id", "event_id", "seq"]]
 
-    return (
-        events_ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return keyed_map_groups(events_ds, ["user_id"], per_bucket, "pandas")
 
 
-def sessionize_events(events_ds, gap_minutes: int = 30, n_buckets: int = 64):
+def sessionize_events(events_ds, gap_minutes: int = 30):
     """Gap-based session windows per user (the session-window shape Ray Data
     lacks natively): a new session starts when the time since the user's
     previous event exceeds `gap_minutes`.  Returns Dataset[(user_id,
     session_id, session_start, session_end, n_events)].
 
-    Scale shape: shuffle on a user-hash bucket (bounded group count — see
-    the minhash coarse-bucket note), then a vectorized pandas groupby per
-    bucket; every user's events land in one bucket so intra-user order is
-    total after the in-group sort by (ts, event_id)."""
+    Scale shape: one user-keyed group shuffle (`keyed_map_groups`), then
+    a vectorized pandas groupby per bucket; every user's events land in
+    one bucket so intra-user order is total after the in-group sort by
+    (ts, event_id)."""
     gap_us = gap_minutes * 60 * 1_000_000
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        u = np.asarray(t.column("user_id"), dtype=np.int64)
-        return t.append_column("bucket", pa.array((u % n_buckets).astype(np.int32)))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         _warn_skewed_users(g, "sessionize_events")
@@ -246,21 +236,14 @@ def sessionize_events(events_ds, gap_minutes: int = 30, n_buckets: int = 64):
         out["n_events"] = out["n_events"].astype(np.int64)
         return out
 
-    return (
-        events_ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return keyed_map_groups(events_ds, ["user_id"], per_bucket, "pandas")
 
 
-def events_sliding_avg(events_ds, window: int = 3, n_buckets: int = 64):
+def events_sliding_avg(events_ds, window: int = 3):
     """Per-user sliding mean of `value` over the last `window` rows ordered
     by (ts, event_id) — the ROWS-frame window-aggregate shape.  Returns
-    Dataset[(user_id, event_id, sliding_avg)]."""
-    def add_bucket(t: pa.Table) -> pa.Table:
-        u = np.asarray(t.column("user_id"), dtype=np.int64)
-        return t.append_column("bucket", pa.array((u % n_buckets).astype(np.int32)))
-
+    Dataset[(user_id, event_id, sliding_avg)].  Same user-keyed group
+    shuffle as `events_running_seq`."""
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         _warn_skewed_users(g, "events_sliding_avg")
         g = g.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
@@ -275,11 +258,7 @@ def events_sliding_avg(events_ds, window: int = 3, n_buckets: int = 64):
             "sliding_avg": np.round(avg, 6),
         })
 
-    return (
-        events_ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return keyed_map_groups(events_ds, ["user_id"], per_bucket, "pandas")
 
 
 def event_type_value_stats(events_ds):
@@ -571,15 +550,15 @@ def _ts_i64(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
                       if isinstance(col, pa.ChunkedArray) else col, np.int64)
 
 
-def _two_sided_bucketed(left_ds, right_ds, left_key: str, right_key: str,
-                        left_take: list, right_take: list, n_buckets: int):
-    """Union the two sides into ONE bucketed dataset so a single
-    groupby(bucket) co-locates each key's rows from BOTH tables — the
-    repo's user-hash window shape (`sessionize_events`) extended to two
-    inputs.  Each side's payload columns ride as typed nulls on the other
-    side's rows (Ray's union requires one schema).  Returns (unioned
-    dataset, left column names, right column names) where names are
-    prefixed to avoid collisions."""
+def _two_sided(left_ds, right_ds, left_key: str, right_key: str,
+               left_take: list, right_take: list):
+    """Union the two sides into ONE dataset keyed by an int64 `key`
+    column, so a single `keyed_map_groups` co-locates each key's rows from
+    BOTH tables — the user-keyed window shape (`sessionize_events`)
+    extended to two inputs.  Each side's payload columns ride as typed
+    nulls on the other side's rows (Ray's union requires one schema).
+    Returns (unioned dataset, left column names, right column names) where
+    names are prefixed to avoid collisions."""
     l_names = [f"l_{c}" for c in left_take]
     r_names = [f"r_{c}" for c in right_take]
     l_schema = left_ds.schema()   # ray.data.Schema: parallel names/types
@@ -593,9 +572,9 @@ def _two_sided_bucketed(left_ds, right_ds, left_key: str, right_key: str,
         def fn(t: pa.Table) -> pa.Table:
             k = _ts_i64(t.column(key))
             own = dict(zip(names, (t.column(c) for c in take)))
-            # canonical column order (bucket, side, l_*, r_*) on BOTH
+            # canonical column order (key, side, l_*, r_*) on BOTH
             # sides so the union's schemas line up
-            cols = {"bucket": pa.array((k % n_buckets).astype(np.int32)),
+            cols = {"key": pa.array(k),
                     "side": pa.array(np.full(len(k), side, np.int8))}
             for c, nm in zip(left_take, l_names):
                 cols[nm] = own.get(nm, pa.nulls(len(k), l_types[c]))
@@ -613,7 +592,7 @@ def _two_sided_bucketed(left_ds, right_ds, left_key: str, right_key: str,
 
 def asof_join(left_ds, right_ds, left_on: str, right_on: str,
               left_ts: str, right_ts: str, left_cols: tuple = (),
-              right_cols: tuple = (), n_buckets: int = 64):
+              right_cols: tuple = ()):
     """Backward as-of join: attach to each left row the right row with the
     GREATEST right_ts <= left_ts among rows sharing the key (SQL: `ASOF
     LEFT JOIN r ON l.k = r.k AND l.ts >= r.ts`).  Left-outer: unmatched
@@ -627,8 +606,8 @@ def asof_join(left_ds, right_ds, left_on: str, right_on: str,
 
     Returns Dataset[(left_on, left_ts, *left_cols, *right_cols)].
 
-    Scale shape: one hash-bucket shuffle per side (keys co-locate,
-    bounded Ray group count — the `sessionize_events` pattern), then a
+    Scale shape: one keyed group shuffle over both sides
+    (`keyed_map_groups`: keys co-locate, bounded Ray group count), then a
     fully vectorized per-bucket probe: dense-rank (key, ts) into one
     int64 composite and a single np.searchsorted against the sorted
     right side.  Nothing driver-side; a hot key's rows bound one task's
@@ -640,9 +619,8 @@ def asof_join(left_ds, right_ds, left_on: str, right_on: str,
                          "or drop the duplicate before joining")
     left_take = [left_on, left_ts, *left_cols]
     right_take = [right_on, right_ts, *right_cols]
-    both, l_names, r_names = _two_sided_bucketed(
-        left_ds, right_ds, left_on, right_on, left_take, right_take,
-        n_buckets)
+    both, l_names, r_names = _two_sided(
+        left_ds, right_ds, left_on, right_on, left_take, right_take)
     r_out = [f"r_{c}" for c in right_cols]
 
     def per_bucket(g: pa.Table) -> pa.Table:
@@ -673,14 +651,13 @@ def asof_join(left_ds, right_ds, left_on: str, right_on: str,
             cols[c] = rt.column(nm).combine_chunks().take(idx)
         return pa.table(cols)
 
-    return both.groupby("bucket").map_groups(per_bucket,
-                                             batch_format="pyarrow")
+    return keyed_map_groups(both, ["key"], per_bucket, "pyarrow")
 
 
 def range_join(left_ds, right_ds, left_on: str, right_on: str,
                left_ts: str, right_start: str, right_end: str,
                left_cols: tuple = (), right_cols: tuple = (),
-               n_buckets: int = 64, how: str = "inner"):
+               how: str = "inner"):
     """Interval (range) join: match each left row to the right interval of
     the same key containing its timestamp — `l.ts BETWEEN r.start AND
     r.end`, bounds inclusive.  Right intervals MUST be non-overlapping
@@ -691,8 +668,8 @@ def range_join(left_ds, right_ds, left_on: str, right_on: str,
 
     `how`: 'inner' drops unmatched left rows; 'left' keeps them with
     typed nulls.  Returns Dataset[(left_on, left_ts, *left_cols,
-    *right_cols)].  Scale shape: identical to `asof_join` (one bucket
-    shuffle per side, vectorized searchsorted per bucket).
+    *right_cols)].  Scale shape: identical to `asof_join` (one keyed
+    group shuffle over both sides, vectorized searchsorted per bucket).
     """
     if how not in ("inner", "left"):
         raise ValueError(f"how must be 'inner' or 'left', got {how!r}")
@@ -702,9 +679,8 @@ def range_join(left_ds, right_ds, left_on: str, right_on: str,
                          "or drop the duplicate before joining")
     left_take = [left_on, left_ts, *left_cols]
     right_take = [right_on, right_start, right_end, *right_cols]
-    both, l_names, r_names = _two_sided_bucketed(
-        left_ds, right_ds, left_on, right_on, left_take, right_take,
-        n_buckets)
+    both, l_names, r_names = _two_sided(
+        left_ds, right_ds, left_on, right_on, left_take, right_take)
     r_out = [f"r_{c}" for c in right_cols]
 
     def per_bucket(g: pa.Table) -> pa.Table:
@@ -744,5 +720,4 @@ def range_join(left_ds, right_ds, left_on: str, right_on: str,
             cols[c] = rt.column(nm).combine_chunks().take(take_idx)
         return pa.table(cols)
 
-    return both.groupby("bucket").map_groups(per_bucket,
-                                             batch_format="pyarrow")
+    return keyed_map_groups(both, ["key"], per_bucket, "pyarrow")

@@ -33,6 +33,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from nem_mms_ray.ops.readutil import keyed_map_groups
+
 logger = logging.getLogger(__name__)
 
 
@@ -227,29 +229,28 @@ def token_topk_sketch(ds, k: int = 20, capacity: int = 4096,
 def stratified_cap(ds, cap: int, group_col: str = "lang",
                    order_col: str = "doc_id", columns: tuple = ()):
     """First `cap` rows per group ordered by `order_col` — the per-language
-    (or per-source/domain) quota a balanced training mix applies.
+    (or per-source/domain, `urltools.domain_cap`) quota a balanced
+    training mix applies.  A null group value is a group like any other.
 
     Scale shape: a per-batch combiner keeps at most `cap` rows per group
     per batch, so the shuffle carries <= cap x n_batches rows per group
-    regardless of corpus size; the per-group final pass then takes the
-    global first `cap`.  Group count = distinct group values (languages,
-    sources — small), so groupby group_col directly is fine; the combiner,
-    not bucketing, is what bounds the hot-group concentration.
+    regardless of corpus size; one `keyed_map_groups` shuffle on
+    `group_col` then takes each group's global first `cap` per bucket.
+    The combiner bounds the hot-group concentration; the coarse buckets
+    keep the Ray group count flat for a high-cardinality group (domains).
     """
     keep_cols = [group_col, order_col, *columns]
 
+    def first_cap(df: pd.DataFrame) -> pd.DataFrame:
+        # dropna=False: the pandas default would silently drop null groups
+        return (df.sort_values([group_col, order_col])
+                  .groupby(group_col, sort=False, dropna=False).head(cap)
+                [keep_cols])
+
     def partial_cap(t: pa.Table) -> pa.Table:
-        df = t.select(keep_cols).to_pandas()
-        # dropna=False: a null group value is a group like any other (the
-        # final Ray groupby also keeps null keys) — the pandas default
-        # would silently drop those rows here
-        w = (df.sort_values([group_col, order_col])
-               .groupby(group_col, sort=False, dropna=False).head(cap))
-        return pa.Table.from_pandas(w, preserve_index=False)
+        t = t.select(keep_cols)  # its schema keeps an all-null batch typed
+        return pa.Table.from_pandas(first_cap(t.to_pandas()), schema=t.schema,
+                                    preserve_index=False)
 
-    def final_cap(g: pd.DataFrame) -> pd.DataFrame:
-        return (g.sort_values(order_col).head(cap))[keep_cols]
-
-    return (ds.map_batches(partial_cap, batch_format="pyarrow")
-              .groupby(group_col)
-              .map_groups(final_cap, batch_format="pandas"))
+    return keyed_map_groups(ds.map_batches(partial_cap, batch_format="pyarrow"),
+                            [group_col], first_cap, "pandas")

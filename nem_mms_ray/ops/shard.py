@@ -13,9 +13,8 @@ This module makes the shuffle a PURE FUNCTION of (seed, id): the
 shuffle key is the md5 hex digest of "{seed}:{id}" (hex is
 order-preserving over the digest bytes, so lexicographic string order
 == byte order), the order is a global `sort` on that key, and the
-shard is the key's first-15-hex-chars value mod n_shards (the
-`ops/curate` bucket convention; DuckDB mirror:
-`cast(concat('0x', substr(skey, 1, 15)) as ubigint) % n` — parity
+shard is the key's first-15-hex-chars value mod n_shards (DuckDB
+mirror: `cast(concat('0x', substr(skey, 1, 15)) as ubigint) % n` — parity
 pinned by test_shard.py).  Same corpus + same seed => byte-identical
 shard layout on ANY cluster size or partitioning; a new seed is a
 fresh epoch-level reshuffle.

@@ -1,16 +1,13 @@
 """URL/domain operators: vectorized host extraction + per-domain doc caps.
 
-The Common-Crawl curation step `stratified_cap`'s docstring gestures at
-("per-source/domain quota") but whose shape can't reuse directly: domains
-are web-scale HIGH-cardinality keys (millions of hosts), so a groupby on
-the raw domain would create millions of Ray groups.  `domain_cap` instead
-hash-buckets domains coarsely (the repo's standard skew shape): the
-per-batch combiner bounds every domain's contribution per batch, the
-shuffle key is `hash(domain) % n_buckets` so the group count stays flat at
-any corpus size, and the per-bucket final pass is one vectorized pandas
-groupby-head.  A mega-domain (half the crawl from one host) concentrates
-at most `cap x n_batches` of ITS rows in one bucket — bounded by the
-combiner, same as `stratified_cap`.
+The Common-Crawl per-domain quota is `sampling.stratified_cap` over the
+extracted host: `domain_cap` adds a `domain` column and caps on it.
+Domains are web-scale HIGH-cardinality keys (millions of hosts), which
+`stratified_cap` handles through `readutil.keyed_map_groups`: the shuffle
+groups coarse domain-hash buckets, so the Ray group count stays flat at
+any corpus size.  A mega-domain (half the crawl from one host)
+concentrates at most `cap x n_batches` of ITS rows in one bucket —
+bounded by the per-batch combiner.
 
 Host extraction is one Arrow RE2 `extract_regex` call per batch (no
 Python loop): scheme and userinfo optional, host ends at the first of
@@ -21,8 +18,6 @@ this sandbox doesn't carry; the docstring contract is the host.
 
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -43,33 +38,23 @@ def domain_of(col) -> pa.Array:
 
 
 def domain_cap(ds, cap: int, url_col: str = "url",
-               order_col: str = "doc_id", columns: tuple = (),
-               n_buckets: int = 256):
+               order_col: str = "doc_id", columns: tuple = ()):
     """First `cap` rows per domain ordered by `order_col` — the standard
     per-host quota against crawl skew (one forum mirror dominating the
-    corpus).  Returns Dataset[(domain, order_col, *columns)].
+    corpus).  Returns Dataset[(domain, order_col, *columns)]; a null url
+    gives a null domain, one group like any other.
 
     Deterministic: winners depend only on (domain, order_col), never on
-    batch boundaries — the combiner keeps a superset of every batch's
-    winners, and the final per-bucket pass applies the same sort.
+    batch boundaries (see `stratified_cap`).
     """
+    from nem_mms_ray.ops.sampling import stratified_cap
+
     keep = [order_col, *columns]
 
-    def tag_and_partial(t: pa.Table) -> pa.Table:
-        dom = domain_of(t.column(url_col))
-        df = t.select(keep).to_pandas()
-        df["domain"] = dom.to_pandas()
-        w = (df.sort_values(["domain", order_col])
-               .groupby("domain", sort=False, dropna=False).head(cap))
-        h = pd.util.hash_array(w["domain"].to_numpy(object)).astype(np.int64)
-        w["bucket"] = np.abs(h) % n_buckets
-        return pa.Table.from_pandas(w, preserve_index=False)
+    def tag(t: pa.Table) -> pa.Table:
+        return t.select(keep).append_column("domain",
+                                            domain_of(t.column(url_col)))
 
-    def final_cap(g: pd.DataFrame) -> pd.DataFrame:
-        w = (g.sort_values(["domain", order_col])
-              .groupby("domain", sort=False, dropna=False).head(cap))
-        return w[["domain", *keep]]
-
-    return (ds.map_batches(tag_and_partial, batch_format="pyarrow")
-              .groupby("bucket")
-              .map_groups(final_cap, batch_format="pandas"))
+    return stratified_cap(ds.map_batches(tag, batch_format="pyarrow"), cap,
+                          group_col="domain", order_col=order_col,
+                          columns=columns)

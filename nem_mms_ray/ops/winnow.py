@@ -27,11 +27,12 @@ properties carry the semantics:
   that makes substring-level indexing feasible at 100 TB.
 
 Distributed shape = the exact n-gram family's (`ops/dedup.py`,
-`ngram_jaccard_pairs`): ONE map pass explodes (doc_id, fp, bucket, sz)
-with the doc's selected-fingerprint count stamped on every row -> coarse
-fp-hash bucket groupby -> per-bucket vectorized pair expansion with the
-same frequent-fingerprint skew guard (`_gram_pairs_in_bucket`, reused) ->
-`bucketed_pair_agg` sums shared-fp counts per pair.  Cost scales with
+`ngram_jaccard_pairs`): ONE map pass explodes (doc_id, fp, sz) with the
+doc's selected-fingerprint count stamped on every row -> fp-keyed group
+shuffle (`readutil.keyed_map_groups`) -> per-bucket vectorized pair
+expansion with the same frequent-fingerprint skew guard
+(`_gram_pairs_in_bucket`, reused) -> `bucketed_pair_agg` sums shared-fp
+counts per pair.  Cost scales with
 fingerprint SHARING, not n^2; a boilerplate fingerprint shared by M docs
 is bounded by the same opt-in `max_fp_df` cap, logged never silent.
 
@@ -67,15 +68,14 @@ def _codepoints(text) -> np.ndarray:
 
 
 _M64 = (1 << 64) - 1
-_BINV = np.uint64(pow(int(_B), -1, 1 << 64))  # B odd -> invertible mod 2^64
 
 
 def _kgram_hashes(cps: np.ndarray, k: int) -> np.ndarray:
     """Positional polynomial hash of every k-gram: h = sum cp[j]*B^(k-1-j)
     (mod 2^64, numpy wrap).  Equal k-grams hash equal regardless of
-    position; the positional weights keep anagrams apart.  Per-doc
-    reference form — the batch hot path is `_flat_hashes`, bit-identical
-    (pinned by test_flat_fast_path_parity)."""
+    position; the positional weights keep anagrams apart.  The reference
+    form: the batch hot path is the C kernel behind `_flat_hashes`,
+    bit-identical (test_flat_hashes_native_parity)."""
     nh = len(cps) - k + 1
     if nh <= 0:
         return np.zeros(0, np.uint64)
@@ -102,35 +102,22 @@ def _flat_corpus(texts) -> tuple[np.ndarray, np.ndarray]:
 
 def _flat_hashes(flat: np.ndarray, k: int) -> np.ndarray:
     """k-gram hashes at EVERY flat position (including ones spanning doc
-    boundaries — callers mask with `_valid_positions`).  Prefix-product
-    rolling form: h_s = B^(s+k-1) * (Q[s+k-1] - Q[s-1]) with
-    Q = cumsum(flat * B^-i) — bit-identical to `_kgram_hashes` (B is odd,
-    so exactly invertible mod 2^64), O(N) memory independent of k, and
-    ~3x faster than the windowed product at k=8.
+    boundaries — callers mask with `_valid_positions`).
 
-    When the C kernel is present (`winnow_kernel.c:rolling_hashes`) the
-    sweep runs there instead — one fused Rabin-Karp pass, bit-identical
-    (test_flat_hashes_native_parity), measured 10x (506 vs 50 Mcp/s on
-    8M codepoints) because the numpy form walks five N-sized uint64
-    temporaries while the C form streams once with no allocation.  Gated
-    on uint32 input (the `_flat_corpus` form) so no hidden copy."""
-    n = len(flat)
-    if n < k:
-        return np.zeros(0, np.uint64)
-    if flat.dtype == np.uint32:
+    The C kernel (`winnow_kernel.c:rolling_hashes`, gated on uint32 input,
+    the `_flat_corpus` form, so no hidden copy) streams one fused
+    Rabin-Karp pass with no allocation, bit-identical to `_kgram_hashes`
+    (test_flat_hashes_native_parity).  Without it the reference
+    `_kgram_hashes` runs over the whole flat array: it holds N x k uint64
+    temporaries (the windowed product), so the charlm hash pass (k <= 3
+    by default) costs a few times the corpus in memory per batch."""
+    if flat.dtype == np.uint32 and len(flat) >= k:
         from nem_mms_ray.ops import _winnow_native
 
         h = _winnow_native.rolling_hashes(flat, k, int(_B))
         if h is not None:
             return h
-    fwd = np.ones(n, np.uint64)
-    np.cumprod(np.full(n - 1, _B, np.uint64), out=fwd[1:])
-    inv = np.ones(n, np.uint64)
-    np.cumprod(np.full(n - 1, _BINV, np.uint64), out=inv[1:])
-    q = np.cumsum(flat * inv, dtype=np.uint64)
-    h = fwd[k - 1:] * q[k - 1:]
-    h[1:] -= fwd[k:] * q[:n - k]
-    return h
+    return _kgram_hashes(flat, k)
 
 
 def _valid_positions(lens: np.ndarray, k: int
@@ -204,8 +191,8 @@ def _batch_winnow_sets(texts, k: int, window: int
 
 
 def _winnow_explode(batch: pa.Table, k: int, window: int, id_col: str,
-                    text_col: str, n_buckets: int) -> pa.Table:
-    """(id, gram, bucket, sz) rows — one per selected fingerprint, with the
+                    text_col: str) -> pa.Table:
+    """(id, gram, sz) rows — one per selected fingerprint, with the
     doc's selected count stamped on each row (the sz-carry trick from
     ngram_jaccard_pairs: no second pass, no driver size dict).  Column
     names match `_gram_pairs_in_bucket`'s contract so the pair stage is
@@ -217,14 +204,13 @@ def _winnow_explode(batch: pa.Table, k: int, window: int, id_col: str,
     return pa.table({
         id_col: pa.array(ids[sdoc]),
         "gram": pa.array(fps.view(np.int64)),
-        "bucket": pa.array((fps % np.uint64(n_buckets)).astype(np.int32)),
         "sz": pa.array(counts[sdoc]),
     })
 
 
 def winnow_dup_pairs(ds, k: int = 8, window: int = 4, min_shared: int = 1,
                      id_col: str = "doc_id", text_col: str = "text",
-                     n_buckets: int = 256, max_fp_df: int | None = None):
+                     max_fp_df: int | None = None):
     """Dataset[(a, b, shared, containment)], a < b: doc pairs sharing
     >= `min_shared` selected fingerprints.
 
@@ -239,17 +225,14 @@ def winnow_dup_pairs(ds, k: int = 8, window: int = 4, min_shared: int = 1,
     boilerplate shared by M docs emits its M^2/2 pairs — cap it only
     after exact/near dedup has run, drops are logged never silent)."""
     from nem_mms_ray.ops.dedup import _gram_pairs_in_bucket, bucketed_pair_agg
+    from nem_mms_ray.ops.readutil import keyed_map_groups
 
     explode = functools.partial(_winnow_explode, k=k, window=window,
-                                id_col=id_col, text_col=text_col,
-                                n_buckets=n_buckets)
-    inter = (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(functools.partial(_gram_pairs_in_bucket, id_col=id_col,
-                                      max_gram_df=max_fp_df),
-                    batch_format="pandas")
-    )
+                                id_col=id_col, text_col=text_col)
+    inter = keyed_map_groups(
+        ds.map_batches(explode, batch_format="pyarrow"), ["gram"],
+        functools.partial(_gram_pairs_in_bucket, id_col=id_col,
+                          max_gram_df=max_fp_df), "pandas")
     pairs = bucketed_pair_agg(
         inter,
         lambda g: g.groupby(["a", "b"], as_index=False)
@@ -272,8 +255,7 @@ def winnow_dup_pairs(ds, k: int = 8, window: int = 4, min_shared: int = 1,
 
 def winnow_dedup(ds, min_containment: float = 0.5, min_shared: int = 2,
                  k: int = 8, window: int = 4, id_col: str = "doc_id",
-                 text_col: str = "text", n_buckets: int = 256,
-                 max_fp_df: int | None = None):
+                 text_col: str = "text", max_fp_df: int | None = None):
     """The substring-dedup ENDGAME (the minhash family's shape,
     `ops/curate.curate_documents_near`): winnow pairs above the
     containment threshold -> connected components -> keep only each
@@ -293,7 +275,7 @@ def winnow_dedup(ds, min_containment: float = 0.5, min_shared: int = 2,
     ds = ds.materialize()
     pairs = winnow_dup_pairs(ds, k=k, window=window, min_shared=min_shared,
                              id_col=id_col, text_col=text_col,
-                             n_buckets=n_buckets, max_fp_df=max_fp_df)
+                             max_fp_df=max_fp_df)
     flagged = pairs.map_batches(
         lambda t: t.filter(pc.greater_equal(t.column("containment"),
                                             min_containment)),

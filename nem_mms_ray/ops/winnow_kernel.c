@@ -15,8 +15,8 @@
  * Output: out[] receives each doc's run-deduped minima doc-major;
  * counts[d] = how many doc d emitted; the return value is the total.
  * The caller finishes with a per-doc distinct pass (repeats can recur in
- * non-adjacent windows) — hash values are bit-identical to the numpy
- * path (`ops/winnow._flat_hashes`), pinned by
+ * non-adjacent windows) — hash values are bit-identical to the python
+ * reference (`ops/winnow._kgram_hashes`), pinned by
  * tests/test_winnow.py::test_native_kernel_parity.
  *
  * Published algorithms (Rabin-Karp rolling hash; Schleimer/Wilkerson/

@@ -347,3 +347,46 @@ def test_cli_shard(ray_session, tmp_path, capsys):
     assert res == {"rows": 300, "n_shards": 3}
     dirs = sorted(p.name for p in (tmp_path / "sh").iterdir() if p.is_dir())
     assert dirs == ["shard_id=0", "shard_id=1", "shard_id=2"]
+
+
+def test_cli_session_owner_shuts_down_when_command_raises(monkeypatch):
+    """`main` starts a Ray session only when none is running and shuts
+    down the one it started even when the command raises; a session the
+    caller started stays up.  describe starts none."""
+    import pytest
+    import ray
+
+    from nem_mms_ray import __main__ as cli
+
+    up = {"ray": False}
+    calls = []
+
+    def fake_init(**kw):
+        calls.append(("init", kw.get("num_cpus")))
+        up["ray"] = True
+
+    def fake_shutdown():
+        calls.append(("shutdown",))
+        up["ray"] = False
+
+    def boom(args):
+        raise RuntimeError("command failed")
+
+    monkeypatch.setattr(ray, "init", fake_init)
+    monkeypatch.setattr(ray, "shutdown", fake_shutdown)
+    monkeypatch.setattr(ray, "is_initialized", lambda: up["ray"])
+    monkeypatch.setattr(cli, "cmd_encode", boom)
+
+    with pytest.raises(RuntimeError, match="command failed"):
+        cli.main(["encode", "in.parquet", "-o", "out", "--num-cpus", "2"])
+    assert calls == [("init", 2), ("shutdown",)] and not up["ray"]
+
+    calls.clear()
+    up["ray"] = True  # the caller's session
+    with pytest.raises(RuntimeError, match="command failed"):
+        cli.main(["encode", "--num-cpus", "2", "in.parquet", "-o", "out"])
+    assert calls == [] and up["ray"]
+
+    up["ray"] = False
+    assert cli.main(["describe"]) == 0
+    assert calls == []

@@ -867,7 +867,8 @@ def test_ngram_dropped_stats_matches_duckdb(ray_session):
     assert int(got["dropped_grams"][0]) > 0  # the cap actually engaged
 
 
-def test_pairs_payload_metric_shuffle_vectorized_branch(ray_session):
+def test_pairs_payload_metric_shuffle_vectorized_branch(ray_session,
+                                                        monkeypatch):
     """The two-shuffle regime's VECTORIZED scoring branch (per-bucket
     payload store + pair_metric_batch) must match the scalar metric —
     it only triggers past the broadcast caps, which this test forces
@@ -875,8 +876,10 @@ def test_pairs_payload_metric_shuffle_vectorized_branch(ray_session):
     without this no test reaches the at-scale branch at all."""
     import ray.data as rd
 
+    from nem_mms_ray.ops import readutil
     from nem_mms_ray.ops.dedup import pairs_payload_metric
 
+    monkeypatch.setattr(readutil, "N_BUCKETS", 7)
     rng = np.random.default_rng(23)
     n_ids = 90
     payload_of = {i: bytes(rng.integers(0, 256, rng.integers(0, 7))
@@ -903,7 +906,6 @@ def test_pairs_payload_metric_shuffle_vectorized_branch(ray_session):
                             for i in range(n_ids)])
     out = pairs_payload_metric(pairs_ds, pay_ds, metric, "m",
                                pair_metric_batch=metric_batch,
-                               n_buckets=7,
                                max_probe_pairs=0).to_pandas()
     got = {(int(r.a), int(r.b)): r.m for r in out.itertuples()}
     assert got == expect

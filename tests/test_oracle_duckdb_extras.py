@@ -152,7 +152,7 @@ def test_decontaminate_matches_duckdb(ray_session):
     assert got["contaminated"].sum() >= len(bench)  # the planted copies flag
 
 
-def test_domain_cap_matches_duckdb(ray_session, tmp_path):
+def test_domain_cap_matches_duckdb(ray_session, tmp_path, monkeypatch):
     """domain_cap(cap=3) over a skewed synthetic url corpus must equal the
     DuckDB row_number()-per-domain mirror, nulls and all.  Hosts come
     from the same RE2 pattern on both sides (group 1 = the named host
@@ -176,7 +176,10 @@ def test_domain_cap_matches_duckdb(ray_session, tmp_path):
         "doc_id": pa.array(range(len(urls)), pa.int64()),
         "url": pa.array(urls, pa.string())}), path)
 
-    got = (domain_cap(rd.read_parquet(str(path)), cap=3, n_buckets=7)
+    from nem_mms_ray.ops import readutil
+
+    monkeypatch.setattr(readutil, "N_BUCKETS", 7)
+    got = (domain_cap(rd.read_parquet(str(path)), cap=3)
            .to_pandas().sort_values(["domain", "doc_id"],
                                     na_position="last")
            .reset_index(drop=True))

@@ -17,6 +17,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from nem_mms_ray.ops import readutil
+
 SF_DIR = "/root/testdata/sf0.001"
 
 
@@ -24,7 +26,7 @@ def _sorted(df: pd.DataFrame, keys) -> pd.DataFrame:
     return df.sort_values(keys).reset_index(drop=True)
 
 
-def test_asof_join_planted(ray_session):
+def test_asof_join_planted(ray_session, monkeypatch):
     """Backward-inclusive semantics on a hand-built case: exact-ts match
     taken, earlier row taken, no earlier row -> nulls, key isolation,
     and the documented tie rule (greatest right_cols tuple wins)."""
@@ -42,9 +44,10 @@ def test_asof_join_planted(ray_session):
         "t": pa.array([2, 5, 5, 8, 9], pa.int64()),
         "rv": pa.array([200, 500, 501, 800, 900], pa.int64()),
     }))
+    monkeypatch.setattr(readutil, "N_BUCKETS", 4)
     got = _sorted(asof_join(left, right, "k", "k", "t", "t",
-                            left_cols=("lv",), right_cols=("rv",),
-                            n_buckets=4).to_pandas(), ["k", "t"])
+                            left_cols=("lv",), right_cols=("rv",)
+                            ).to_pandas(), ["k", "t"])
     # k=1,t=2 -> rv 200 (exact match inclusive); t=5 -> 501 (tie: greatest
     # rv wins); t=10 -> 800; k=2,t=7 -> no right row <= 7 -> null;
     # k=3 -> key absent entirely -> null
@@ -102,7 +105,7 @@ def test_asof_join_matches_duckdb(ray_session):
     assert g.notna().sum() > 0, "no event matched any order — degenerate"
 
 
-def test_asof_join_partition_invariance(ray_session):
+def test_asof_join_partition_invariance(ray_session, monkeypatch):
     """Result is identical under different input partitionings and bucket
     counts (the determinism-across-parallelism contract)."""
     import ray.data as rd
@@ -117,11 +120,12 @@ def test_asof_join_partition_invariance(ray_session):
                           "o_orderdate", left_cols=("event_id",),
                           right_cols=("o_totalprice",)).to_pandas(),
                 ["event_id"])
+    monkeypatch.setattr(readutil, "N_BUCKETS", 17)
     b = _sorted(asof_join(ev.repartition(13), od.repartition(7), "user_id",
                           "o_custkey", "ts", "o_orderdate",
                           left_cols=("event_id",),
-                          right_cols=("o_totalprice",),
-                          n_buckets=17).to_pandas(), ["event_id"])
+                          right_cols=("o_totalprice",)).to_pandas(),
+                ["event_id"])
     ga, gb = a["o_totalprice"].astype(float), b["o_totalprice"].astype(float)
     assert ((ga == gb) | (ga.isna() & gb.isna())).all()
     assert a["user_id"].tolist() == b["user_id"].tolist()
@@ -167,7 +171,7 @@ def test_range_join_sessionize_composition(ray_session):
     assert got["n_events"].tolist() == want["n_events"].astype(int).tolist()
 
 
-def test_range_join_left_and_unmatched(ray_session):
+def test_range_join_left_and_unmatched(ray_session, monkeypatch):
     """how='left' keeps unmatched rows with typed nulls; 'inner' drops
     them; bounds are inclusive on both ends."""
     import ray.data as rd
@@ -184,20 +188,21 @@ def test_range_join_left_and_unmatched(ray_session):
         "e": pa.array([10, 30], pa.int64()),
         "tag": pa.array(["a", "b"], pa.string()),
     }))
+    monkeypatch.setattr(readutil, "N_BUCKETS", 3)
     inner = _sorted(range_join(left, right, "k", "k", "t", "s", "e",
-                               right_cols=("tag",), n_buckets=3).to_pandas(),
+                               right_cols=("tag",)).to_pandas(),
                     ["k", "t"])
     assert inner["t"].tolist() == [5, 10]          # inclusive both ends
     assert inner["tag"].tolist() == ["a", "a"]
     lft = _sorted(range_join(left, right, "k", "k", "t", "s", "e",
-                             right_cols=("tag",), how="left",
-                             n_buckets=3).to_pandas(), ["k", "t"])
+                             right_cols=("tag",), how="left").to_pandas(),
+                  ["k", "t"])
     assert len(lft) == 5
     assert lft["tag"].fillna("<null>").tolist() == \
         ["<null>", "a", "a", "<null>", "<null>"]
 
 
-def test_range_join_rejects_overlapping_intervals(ray_session):
+def test_range_join_rejects_overlapping_intervals(ray_session, monkeypatch):
     """Overlapping right intervals within a key raise instead of silently
     returning one arbitrary match (no-silent-caps rule)."""
     import ray.data as rd
@@ -211,9 +216,9 @@ def test_range_join_rejects_overlapping_intervals(ray_session):
         "s": pa.array([0, 3], pa.int64()),
         "e": pa.array([4, 9], pa.int64()),   # [0,4] and [3,9] overlap
     }))
+    monkeypatch.setattr(readutil, "N_BUCKETS", 1)
     with pytest.raises(Exception, match="overlapping"):
-        range_join(left, right, "k", "k", "t", "s", "e",
-                   n_buckets=1).to_pandas()
+        range_join(left, right, "k", "k", "t", "s", "e").to_pandas()
 
 
 def test_asof_join_collision_and_type_errors(ray_session):

@@ -286,10 +286,10 @@ def test_native_kernel_parity(monkeypatch):
         assert np.array_equal(with_c[1][oc], no_c[1][on]), (k, w)
 
 
-def test_flat_hashes_native_parity(monkeypatch):
-    """C rolling_hashes == numpy prefix-product form, element-for-element,
-    for every k the callers use (charlm n and n-1 grams, winnow k) and
-    edge lengths around n == k."""
+def test_flat_hashes_native_parity():
+    """C rolling_hashes == the reference `_kgram_hashes`, element for
+    element, for every k the callers use (charlm n and n-1 grams, winnow
+    k) and edge lengths around n == k."""
     from nem_mms_ray.ops import _winnow_native
     from nem_mms_ray.ops.winnow import _flat_hashes
 
@@ -302,9 +302,5 @@ def test_flat_hashes_native_parity(monkeypatch):
         flat = rng.integers(0, 0x110000, n).astype(np.uint32)
         for k in (1, 2, 3, 5, 8, 16):
             got = _flat_hashes(flat, k)
-            with monkeypatch.context() as mp:
-                mp.setattr(_winnow_native, "rolling_hashes",
-                           lambda *a, **kw: None)
-                want = _flat_hashes(flat, k)
             assert got.dtype == np.uint64
-            assert np.array_equal(got, want), (n, k)
+            assert np.array_equal(got, _kgram_hashes(flat, k)), (n, k)
