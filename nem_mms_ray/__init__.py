@@ -5,7 +5,7 @@ batches.  The reference semantics (schema-driven typed columnar encode, exact
 typed round-trip, header-driven format dispatch, manifest bookkeeping) come
 from mattswoon/nem-mms (see SURVEY.md for file:line citations); the execution
 model is Ray Data: streaming blocks, actor pools for stateful stages,
-shuffle-free per-partition encode.
+shuffle-free per-partition encode in one Ray task per CPU slot.
 
 Layout:
   codecs/     pure encode/decode kernels over pyarrow Arrays

@@ -11,10 +11,14 @@ reference's round-trip tests (/root/reference/src/manage/state.rs:155-191)
 and its parsed-record exact-equality tests
 (/root/reference/src/flatfile.rs:644-773).
 
-`VerifyPartitions` runs as Ray tasks over the same partition specs used for
-encode: each task re-reads its input with the encoder's own batch size, so
-decoded chunk i is compared with source batch i and the partition is never
-held whole — verification is as shuffle-free and streaming as the encode.
+`VerifyPartitions` runs over the same partition specs used for encode, and
+in the same shape: one Ray task per CPU slot, each over a contiguous,
+byte-balanced run of specs (`encode.map_partition_groups`).  Each
+partition re-reads its input with the encoder's own batch size, so decoded
+chunk i is compared with source batch i and the partition is never held
+whole — verification is as shuffle-free and streaming as the encode.
+`decode_files` groups its partitions the same way, balanced on the encoded
+files' sizes.  `scan_encoded` alone keeps one task per file (see there).
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from nem_mms_ray.pipelines.encode import (
     DEFAULT_TARGET_BYTES,
     PartitionSpec,
     _rows_per_batch,
+    map_partition_groups,
     plan_partitions,
 )
 from nem_mms_ray.state.manifest import Manifest, atomic_write
@@ -195,6 +200,11 @@ def scan_encoded(enc_dir: str | Path, columns: list[str] | None = None,
     `columns` plus the filter columns, then the exact row mask applies.
     Temporal bounds may be numbers (raw epoch in the column's unit) or
     anything `pa.scalar` accepts for the column type.
+
+    Unlike encode, verify and decode, the scan keeps one Ray task per
+    file: its output is the decoded rows themselves, not one small metric
+    row per partition, and a task over a group of files would hold the
+    whole group's surviving rows in one block.
     """
     import ray.data as rd
 
@@ -234,17 +244,16 @@ def decode_files(enc_dir: str | Path, out_dir: str | Path):
     """Ray pipeline: every encoded partition under `enc_dir` -> plain
     parquet under `out_dir`.  Returns a lazy Dataset of per-partition rows.
     The inverse of `encode_files` for consumers that want the original
-    columnar data back without the codec layer."""
-    import ray.data as rd
-
-    pids = sorted(
-        int(p.stem.split("-")[1]) for p in Path(enc_dir).glob("part-*.parquet")
-    )
-    if not pids:
+    columnar data back without the codec layer.  Runs as one Ray task per
+    CPU slot, each decoding a contiguous run of partitions balanced on
+    their encoded file sizes (`map_partition_groups`)."""
+    files = {int(f.stem.split("-")[1]): f for f in Path(enc_dir).glob("part-*.parquet")}
+    if not files:
         raise ValueError(f"no encoded partitions under {enc_dir}")
-    ds = rd.from_items([{"pid": p} for p in pids], override_num_blocks=len(pids))
+    pids = sorted(files)
     fn = functools.partial(_decode_task, enc_dir=str(enc_dir), out_dir=str(out_dir))
-    return ds.map_batches(fn, batch_size=1, batch_format="pyarrow", num_cpus=1)
+    return map_partition_groups([{"pid": p} for p in pids],
+                                [files[p].stat().st_size for p in pids], fn)
 
 
 class VerifyPartitions:
@@ -301,15 +310,14 @@ def verify_files(
     Verify must plan with the encode's `target_bytes`, or the partition ids
     misalign and every partition reads as a mismatch: by default it is the
     one the encode recorded in the run header (`_manifest/run.json`), or
-    DEFAULT_TARGET_BYTES when out_dir has none.  Runs as Ray tasks, one per
-    partition spec, like encode_files.
+    DEFAULT_TARGET_BYTES when out_dir has none.  Runs like encode_files:
+    one Ray task per CPU slot, each verifying a contiguous, byte-balanced
+    run of partition specs one after another (`map_partition_groups`).
     """
-    import ray.data as rd
-
     if target_bytes is None:
         hdr = Manifest(out_dir).read_run_header()
         target_bytes = hdr["target_bytes"] if hdr else DEFAULT_TARGET_BYTES
     specs = plan_partitions(input_paths, target_bytes)
-    ds = rd.from_items([s.to_row() for s in specs], override_num_blocks=len(specs))
     fn = functools.partial(_verify_task, out_dir=str(out_dir), columns=columns or None)
-    return ds.map_batches(fn, batch_size=1, batch_format="pyarrow", num_cpus=1)
+    return map_partition_groups([s.to_row() for s in specs],
+                                [s.approx_bytes for s in specs], fn)

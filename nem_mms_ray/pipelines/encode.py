@@ -3,12 +3,18 @@
 Ray-Data-native shape (SURVEY.md §3.1 target lifecycle):
 
     driver: plan_partitions(...)            # metadata only, deterministic ids
-    ray.data.from_items(specs)              # Dataset of partition specs
-      .map_batches(_encode_task,            # Ray tasks, batch = one spec
-                   num_cpus=1)
+    map_partition_groups(specs, ...)        # one block per CPU slot: a
+      ray.data.from_arrow(groups)           # contiguous, byte-balanced run
+      .map_batches(_encode_task,            # of specs; one Ray task per
+                   batch_size=None,         # block, partitions one after
+                   num_cpus=1)              # another inside it
     -> Dataset of per-partition metric rows # consumed small
 
-Each task streams its partition through pyarrow record batches
+A task per partition would pay Ray Data's per-task cost (about 12 ms on
+one CPU) once per partition for no parallelism the cluster can give, so
+encode, verify and decode all start `min(#partitions, #CPUs)` tasks.
+
+Each partition streams through pyarrow record batches
 (bounded memory) and reads its input once: the first batches also feed the
 sampling pass (sketches -> codec plan, FSST symbol tables trained ONCE per
 partition and reused across batches — the stateful-stage contract from
@@ -34,6 +40,8 @@ parallelism the reference lacks (single-threaded, fully materialized —
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -163,6 +171,39 @@ def _row_group_metas(sorted_paths: list[str]) -> dict[str, list[tuple[int, int]]
     fetch = ray.remote(num_cpus=0.25)(_read_rg_meta)
     refs = [fetch.remote(p) for p in sorted_paths]
     return dict(zip(sorted_paths, ray.get(refs)))
+
+
+def partition_groups(weights: list[int], resources: dict) -> list[range]:
+    """Cut items 0..n-1 into one contiguous run per CPU slot.
+
+    `resources` is Ray's `cluster_resources()`: k = min(n, CPUs) runs, at
+    least one (a cluster reporting no CPU gets one).  Run j ends where the
+    cumulative weight first reaches j/k of the total, each run keeping at
+    least one item, so no run weighs more than total/k plus the largest
+    single weight: the map-side skew-aware grouping of FP-Hadoop
+    (VLDB'15).
+    """
+    n = len(weights)
+    k = max(1, min(n, int(resources.get("CPU", 0))))
+    cum = list(itertools.accumulate(weights, initial=0))
+    cuts = [0]
+    for j in range(1, k):
+        cuts.append(bisect.bisect_left(cum, cum[-1] * j / k, cuts[-1] + 1, n - (k - j)))
+    cuts.append(n)
+    return [range(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def map_partition_groups(rows: list[dict], weights: list[int], fn):
+    """Lazy Dataset of `fn` over `rows` (one per partition, in pid order),
+    grouped by `partition_groups`: one block, and so one Ray task, per
+    group.  `fn` gets the whole group as one pyarrow batch and returns a
+    row per partition."""
+    import ray
+    import ray.data as rd
+
+    groups = partition_groups(weights, ray.cluster_resources())
+    ds = rd.from_arrow([pa.Table.from_pylist(rows[g.start:g.stop]) for g in groups])
+    return ds.map_batches(fn, batch_size=None, batch_format="pyarrow", num_cpus=1)
 
 
 def _rows_per_batch(approx_bytes: int, rows: int, target: int = 32 << 20) -> int:
@@ -338,6 +379,18 @@ def _dense(arr: pa.Array) -> pa.Array:
     if out.null_count == 0:
         out = pa.Array.from_buffers(out.type, len(out), [None, *out.buffers()[1:]], 0)
     return out
+
+
+def _chunk_table(names: list[str], ecs: list[EncodedColumn], chunk_idx: int,
+                 first_row: int) -> pa.Table:
+    """One chunk's rows of the encoded file (`ENCODED_SCHEMA`), one per
+    column, built column by column."""
+    rows = [ec.to_row() for ec in ecs]
+    n = len(rows)
+    cols = [names, [chunk_idx] * n, [first_row] * n]
+    cols += ([r[k] for r in rows] for k in ENCODED_SCHEMA.names[3:])  # to_row()'s keys
+    return pa.Table.from_arrays([pa.array(c, t) for c, t in zip(cols, ENCODED_SCHEMA.types)],
+                                schema=ENCODED_SCHEMA)
 
 
 def _drain(head: list, rest):
@@ -523,23 +576,19 @@ class EncodePartitions:
                                       compression_level=3,
                                       use_dictionary=_DICT_COLUMNS)
             for chunk_idx, rb in enumerate(_drain(head, batches)):
-                out_rows = []
+                ecs = []
                 for name, arr in zip(rb.schema.names, rb.columns):
                     if name in dict_cols and plans[name].codec != "dict":
                         arr = _dense(arr)
                     ec, nbytes = self._encode_chunk(name, arr, plans, symbols)
-                    r = ec.to_row()
-                    r["column"] = name
-                    r["chunk_idx"] = chunk_idx
-                    r["first_row"] = rows
-                    out_rows.append(r)
+                    ecs.append(ec)
                     cb = col_bytes.setdefault(name, [0, 0])
                     cb[0] += nbytes
                     cb[1] += ec.encoded_bytes
                     orig_bytes += nbytes
                     enc_bytes += ec.encoded_bytes
+                writer.write_table(_chunk_table(rb.schema.names, ecs, chunk_idx, rows))
                 rows += rb.num_rows
-                writer.write_table(pa.Table.from_pylist(out_rows, schema=ENCODED_SCHEMA))
             writer.close()
 
         rec = PartitionRecord(
@@ -589,21 +638,19 @@ def encode_files(
     Consume with .to_pandas()/.take_all() (tiny: one row per partition) —
     the heavy data streams worker-side only.
 
-    The stage runs as Ray tasks, one per partition spec: each task builds
-    its own `EncodePartitions` (two mkdirs) and, inside it, the partition's
-    plan + FSST tables; Ray's warm worker processes amortize the imports.
+    The stage runs as Ray tasks, one per CPU slot (`map_partition_groups`):
+    each task gets a contiguous, byte-balanced run of partition specs,
+    builds one `EncodePartitions` (two mkdirs) and encodes its partitions
+    one after another, each with its own plan + FSST tables.  A task that
+    fails leaves its finished partitions recorded; a rerun skips them.
     """
     import functools
-
-    import ray.data as rd
 
     specs = plan_partitions(input_paths, target_bytes)
     # run-level lineage: refuse resume into an out_dir planned differently
     m = Manifest(out_dir)
     m.check_run_header([str(p) for p in input_paths], target_bytes)
     m.write_run_header([str(p) for p in input_paths], target_bytes, len(specs))
-    # one block per spec: from_items packs everything into one block, which
-    # would serialize the whole encode behind a single task
-    ds = rd.from_items([s.to_row() for s in specs], override_num_blocks=len(specs))
     fn = functools.partial(_encode_task, out_dir=str(out_dir), columns=columns or None)
-    return ds.map_batches(fn, batch_size=1, batch_format="pyarrow", num_cpus=1)
+    return map_partition_groups([s.to_row() for s in specs],
+                                [s.approx_bytes for s in specs], fn)
