@@ -71,6 +71,41 @@ def compare(name: str, ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> list[str]:
     return problems
 
 
+def oracle_connection(sf_dir: str) -> duckdb.DuckDBPyConnection:
+    """A DuckDB connection with one view per testdata table of `sf_dir`."""
+    con = duckdb.connect()
+    for t in TABLES:
+        p = f"{sf_dir}/{t}.parquet"
+        if Path(p).exists():
+            con.sql(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{p}')")
+    return con
+
+
+def check_rows(sf_dir: str, only: set[str] | frozenset = frozenset()):
+    """Yield (name, problems, rows, wall) for each queries() row (all, or
+    those named in `only`) against its oracle_sql().  `problems` is None
+    when the row has no oracle; a query that raises is one problem.
+    Needs a running Ray session."""
+    import __ray_entry__ as E
+
+    con = oracle_connection(sf_dir)
+    oracles = E.oracle_sql()
+    for name, fn in E.queries().items():
+        if only and name not in only:
+            continue
+        t0 = time.time()
+        try:
+            ray_df = to_pandas(fn(sf_dir))
+        except Exception as e:
+            yield name, [f"query raised {type(e).__name__}: {e}"], 0, time.time() - t0
+            continue
+        wall = time.time() - t0
+        if name not in oracles:
+            yield name, None, len(ray_df), wall
+            continue
+        yield name, compare(name, ray_df, con.sql(oracles[name]).df()), len(ray_df), wall
+
+
 def main() -> None:
     import ray
 
@@ -84,38 +119,15 @@ def main() -> None:
 
     DataContext.get_current().enable_progress_bars = False
 
-    import __ray_entry__ as E
-
-    con = duckdb.connect()
-    for t in TABLES:
-        p = f"{sf_dir}/{t}.parquet"
-        if Path(p).exists():
-            con.sql(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{p}')")
-
-    qs = E.queries()
-    oracles = E.oracle_sql()
     n_fail = 0
-    for name, fn in qs.items():
-        if only and name not in only:
-            continue
-        t0 = time.time()
-        try:
-            ray_df = to_pandas(fn(sf_dir))
-        except Exception as e:
-            print(f"FAIL  {name}: query raised {type(e).__name__}: {e}")
-            n_fail += 1
-            continue
-        wall = time.time() - t0
-        if name not in oracles:
-            print(f"rows  {name}: {len(ray_df)} rows ({wall:.1f}s, no oracle)")
-            continue
-        sql_df = con.sql(oracles[name]).df()
-        problems = compare(name, ray_df, sql_df)
-        if problems:
+    for name, problems, rows, wall in check_rows(sf_dir, only):
+        if problems is None:
+            print(f"rows  {name}: {rows} rows ({wall:.1f}s, no oracle)")
+        elif problems:
             n_fail += 1
             print(f"FAIL  {name} ({wall:.1f}s): " + "; ".join(problems))
         else:
-            print(f"OK    {name}: {len(ray_df)} rows match oracle ({wall:.1f}s)")
+            print(f"OK    {name}: {rows} rows match oracle ({wall:.1f}s)")
     ray.shutdown()
     sys.exit(1 if n_fail else 0)
 
