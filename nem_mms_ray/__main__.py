@@ -35,16 +35,9 @@ Usage:
          # stage-level checkpoint resume; --lm-max-bits adds the CCNet
          # perplexity filter; --shards also writes the curated corpus
          # as deterministic training shards
-  python -m nem_mms_ray semdedup EMB.parquet -o OUT_DIR \
-         [--clusters 16] [--threshold 0.95] [--kmeans-iters 2]
-         # SemDeDup: within-k-means-cluster cosine prune
   python -m nem_mms_ray shard DOCS.parquet -o OUT_DIR \
          [--shards 8] [--seed 0]
          # deterministic global shuffle -> hive training shards
-  python -m nem_mms_ray winnow DOCS.parquet -o OUT_DIR \
-         [--min-containment 0.5] [--k 8] [--window 4]
-         # substring-level dedup: winnowing fingerprints -> clusters ->
-         # keep each cluster's min-id representative
   python -m nem_mms_ray lm DOCS.parquet -o OUT_DIR [--ref TRUSTED.parquet]
          # char n-gram LM bits/char scoring (the CCNet filter signal)
   python -m nem_mms_ray scrub DOCS.parquet -o OUT_DIR
@@ -52,18 +45,6 @@ Usage:
   python -m nem_mms_ray decontam DOCS.parquet -o OUT_DIR \
          --benchmark EVAL.parquet [--ngram 8] [--threshold 0]
          # benchmark n-gram decontamination flags
-  python -m nem_mms_ray chunk DOCS.parquet -o OUT_DIR \
-         [--max-tokens 512] [--stride 512]
-         # context-window packing: one row per token window
-  python -m nem_mms_ray pack CHUNKS_DIR -o OUT_DIR --budget 2048 \
-         [--mode next_fit|stream] [--order-cols chunk_id] \
-         [--n-tokens-col n_tokens]
-         # sequence packing: combine short sequences into full
-         # training rows (chunk's downstream step)
-  python -m nem_mms_ray bpe DOCS.parquet -o OUT_DIR \
-         [--n-merges 1000] [--max-words 100000] [--merges-in MERGES.json]
-         # BPE tokenizer: distributed word count -> driver merge loop ->
-         # per-doc subword counts; merges saved to OUT_DIR/bpe_merges.json
 """
 
 from __future__ import annotations
@@ -173,32 +154,6 @@ def cmd_near_dedup(args) -> int:
     print(json.dumps({"near_dup_nodes": int(n_nodes),
                       "clusters": int(n_comps),
                       "duplicates_to_drop": int(n_nodes - n_comps)}))
-    return 0
-
-
-def cmd_semdedup(args) -> int:
-    """SemDeDup semantic dedup over an embeddings table: k-means
-    centroids (deterministic sample, optionally refined by distributed
-    Lloyd iterations) -> nearest-centroid assignment -> within-cluster
-    cosine prune; writes the SURVIVING (id, cluster) rows as parquet."""
-    import ray.data as rd
-
-    from nem_mms_ray.ops.ann import build_ivf_centroids, train_kmeans
-    from nem_mms_ray.ops.semdedup import semdedup
-
-    ds = rd.read_parquet(args.inputs, columns=[args.id_col, args.vec_col])
-    cents = build_ivf_centroids(ds, args.clusters, args.vec_col)
-    if args.kmeans_iters > 0:
-        cents, _ = train_kmeans(ds, args.clusters, args.vec_col,
-                                n_iters=args.kmeans_iters, init=cents)
-    kept = semdedup(ds, cents, threshold=args.threshold,
-                    id_col=args.id_col, vec_col=args.vec_col)
-    kept.write_parquet(args.out)
-    n_in = ds.count()
-    n_kept = rd.read_parquet(args.out).count()
-    print(json.dumps({"rows_in": int(n_in), "rows_kept": int(n_kept),
-                      "semantic_dups_dropped": int(n_in - n_kept),
-                      "clusters": int(args.clusters)}))
     return 0
 
 
@@ -326,26 +281,6 @@ def cmd_scrub(args) -> int:
     return 0
 
 
-def cmd_winnow(args) -> int:
-    """Substring-level dedup (winnowing local fingerprints): drop all but
-    each substring-sharing cluster's min-id representative; writes the
-    surviving rows as parquet."""
-    import ray.data as rd
-
-    from nem_mms_ray.ops.winnow import winnow_dedup
-
-    ds = rd.read_parquet(_expand_inputs(args.inputs))
-    n_in = ds.count()
-    kept = winnow_dedup(ds, min_containment=args.min_containment,
-                        k=args.k, window=args.window,
-                        id_col=args.id_col, text_col=args.text_col)
-    kept.write_parquet(args.out)
-    n_out = rd.read_parquet(args.out).count()
-    print(json.dumps({"rows_in": int(n_in), "rows_kept": int(n_out),
-                      "dropped": int(n_in - n_out)}))
-    return 0
-
-
 def cmd_lm(args) -> int:
     """Char n-gram LM perplexity scoring (the CCNet filter signal): train
     on --ref (or the corpus itself) and write (id, lm_bits) parquet."""
@@ -406,78 +341,6 @@ def cmd_decontam(args) -> int:
     return 0
 
 
-def cmd_chunk(args) -> int:
-    """Split each doc's text into fixed-size token windows (context-window
-    packing); writes (doc_id, chunk_id, text, n_tokens) parquet."""
-    import ray.data as rd
-
-    from nem_mms_ray.ops.chunking import chunk_documents
-
-    ds = rd.read_parquet(_expand_inputs(args.inputs),
-                         columns=[args.id_col, args.text_col])
-    chunk_documents(ds, max_tokens=args.max_tokens, stride=args.stride,
-                    id_col=args.id_col,
-                    text_col=args.text_col).write_parquet(args.out)
-    n = rd.read_parquet(args.out).count()
-    print(json.dumps({"chunks": int(n), "max_tokens": args.max_tokens,
-                      "stride": args.stride or args.max_tokens}))
-    return 0
-
-
-def cmd_pack(args) -> int:
-    """Pack sequences into fixed-token-budget training rows (next-fit or
-    stream discipline); writes (bucket, pack_id, text, n_tokens[, n_seqs])
-    parquet."""
-    import ray.data as rd
-
-    from nem_mms_ray.ops.packing import pack_sequences
-
-    cols = [args.id_col, args.text_col, *args.order_cols]
-    if args.n_tokens_col:
-        cols.append(args.n_tokens_col)
-    ds = rd.read_parquet(_expand_inputs(args.inputs), columns=cols)
-    pack_sequences(ds, budget=args.budget, mode=args.mode,
-                   n_buckets=args.n_buckets, id_col=args.id_col,
-                   order_cols=tuple(args.order_cols),
-                   text_col=args.text_col,
-                   n_tokens_col=args.n_tokens_col).write_parquet(args.out)
-    n = rd.read_parquet(args.out).count()
-    print(json.dumps({"packs": int(n), "budget": args.budget,
-                      "mode": args.mode}))
-    return 0
-
-
-def cmd_bpe(args) -> int:
-    """Train a BPE vocabulary on the corpus's word frequencies, apply it,
-    and write per-doc subword counts; the learned merges go to a JSON
-    sidecar so a later run can re-apply the same tokenizer."""
-    from pathlib import Path
-
-    import ray.data as rd
-
-    from nem_mms_ray.ops.bpe import apply_bpe, train_bpe, word_frequencies
-
-    ds = rd.read_parquet(_expand_inputs(args.inputs),
-                         columns=[args.id_col, args.text_col])
-    if args.merges_in:
-        merges = [tuple(p) for p in
-                  json.loads(Path(args.merges_in).read_text())["merges"]]
-    else:
-        merges = train_bpe(
-            word_frequencies(ds, text_col=args.text_col,
-                             max_words=args.max_words),
-            n_merges=args.n_merges, min_freq=args.min_freq)
-    apply_bpe(ds, merges, text_col=args.text_col,
-              id_col=args.id_col).write_parquet(args.out)
-    out_dir = Path(args.out)
-    (out_dir / "bpe_merges.json").write_text(
-        json.dumps({"merges": merges, "n_merges": len(merges)}))
-    n = rd.read_parquet(
-        args.out, file_extensions=["parquet"]).count()
-    print(json.dumps({"rows": int(n), "merges": len(merges)}))
-    return 0
-
-
 def cmd_gen(args) -> int:
     from nem_mms_ray.webtable import write_webtable
 
@@ -486,7 +349,7 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="nem_mms_ray", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
     ray_opts = argparse.ArgumentParser(add_help=False)
@@ -554,21 +417,6 @@ def main(argv: list[str] | None = None) -> int:
     pn.add_argument("--text-col", default="text")
     pn.set_defaults(fn=cmd_near_dedup)
 
-    psd = sub.add_parser("semdedup", parents=[ray_opts],
-                         help="semantic dedup: k-means clusters -> within-"
-                              "cluster cosine prune -> surviving (id, "
-                              "cluster) parquet")
-    psd.add_argument("inputs", nargs="+")
-    psd.add_argument("-o", "--out", required=True)
-    psd.add_argument("--threshold", type=float, default=0.95)
-    psd.add_argument("--clusters", type=int, default=16)
-    psd.add_argument("--kmeans-iters", type=int, default=0,
-                     help="distributed Lloyd refinement passes over the "
-                          "full corpus (0 = deterministic sample centroids)")
-    psd.add_argument("--id-col", default="vec_id")
-    psd.add_argument("--vec-col", default="embedding")
-    psd.set_defaults(fn=cmd_semdedup)
-
     psh = sub.add_parser("shard", parents=[ray_opts],
                          help="deterministic global shuffle -> hive-"
                               "partitioned training shards (pure function "
@@ -618,18 +466,6 @@ def main(argv: list[str] | None = None) -> int:
     psc.add_argument("--text-col", default="text")
     psc.set_defaults(fn=cmd_scrub)
 
-    pwn = sub.add_parser("winnow", parents=[ray_opts], help="substring-level dedup: winnowing"
-                                        " fingerprints -> clusters -> keep"
-                                        " representative")
-    pwn.add_argument("inputs", nargs="+")
-    pwn.add_argument("-o", "--out", required=True)
-    pwn.add_argument("--min-containment", type=float, default=0.5)
-    pwn.add_argument("--k", type=int, default=8)
-    pwn.add_argument("--window", type=int, default=4)
-    pwn.add_argument("--id-col", default="doc_id")
-    pwn.add_argument("--text-col", default="text")
-    pwn.set_defaults(fn=cmd_winnow)
-
     plm = sub.add_parser("lm", parents=[ray_opts], help="char n-gram LM perplexity scoring"
                                     " (CCNet filter signal)")
     plm.add_argument("inputs", nargs="+")
@@ -658,62 +494,16 @@ def main(argv: list[str] | None = None) -> int:
     pdx.add_argument("--text-col", default="text")
     pdx.set_defaults(fn=cmd_decontam)
 
-    pck = sub.add_parser("chunk", parents=[ray_opts],
-                         help="split docs into fixed-size token windows"
-                              " (context-window packing)")
-    pck.add_argument("inputs", nargs="+")
-    pck.add_argument("-o", "--out", required=True)
-    pck.add_argument("--max-tokens", type=int, default=512)
-    pck.add_argument("--stride", type=int, default=None,
-                     help="window start step; default max-tokens"
-                          " (non-overlapping)")
-    pck.add_argument("--id-col", default="doc_id")
-    pck.add_argument("--text-col", default="text")
-    pck.set_defaults(fn=cmd_chunk)
-
-    ppk = sub.add_parser("pack", parents=[ray_opts],
-                         help="pack sequences into fixed-token-budget"
-                              " training rows (chunk's downstream step)")
-    ppk.add_argument("inputs", nargs="+")
-    ppk.add_argument("-o", "--out", required=True)
-    ppk.add_argument("--budget", type=int, default=2048)
-    ppk.add_argument("--mode", choices=("next_fit", "stream"),
-                     default="next_fit",
-                     help="next_fit keeps sequences whole; stream cuts the"
-                          " concatenated token stream at exact boundaries")
-    ppk.add_argument("--n-buckets", type=int, default=64)
-    ppk.add_argument("--id-col", default="doc_id")
-    ppk.add_argument("--order-cols", nargs="*", default=[],
-                     help="secondary sort keys, e.g. chunk_id for chunk"
-                          " output")
-    ppk.add_argument("--text-col", default="text")
-    ppk.add_argument("--n-tokens-col", default=None,
-                     help="precomputed token-count column (chunk output"
-                          " carries n_tokens); counted per batch when"
-                          " absent")
-    ppk.set_defaults(fn=cmd_pack)
-
-    pb = sub.add_parser("bpe", parents=[ray_opts], help="train a BPE vocabulary on corpus word "
-                        "frequencies and write per-doc subword counts")
-    pb.add_argument("inputs", nargs="+")
-    pb.add_argument("-o", "--out", required=True)
-    pb.add_argument("--n-merges", type=int, default=1000)
-    pb.add_argument("--max-words", type=int, default=100_000,
-                    help="train on the top-N word types by frequency")
-    pb.add_argument("--min-freq", type=int, default=2)
-    pb.add_argument("--merges-in", default=None,
-                    help="skip training: re-apply a bpe_merges.json")
-    pb.add_argument("--id-col", default="doc_id")
-    pb.add_argument("--text-col", default="text")
-    pb.set_defaults(fn=cmd_bpe)
-
     pg = sub.add_parser("gen", help="synthesize the FIXTURES webtable")
     pg.add_argument("-o", "--out", required=True)
     pg.add_argument("--rows", type=int, default=50_000)
     pg.add_argument("--shard-rows", type=int, default=25_000)
     pg.set_defaults(fn=cmd_gen)
+    return p
 
-    args = p.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     if not hasattr(args, "num_cpus"):  # describe, gen: no Ray session
         return args.fn(args)
     import ray

@@ -5,14 +5,11 @@
   top-k then a tiny driver-side merge.  The baseline and the oracle.
 - `ivf_topk_cosine`: IVF scale path — deterministic sample centroids,
   batches route to nearest centroids, search only nprobe closest lists.
-- `build_ivf_index` / `ivf_index_topk`: the persisted variant — lists land
-  as hive-partitioned parquet, so repeated queries read only the probed
-  partitions instead of re-scanning the corpus.
+- `assign_clusters`: each vector's nearest centroid, the routing step of
+  IVF as a Dataset of (id, cluster).
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import numpy as np
 import pandas as pd
@@ -206,125 +203,6 @@ def build_ivf_centroids(ds, n_centroids: int, vec_col: str = "embedding",
     return c
 
 
-def build_ivf_index(ds, index_dir, n_centroids: int = 16,
-                    vec_col: str = "embedding", id_col: str = "vec_id",
-                    refine_iters: int = 0) -> None:
-    """Persist an IVF index: centroids + vectors partitioned by list id.
-
-    Index once, query many — the piece the transient `ivf_topk_cosine`
-    lacks at scale (r1 VERDICT: "no persisted index").  Layout:
-      index_dir/centroids.parquet            tiny (n_centroids x dim)
-      index_dir/lists/list_id=K/*.parquet    hive-partitioned vector rows
-    Searches read ONLY the probed lists' files (partition pruning at the
-    read), so per-query I/O is nprobe/n_centroids of the corpus.
-
-    `refine_iters > 0` runs that many distributed Lloyd iterations
-    (`train_kmeans`) over the FULL corpus starting from the sampled
-    centroids — better-balanced lists and higher recall per probe, at
-    one corpus pass per iteration (0 keeps the sample-only default).
-    """
-    import pyarrow.parquet as pq
-
-    index_dir = str(index_dir)
-    cents = build_ivf_centroids(ds, n_centroids, vec_col)
-    if refine_iters > 0:
-        cents, _ = train_kmeans(ds, n_centroids, vec_col,
-                                n_iters=refine_iters, init=cents)
-    Path(index_dir).mkdir(parents=True, exist_ok=True)
-    dim = cents.shape[1]
-    pq.write_table(
-        pa.table({
-            "list_id": pa.array(np.arange(len(cents), dtype=np.int32)),
-            "centroid": pa.FixedSizeListArray.from_arrays(
-                pa.array(cents.reshape(-1), pa.float64()), dim),
-        }),
-        f"{index_dir}/centroids.parquet")
-    import ray
-
-    cref = ray.put(cents)
-
-    def assign(batch: pa.Table) -> pa.Table:
-        c = ray.get(cref)
-        m = _normalize(_to_matrix(batch.column(vec_col)))
-        li = (m @ c.T).argmax(axis=1).astype(np.int32)
-        # lid duplicates the hive key as a data column: probed reads pass
-        # explicit leaf files, where path-inferred columns are unavailable
-        return batch.append_column("list_id", pa.array(li)) \
-                    .append_column("lid", pa.array(li))
-
-    ds.map_batches(assign, batch_format="pyarrow").write_parquet(
-        f"{index_dir}/lists", partition_cols=["list_id"])
-
-
-def ivf_index_topk(index_dir, queries: np.ndarray, k: int = 10, nprobe: int = 4,
-                   vec_col: str = "embedding", id_col: str = "vec_id",
-                   concurrency: int | None = None) -> pd.DataFrame:
-    """Query a persisted IVF index: load the (tiny) centroids, pick each
-    query's nprobe nearest lists, and read ONLY those hive partitions —
-    the corpus itself is never re-scanned."""
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data as rd
-
-    index_dir = str(index_dir)
-    ct = pq.read_table(f"{index_dir}/centroids.parquet")
-    cents = _to_matrix(ct.column("centroid"))
-    q = _normalize(np.atleast_2d(np.asarray(queries, np.float64)))
-    probe = np.argsort(-(q @ cents.T), axis=1)[:, :nprobe]  # (nq, nprobe)
-    lists = sorted({int(li) for row in probe for li in row})
-    paths = [str(f) for li in lists
-             for f in sorted(Path(f"{index_dir}/lists/list_id={li}").glob("*.parquet"))]
-    if not paths:
-        # every probed list is empty on disk (possible when sample-derived
-        # centroids win argmax for zero corpus vectors) — return an empty
-        # result at the output schema instead of read_parquet([]) raising
-        return pd.DataFrame({"query_idx": pd.Series([], dtype="int32"),
-                             id_col: pd.Series([], dtype="int64"),
-                             "cosine": pd.Series([], dtype="float64"),
-                             "rank": pd.Series([], dtype="int64")})
-    wanted: dict[int, list[int]] = {}
-    for qi, row in enumerate(probe):
-        for li in row:
-            wanted.setdefault(int(li), []).append(qi)
-    qref = ray.put(q)
-    wref = ray.put(wanted)
-
-    def search(batch: pa.Table) -> pa.Table:
-        qq, w = ray.get(qref), ray.get(wref)
-        ids = np.asarray(batch.column(id_col))
-        li = np.asarray(batch.column("lid"), np.int64)
-        m = _normalize(_to_matrix(batch.column(vec_col)))
-        rows = {"query_idx": [], id_col: [], "cosine": []}
-        for lid, qis in w.items():
-            mask = li == lid
-            if not mask.any():
-                continue
-            sub, sub_ids = m[mask], ids[mask]
-            sims = sub @ qq[qis].T
-            kk = min(k, len(sub_ids))
-            for col, qi in enumerate(qis):
-                s = sims[:, col]
-                top = np.argpartition(-s, kk - 1)[:kk] if kk < len(s) else np.arange(len(s))
-                for t in top:
-                    rows["query_idx"].append(qi)
-                    rows[id_col].append(int(sub_ids[t]))
-                    rows["cosine"].append(float(s[t]))
-        return pa.table({"query_idx": pa.array(rows["query_idx"], pa.int32()),
-                         id_col: pa.array(rows[id_col], pa.int64()),
-                         "cosine": pa.array(rows["cosine"], pa.float64())})
-
-    cands = rd.read_parquet(paths).map_batches(
-        search, batch_format="pyarrow",
-        concurrency=concurrency or _pool(), num_cpus=1).to_pandas()
-    out = []
-    for qi, g in cands.groupby("query_idx"):
-        g = g.sort_values(["cosine", id_col], ascending=[False, True]).head(k)
-        out.append(g.assign(rank=np.arange(1, len(g) + 1)))
-    res = pd.concat(out, ignore_index=True) if out else cands.assign(rank=[])
-    res["cosine"] = res["cosine"].round(6)
-    return res[["query_idx", id_col, "cosine", "rank"]]
-
-
 def ivf_topk_cosine(ds, queries: np.ndarray, k: int = 10, n_centroids: int = 16,
                     nprobe: int = 4, vec_col: str = "embedding",
                     id_col: str = "vec_id", concurrency: int | None = None) -> pd.DataFrame:
@@ -385,110 +263,10 @@ def ivf_topk_cosine(ds, queries: np.ndarray, k: int = 10, n_centroids: int = 16,
     return res[["query_idx", id_col, "cosine", "rank"]]
 
 
-def train_kmeans(ds, n_clusters: int = 16, vec_col: str = "embedding",
-                 n_iters: int = 10, tol: float = 1e-6, seed: int = 42,
-                 init: np.ndarray | None = None):
-    """Distributed spherical k-means (cosine Lloyd's) over the FULL corpus
-    — the training step `build_ivf_centroids` only approximates on a
-    driver-side sample.  Returns (centroids (k, dim) float64, history:
-    one dict per iteration with the cosine objective and max centroid
-    shift).
-
-    Per iteration (one corpus pass each, the Lloyd contract):
-      assign   — centroids broadcast ONCE via ray.put; per batch one
-                 matmul+argmax, then per-cluster partial (vecsum, count,
-                 simsum) rows — k rows per BATCH leave the map, never
-                 the vectors themselves.
-      reduce   — groupby(cluster).map_groups: k groups, each summing its
-                 nbatches partial rows IN SORTED ORDER (lexicographic
-                 over the partial values), so the float reduction is
-                 independent of task arrival order; the k x dim result
-                 is driver-tiny.
-      update   — new centroid = normalized cluster mean; a cluster that
-                 attracted no vectors keeps its previous centroid.
-    Stops early when every centroid moves < `tol` (L2).
-
-    Determinism: init is seeded (`build_ivf_centroids`) or caller-given,
-    partial sums reduce in sorted order, and ties in assignment go to
-    the lowest centroid id — different partitionings of the same input
-    produce identical assignments and near-bitwise centroids (batch
-    boundaries still group the partial sums differently, so centroid
-    floats can differ at reduction-rounding scale; assignments are
-    integer-robust to that).
-    """
-    import ray
-    import ray.data as rd  # noqa: F401  (documents the dependency)
-
-    c = (_normalize(np.atleast_2d(np.asarray(init, np.float64)))
-         if init is not None
-         else build_ivf_centroids(ds, n_clusters, vec_col, seed=seed))
-    k, dim = c.shape
-    history: list[dict] = []
-
-    def reduce_group(g: pd.DataFrame) -> pd.DataFrame:
-        m = np.stack(g["vecsum"].to_numpy())
-        order = np.lexsort(tuple(m[:, j] for j in range(dim - 1, -1, -1))
-                           + (g["n"].to_numpy(np.int64),))
-        return pd.DataFrame({
-            "cluster": [int(g["cluster"].iloc[0])],
-            "vecsum": [m[order].sum(axis=0)],
-            "n": [int(g["n"].sum())],
-            "simsum": [float(g["simsum"].to_numpy()[order].sum())],
-        })
-
-    for it in range(n_iters):
-        cref = ray.put(c)
-
-        def partial(batch: pa.Table) -> pa.Table:
-            cc = ray.get(cref)
-            m = _normalize(_to_matrix(batch.column(vec_col)))
-            if not len(m):
-                return pa.table({"cluster": pa.array([], pa.int32()),
-                                 "vecsum": pa.array([], pa.list_(pa.float64())),
-                                 "n": pa.array([], pa.int64()),
-                                 "simsum": pa.array([], pa.float64())})
-            sims = m @ cc.T
-            a = sims.argmax(axis=1)          # ties -> lowest centroid id
-            present = np.unique(a)
-            sums = np.zeros((len(present), cc.shape[1]))
-            np.add.at(sums, np.searchsorted(present, a), m)
-            cnt = np.bincount(np.searchsorted(present, a),
-                              minlength=len(present)).astype(np.int64)
-            ss = np.zeros(len(present))
-            np.add.at(ss, np.searchsorted(present, a),
-                      sims[np.arange(len(a)), a])
-            return pa.table({
-                "cluster": pa.array(present.astype(np.int32)),
-                "vecsum": pa.array(list(sums), pa.list_(pa.float64())),
-                "n": pa.array(cnt),
-                "simsum": pa.array(ss),
-            })
-
-        agg = (ds.map_batches(partial, batch_format="pyarrow")
-                 .groupby("cluster")
-                 .map_groups(reduce_group, batch_format="pandas")
-                 .to_pandas())
-        new_c = c.copy()
-        for _, row in agg.iterrows():
-            s = np.asarray(row["vecsum"], np.float64)
-            nrm = np.linalg.norm(s)
-            if nrm > 0:
-                new_c[int(row["cluster"])] = s / nrm
-        shift = float(np.linalg.norm(new_c - c, axis=1).max()) if k else 0.0
-        history.append({"iter": it,
-                        "objective": float(agg["simsum"].sum()),
-                        "max_shift": shift,
-                        "n_assigned_clusters": int(len(agg))})
-        c = new_c
-        if shift < tol:
-            break
-    return c, history
-
-
 def assign_clusters(ds, centroids: np.ndarray,
                     vec_col: str = "embedding", id_col: str = "vec_id"):
     """Dataset[(id, cluster)]: each vector's nearest centroid by cosine
-    (ties -> lowest centroid id).  The routing step IVF's build uses,
+    (ties -> lowest centroid id).  The routing step IVF's search uses,
     exposed as a first-class op: centroids broadcast ONCE via ray.put,
     one vectorized matmul + argmax per batch, nothing shuffles."""
     import ray

@@ -20,8 +20,7 @@ perplexity = 2^H.  Docs with no n-gram position (len < n) score null.
   the Ray group count flat; per-bucket pandas sum) -> driver-side model.
   Without a C compiler the hash pass holds N x k uint64 temporaries per
   batch (k <= 3 by default; see `_flat_hashes`).  The model is
-  bounded by the n-gram TYPE space (charset^n), not the corpus — the same
-  driver-residency argument as the BPE vocabulary (`ops/bpe.py`) — and the
+  bounded by the n-gram TYPE space (charset^n), not the corpus, and the
   `max_types` gate makes the bound explicit instead of silent.
 * SCORE is a pure zero-shuffle map_batches: the model broadcasts once via
   ray.put (plasma zero-copy for the numpy arrays), each batch does ONE

@@ -14,7 +14,7 @@ Scale shapes (ray_guide patterns):
   streamed driver union-find, or distributed label propagation).
 
 One implementation per step: `_group_pairs` is the one expander of key
-groups into candidate pairs (MinHash bands, n-gram and winnow grams,
+groups into candidate pairs (MinHash bands, n-gram grams,
 SimHash bands, embedding hyperplane buckets; each caller keeps its own
 oversized-group rule), and `pairs_payload_metric` the one pair scorer of
 the operators that verify candidates against per-id payloads (shingle

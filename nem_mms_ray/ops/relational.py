@@ -533,7 +533,7 @@ def hash_equijoin(left_ds, right_ds, on: str,
 
 
 # ---------------------------------------------------------------------------
-# as-of join / range join (temporal joins Ray Data has no native operator for)
+# as-of join (a temporal join Ray Data has no native operator for)
 # ---------------------------------------------------------------------------
 
 
@@ -649,75 +649,6 @@ def asof_join(left_ds, right_ds, left_on: str, right_on: str,
                 for name in (left_on, left_ts, *left_cols)}
         for c, nm in zip(right_cols, r_out):
             cols[c] = rt.column(nm).combine_chunks().take(idx)
-        return pa.table(cols)
-
-    return keyed_map_groups(both, ["key"], per_bucket, "pyarrow")
-
-
-def range_join(left_ds, right_ds, left_on: str, right_on: str,
-               left_ts: str, right_start: str, right_end: str,
-               left_cols: tuple = (), right_cols: tuple = (),
-               how: str = "inner"):
-    """Interval (range) join: match each left row to the right interval of
-    the same key containing its timestamp — `l.ts BETWEEN r.start AND
-    r.end`, bounds inclusive.  Right intervals MUST be non-overlapping
-    per key (each left row has at most one match — e.g. the sessions
-    `sessionize_events` emits); overlapping intervals raise, because a
-    searchsorted probe would silently return only the latest-starting
-    match (no-silent-caps rule).
-
-    `how`: 'inner' drops unmatched left rows; 'left' keeps them with
-    typed nulls.  Returns Dataset[(left_on, left_ts, *left_cols,
-    *right_cols)].  Scale shape: identical to `asof_join` (one keyed
-    group shuffle over both sides, vectorized searchsorted per bucket).
-    """
-    if how not in ("inner", "left"):
-        raise ValueError(f"how must be 'inner' or 'left', got {how!r}")
-    out_names = [left_on, left_ts, *left_cols, *right_cols]
-    if len(set(out_names)) != len(out_names):
-        raise ValueError(f"output column collision in {out_names}; rename "
-                         "or drop the duplicate before joining")
-    left_take = [left_on, left_ts, *left_cols]
-    right_take = [right_on, right_start, right_end, *right_cols]
-    both, l_names, r_names = _two_sided(
-        left_ds, right_ds, left_on, right_on, left_take, right_take)
-    r_out = [f"r_{c}" for c in right_cols]
-
-    def per_bucket(g: pa.Table) -> pa.Table:
-        side = np.asarray(g.column("side"), np.int8)
-        lt = g.filter(pa.array(side == 0)).select(l_names)
-        rt = g.filter(pa.array(side == 1)).select(r_names)
-        rt = rt.sort_by([(f"r_{right_on}", "ascending"),
-                         (f"r_{right_start}", "ascending")])
-        lk = _ts_i64(lt.column(f"l_{left_on}"))
-        lts_ = _ts_i64(lt.column(f"l_{left_ts}"))
-        rk = _ts_i64(rt.column(f"r_{right_on}"))
-        rs = _ts_i64(rt.column(f"r_{right_start}"))
-        re_ = _ts_i64(rt.column(f"r_{right_end}"))
-        same = rk[1:] == rk[:-1] if len(rk) else np.zeros(0, bool)
-        if np.any(re_[:-1][same] >= rs[1:][same]):
-            raise ValueError(
-                "range_join: overlapping right intervals within a key — "
-                "at most one match per left row is the operator's contract")
-        keys = np.unique(np.concatenate([lk, rk]))
-        tss = np.unique(np.concatenate([lts_, rs]))
-        span = np.int64(len(tss) + 1)
-        lcomp = np.searchsorted(keys, lk) * span + np.searchsorted(tss, lts_)
-        rcomp = np.searchsorted(keys, rk) * span + np.searchsorted(tss, rs)
-        pos = np.searchsorted(rcomp, lcomp, side="right") - 1
-        safe = np.maximum(pos, 0)
-        ok = (pos >= 0) & (rk[safe] == lk) & (lts_ <= re_[safe]) \
-            if len(rk) else np.zeros(len(lk), bool)
-        if how == "inner":
-            keep = pa.array(ok)
-            lt = lt.filter(keep)
-            take_idx = pa.array(safe[ok], pa.int64())
-        else:
-            take_idx = pa.array(np.where(ok, safe, -1), pa.int64(), mask=~ok)
-        cols = {name: lt.column(f"l_{name}")
-                for name in (left_on, left_ts, *left_cols)}
-        for c, nm in zip(right_cols, r_out):
-            cols[c] = rt.column(nm).combine_chunks().take(take_idx)
         return pa.table(cols)
 
     return keyed_map_groups(both, ["key"], per_bucket, "pyarrow")

@@ -1,6 +1,6 @@
 """Corpus sampling / capping operators for training-data pipelines.
 
-Four operations a 100 TB curation run needs constantly, each expressed as
+Three operations a 100 TB curation run needs constantly, each expressed as
 a shuffle-minimal Ray Data shape with an exact DuckDB mirror:
 
 - `hash_sample`: deterministic content-hash Bernoulli sampling.  Keep a doc
@@ -8,9 +8,6 @@ a shuffle-minimal Ray Data shape with an exact DuckDB mirror:
   pure map_batches, zero shuffle, reproducible across runs/clusters, and
   the mirror is a single substr() comparison.  (Random sampling is neither
   reproducible nor oracle-checkable; hash sampling is the standard trick.)
-- `mixture_sample`: the per-GROUP rate variant of the same contract — the
-  corpus-mixing step that resamples each source/language at its own weight
-  in one zero-shuffle pass; mirror is a CASE over the same substr().
 - `token_topk`: exact global top-k tokens.  Per-batch partial counts
   (np.unique, one row per distinct token per batch) -> Sum groupby ->
   sort/limit on the aggregated vocabulary.  The shuffle moves one row per
@@ -64,47 +61,6 @@ def hash_sample(ds, rate: float, precision: int = 4,
         fps = md5_hex_column(batch.column(text_col))
         mask = np.fromiter((f[:precision] < thr for f in fps),
                            dtype=bool, count=len(fps))
-        return batch.filter(pa.array(mask))
-
-    return ds.map_batches(keep, batch_format="pyarrow")
-
-
-def mixture_sample(ds, rates: dict[str, float], group_col: str = "lang",
-                   text_col: str = "text", default_rate: float = 0.0,
-                   precision: int = 4):
-    """Per-group deterministic Bernoulli sampling — the corpus-MIXING step:
-    resample each source/language at its own rate (e.g. upweight en at 1.0,
-    downsample boilerplate-heavy sources at 0.1) in ONE pass.
-
-    Same md5-prefix contract as `hash_sample` (reproducible across runs and
-    cluster sizes, zero shuffle, no RNG state); groups absent from `rates`
-    use `default_rate` (default 0.0: unlisted sources are dropped — the
-    allowlist convention of a curated mix).  SQL mirror: a CASE over
-    `substr(md5(text), 1, precision)` thresholds.
-
-    Scale shape: pure map_batches; the per-row threshold comes from
-    dictionary-encoding `group_col` within the batch and looking up one
-    threshold per DISTINCT group value, so per-row work is the md5 the
-    sampling contract already requires plus one np.take."""
-    thr = {g: sample_threshold(r, precision) for g, r in rates.items()}
-    thr_default = sample_threshold(default_rate, precision)
-
-    def keep(batch: pa.Table) -> pa.Table:
-        from nem_mms_ray.ops.textstats import md5_hex_column
-
-        if not len(batch):
-            return batch
-        enc = batch.column(group_col).combine_chunks().dictionary_encode()
-        per_value = np.array(
-            [thr.get(v, thr_default) for v in enc.dictionary.to_pylist()],
-            dtype=object)
-        # null group -> default rate (thr row appended at the end)
-        idx = np.asarray(enc.indices.fill_null(len(per_value)), np.int64)
-        row_thr = np.append(per_value, thr_default)[idx]
-        fps = md5_hex_column(batch.column(text_col))
-        mask = np.fromiter(
-            (f[:precision] < t for f, t in zip(fps, row_thr)),
-            dtype=bool, count=len(fps))
         return batch.filter(pa.array(mask))
 
     return ds.map_batches(keep, batch_format="pyarrow")

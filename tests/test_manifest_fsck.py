@@ -122,16 +122,3 @@ def test_fsck_cli_exit_codes(ray_session, web_dir, tmp_path, capsys):
 def test_fsck_refuses_manifestless_dir(tmp_path):
     with pytest.raises(FileNotFoundError, match="no manifest"):
         Manifest(tmp_path).fsck()
-
-
-def test_chunk_documents_validates_stride_early(ray_session):
-    import ray.data as rd
-
-    from nem_mms_ray.ops.chunking import chunk_documents
-
-    ds = rd.read_parquet("/root/testdata/sf0.001/documents.parquet",
-                         columns=["doc_id", "text"])
-    with pytest.raises(ValueError, match="stride"):
-        chunk_documents(ds, max_tokens=3, stride=4)
-    with pytest.raises(ValueError, match="stride"):
-        chunk_documents(ds, max_tokens=0)

@@ -18,7 +18,7 @@ from nem_mms_ray.codecs.fsst import train_symbols
 from nem_mms_ray.ops import _webextract_native
 from nem_mms_ray.ops.textstats import LangId, token_stats_batch
 from nem_mms_ray.ops.webextract import extract_binary
-from nem_mms_ray.ops.winnow import _batch_winnow_sets
+from nem_mms_ray.ops.winnow import _flat_corpus, _flat_hashes
 from nem_mms_ray.pipelines.encode import EncodePartitions, plan_partitions
 from nem_mms_ray.state.manifest import Manifest
 from nem_mms_ray.webtable import SMALL, generate_shard
@@ -43,13 +43,6 @@ def test_cache_key_covers_source_flags_and_cpu(tmp_path):
             == _native.so_path(src, "k", flags, _native.cpu_features(), tmp_path))
 
 
-def _per_doc(sdoc: np.ndarray, fps: np.ndarray) -> dict[int, list[int]]:
-    out: dict[int, list[int]] = {}
-    for d, f in zip(sdoc.tolist(), fps.tolist()):
-        out.setdefault(d, []).append(f)
-    return {d: sorted(v) for d, v in out.items()}
-
-
 def _text_bytes(shard: pa.Table) -> bytes:
     return "".join(t or "" for t in shard.column("text").to_pylist()).encode()
 
@@ -71,7 +64,7 @@ def _outputs(shard: pa.Table, table) -> dict:
         "fsst_decode": _fsst_native.decode(*table, enc, len(data)),
         "token_stats": token_stats_batch(docs),
         "langid": LangId()(docs),
-        "winnow": _per_doc(*_batch_winnow_sets(texts, 8, 4)),
+        "rolling_hashes": _flat_hashes(_flat_corpus(texts)[0], 3).tobytes(),
         "extract": extract_binary(shard.column("html")).to_pylist(),
     }
 

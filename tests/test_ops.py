@@ -487,32 +487,6 @@ def test_ivf_recall(ray_session):
     assert len(exact & approx) / 10 >= 0.7  # clustered data -> high recall
 
 
-def test_ivf_persisted_index(ray_session, tmp_path):
-    """build_ivf_index then ivf_index_topk: partition-pruned reads, results
-    match the transient IVF search on the same centroids/params."""
-    import ray.data as rd
-
-    from nem_mms_ray.ops.ann import build_ivf_index, ivf_index_topk, topk_cosine
-
-    rng = np.random.default_rng(7)
-    centers = rng.standard_normal((8, 16)) * 4
-    vecs = np.concatenate([c + rng.standard_normal((50, 16)) for c in centers])
-    df = pd.DataFrame({
-        "vec_id": np.arange(len(vecs), dtype=np.int64),
-        "embedding": [v.tolist() for v in vecs],
-    })
-    idx = tmp_path / "ivf"
-    build_ivf_index(rd.from_pandas(df), idx, n_centroids=8)
-    # only probed hive partitions exist to read
-    parts = sorted(p.name for p in (idx / "lists").glob("list_id=*"))
-    assert len(parts) == 8
-    q = vecs[10]
-    res = ivf_index_topk(idx, q, k=10, nprobe=3)
-    assert len(res) == 10 and list(res["rank"]) == list(range(1, 11))
-    exact = set(topk_cosine(rd.from_pandas(df), q, k=10)["vec_id"])
-    assert len(exact & set(res["vec_id"])) / 10 >= 0.7
-
-
 def test_curate_documents(ray_session):
     """Composed gate: low-quality and wrong-language docs drop; exact dups
     collapse to the min-id representative."""
@@ -983,25 +957,6 @@ def test_ivf_exhaustive_probe_matches_bruteforce(ray_session):
     assert list(ivf["vec_id"]) == list(bf["vec_id"])
     np.testing.assert_allclose(ivf["cosine"], bf["cosine"], atol=1e-9)
     assert list(ivf["rank"]) == list(range(1, 11))
-
-
-def test_ivf_index_topk_empty_probed_lists(ray_session, tmp_path):
-    """All-empty probed partitions return an empty typed frame instead of
-    read_parquet([]) raising (ADVICE r2)."""
-    from nem_mms_ray.ops.ann import ivf_index_topk
-
-    import pyarrow.parquet as pq
-
-    idx = tmp_path / "idx"
-    (idx / "lists").mkdir(parents=True)
-    pq.write_table(pa.table({
-        "list_id": pa.array([0, 1], pa.int32()),
-        "centroid": pa.FixedSizeListArray.from_arrays(
-            pa.array([1.0, 0.0, 0.0, 1.0], pa.float64()), 2),
-    }), str(idx / "centroids.parquet"))
-    out = ivf_index_topk(str(idx), np.array([[1.0, 0.0]]), k=5, nprobe=2)
-    assert len(out) == 0
-    assert list(out.columns) == ["query_idx", "vec_id", "cosine", "rank"]
 
 
 def test_sampled_exact_quantiles_matches_sort(ray_session):

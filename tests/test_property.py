@@ -136,39 +136,6 @@ def test_hash_sample_threshold_property(texts, rate):
         assert kept == texts
 
 
-@settings(max_examples=25, deadline=None)
-@given(n=st.integers(2, 60), k=st.integers(1, 5), seed=st.integers(0, 3),
-       dim=st.integers(2, 6), t=st.floats(0.3, 0.99))
-def test_semdedup_matches_scalar_rule(ray_session, n, k, seed, dim, t):
-    """semdedup == the scalar NOT-EXISTS rule on fuzzed vectors/centroids
-    (ids shuffled so min-id is not row order)."""
-    import ray.data as rd
-
-    from nem_mms_ray.ops.semdedup import semdedup
-
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(n, dim))
-    ids = rng.permutation(n * 7)[:n].astype(np.int64)
-    cents = rng.normal(size=(k, dim))
-
-    def norm(m):
-        nn = np.linalg.norm(m, axis=1, keepdims=True)
-        nn[nn == 0] = 1.0
-        return m / nn
-
-    xn = norm(np.asarray(x, np.float64))
-    cl = (xn @ norm(np.asarray(cents, np.float64)).T).argmax(axis=1)
-    want = sorted(
-        (int(ids[i]), int(cl[i])) for i in range(n)
-        if not any(cl[j] == cl[i] and ids[j] < ids[i]
-                   and float(xn[i] @ xn[j]) >= t for j in range(n)))
-    ds = rd.from_pandas(pd.DataFrame(
-        {"vec_id": ids, "embedding": [list(map(float, v)) for v in x]}))
-    df = semdedup(ds, cents, threshold=t, block=7).to_pandas()
-    got = sorted(zip(df["vec_id"].astype(int), df["cluster"].astype(int)))
-    assert got == want
-
-
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(1, 80), seed=st.integers(0, 5),
        nparts=st.integers(1, 6))

@@ -1,20 +1,14 @@
-"""As-of join and range join — the temporal joins Ray Data has no native
-operator for (`ops/relational.py::asof_join` / `::range_join`).
+"""As-of join — the temporal join Ray Data has no native operator for
+(`ops/relational.py::asof_join`).
 
 DuckDB-oracle checks live here rather than in the driver's queries()
 because its correctness report caps at 50 rows (the r3 eviction
 regression): `asof_join` is checked frame-for-frame against DuckDB's own
-ASOF LEFT JOIN over the sf0.001 events x orders tables, and `range_join`
-against the inequality-join mirror, composed with the sessionize oracle's
-own session table.
+ASOF LEFT JOIN over the sf0.001 events x orders tables.
 """
-from pathlib import Path
-
 import duckdb
-import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.parquet as pq
 import pytest
 
 from nem_mms_ray.ops import readutil
@@ -129,96 +123,6 @@ def test_asof_join_partition_invariance(ray_session, monkeypatch):
     ga, gb = a["o_totalprice"].astype(float), b["o_totalprice"].astype(float)
     assert ((ga == gb) | (ga.isna() & gb.isna())).all()
     assert a["user_id"].tolist() == b["user_id"].tolist()
-
-
-def test_range_join_sessionize_composition(ray_session):
-    """Compose the repo's own ops: sessionize_events emits per-user
-    non-overlapping [start, end] windows; range_join maps every event
-    back into its session.  Inner join must cover ALL events (every event
-    is inside the session it created), and the mirror is the DuckDB
-    BETWEEN join over the same session table."""
-    import ray.data as rd
-
-    from nem_mms_ray.ops.relational import range_join, sessionize_events
-
-    ev = rd.read_parquet(f"{SF_DIR}/events.parquet",
-                         columns=["user_id", "ts", "event_id"])
-    sess = sessionize_events(
-        rd.read_parquet(f"{SF_DIR}/events.parquet"),
-        gap_minutes=30).materialize()
-    sess_pd = sess.to_pandas()
-
-    got = range_join(
-        ev, sess, "user_id", "user_id", "ts", "session_start", "session_end",
-        left_cols=("event_id",), right_cols=("session_id", "n_events"),
-    ).to_pandas()
-    got = _sorted(got, ["event_id"])
-    assert len(got) == 1000  # inner join, yet total: every event has a home
-
-    con = duckdb.connect()
-    con.register("sess", sess_pd)
-    want = con.sql(f"""
-        SELECT e.event_id, s.session_id, s.n_events
-        FROM read_parquet('{SF_DIR}/events.parquet') e
-        JOIN sess s
-          ON e.user_id = s.user_id
-         AND e.ts BETWEEN s.session_start AND s.session_end
-        ORDER BY e.event_id
-    """).df()
-    assert got["event_id"].tolist() == want["event_id"].astype(int).tolist()
-    assert got["session_id"].tolist() == \
-        want["session_id"].astype(int).tolist()
-    assert got["n_events"].tolist() == want["n_events"].astype(int).tolist()
-
-
-def test_range_join_left_and_unmatched(ray_session, monkeypatch):
-    """how='left' keeps unmatched rows with typed nulls; 'inner' drops
-    them; bounds are inclusive on both ends."""
-    import ray.data as rd
-
-    from nem_mms_ray.ops.relational import range_join
-
-    left = rd.from_arrow(pa.table({
-        "k": pa.array([1, 1, 1, 1, 2], pa.int64()),
-        "t": pa.array([0, 5, 10, 11, 5], pa.int64()),
-    }))
-    right = rd.from_arrow(pa.table({
-        "k": pa.array([1, 1], pa.int64()),
-        "s": pa.array([5, 20], pa.int64()),
-        "e": pa.array([10, 30], pa.int64()),
-        "tag": pa.array(["a", "b"], pa.string()),
-    }))
-    monkeypatch.setattr(readutil, "N_BUCKETS", 3)
-    inner = _sorted(range_join(left, right, "k", "k", "t", "s", "e",
-                               right_cols=("tag",)).to_pandas(),
-                    ["k", "t"])
-    assert inner["t"].tolist() == [5, 10]          # inclusive both ends
-    assert inner["tag"].tolist() == ["a", "a"]
-    lft = _sorted(range_join(left, right, "k", "k", "t", "s", "e",
-                             right_cols=("tag",), how="left").to_pandas(),
-                  ["k", "t"])
-    assert len(lft) == 5
-    assert lft["tag"].fillna("<null>").tolist() == \
-        ["<null>", "a", "a", "<null>", "<null>"]
-
-
-def test_range_join_rejects_overlapping_intervals(ray_session, monkeypatch):
-    """Overlapping right intervals within a key raise instead of silently
-    returning one arbitrary match (no-silent-caps rule)."""
-    import ray.data as rd
-
-    from nem_mms_ray.ops.relational import range_join
-
-    left = rd.from_arrow(pa.table({"k": pa.array([1], pa.int64()),
-                                   "t": pa.array([5], pa.int64())}))
-    right = rd.from_arrow(pa.table({
-        "k": pa.array([1, 1], pa.int64()),
-        "s": pa.array([0, 3], pa.int64()),
-        "e": pa.array([4, 9], pa.int64()),   # [0,4] and [3,9] overlap
-    }))
-    monkeypatch.setattr(readutil, "N_BUCKETS", 1)
-    with pytest.raises(Exception, match="overlapping"):
-        range_join(left, right, "k", "k", "t", "s", "e").to_pandas()
 
 
 def test_asof_join_collision_and_type_errors(ray_session):
