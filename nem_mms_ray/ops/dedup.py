@@ -33,7 +33,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from nem_mms_ray.ops import readutil
-from nem_mms_ray.ops.readutil import key_buckets, keyed_map_groups
+from nem_mms_ray.ops.readutil import bucket_keys, key_buckets, keyed_map_groups
 
 logger = logging.getLogger(__name__)
 
@@ -219,7 +219,7 @@ def pairs_payload_metric(pairs, payloads, pair_metric, metric_name: str,
       driver above `max_probe_pairs`.  Two `keyed_map_groups` shuffles,
       payload-deduplicated:
       (1) keyed by jid: each payload meets the DISTINCT set of score
-          routes (`key_buckets` of (a, b)) whose pairs reference it and is
+          routes (the bucket of (a, b)) whose pairs reference it and is
           emitted once per (id, route), never once per pair, so an id
           referenced by M pairs ships at most min(M, N_BUCKETS) copies;
           the attach stage's inner merge drops unreferenced ids.
@@ -304,17 +304,22 @@ def _pairs_payload_metric_shuffle(pairs, payloads, score):
     calls once over its keyed payload store).  `payloads` may be
     unfiltered: the attach stage's inner merge IS the semi-join —
     unreferenced ids ship once through the first shuffle and are dropped
-    there.  A pair's route is its (a, b) bucket; a payload row carries the
-    route of each pair that references it, so both meet in the second
-    shuffle, keyed by route."""
+    there.  A pair's route is the key (`bucket_keys`) of its (a, b)
+    bucket; a payload row carries the route of each pair that references
+    it, so both meet in the second shuffle, keyed by route, and each of
+    the N_BUCKETS routes has a score bucket of its own."""
     REF_SCHEMA = pa.schema([("jid", pa.int64()), ("route", pa.int32()),
                             ("payload", pa.large_binary())])
     n_routes = readutil.N_BUCKETS
+    route_keys = bucket_keys(n_routes)
+
+    def routes(t: pa.Table) -> np.ndarray:
+        return route_keys[key_buckets(t, ["a", "b"], n_routes)]
 
     def explode_refs(t: pa.Table) -> pa.Table:
         # (jid, route) per pair side, deduped per batch: what the attach
         # shuffle routes — bare ints, no payloads
-        route = key_buckets(t, ["a", "b"], n_routes)
+        route = routes(t)
         jid = np.concatenate([np.asarray(t.column("a"), np.int64),
                               np.asarray(t.column("b"), np.int64)])
         u = np.unique(np.stack([jid, np.tile(route, 2).astype(np.int64)],
@@ -358,7 +363,7 @@ def _pairs_payload_metric_shuffle(pairs, payloads, score):
             "jid": pa.array(np.zeros(n, np.int64)),
             "payload": pa.nulls(n, pa.large_binary()),
             "is_pair": pa.array(np.ones(n, np.int8)),
-            "route": pa.array(key_buckets(t, ["a", "b"], n_routes)),
+            "route": pa.array(routes(t)),
         }, schema=PAIR_SCHEMA)
 
     def payload_rows(t: pa.Table) -> pa.Table:

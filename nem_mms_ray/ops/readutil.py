@@ -146,6 +146,23 @@ def key_buckets(t: pa.Table, keys: list[str], n: int) -> np.ndarray:
     return (h % np.uint64(n)).astype(np.int32)
 
 
+def bucket_keys(n: int) -> np.ndarray:
+    """int32 keys, one per bucket: `key_buckets` sends the r-th to bucket
+    r.  Rows a caller has already spread over n buckets, keyed by their
+    bucket's key, keep that spread through `keyed_map_groups` one to one
+    (keyed by the bucket number itself, 64 values fill 39 of 64 buckets)."""
+    out = np.full(n, -1, np.int32)
+    start = 0
+    while (out < 0).any():
+        cand = np.arange(start, start + 16 * n, dtype=np.int32)
+        hit, first = np.unique(key_buckets(pa.table({"k": cand}), ["k"], n),
+                               return_index=True)
+        new = out[hit] < 0
+        out[hit[new]] = cand[first[new]]
+        start += 16 * n
+    return out
+
+
 def keyed_map_groups(ds, keys: list[str], fn, batch_format: str = "pandas"):
     """`fn` over the rows of `ds` grouped by the `keys` columns, through
     one coarse-bucket shuffle (see the module docstring).

@@ -17,7 +17,7 @@ import pyarrow as pa
 import pytest
 
 from nem_mms_ray.ops import readutil
-from nem_mms_ray.ops.readutil import key_buckets, keyed_map_groups
+from nem_mms_ray.ops.readutil import bucket_keys, key_buckets, keyed_map_groups
 
 
 def _keyed_input(n: int = 3000):
@@ -94,6 +94,16 @@ print(json.dumps([key_buckets(t, ["s"], 64).tolist(),
                   key_buckets(t, ["k"], 64).tolist(),
                   key_buckets(t, ["s", "k"], 64).tolist()]))
 """
+
+
+@pytest.mark.parametrize("n", [1, 7, 64])
+def test_bucket_keys_map_one_to_one(n):
+    """`bucket_keys(n)[r]` lands in bucket r, so n pre-bucketed routes
+    keep n distinct buckets through the shuffle."""
+    keys = bucket_keys(n)
+    assert keys.dtype == np.int32 and (keys >= 0).all()
+    got = key_buckets(pa.table({"route": pa.array(keys)}), ["route"], n)
+    assert got.tolist() == list(range(n))
 
 
 def test_buckets_agree_across_processes():

@@ -809,6 +809,45 @@ def test_pairs_payload_metric_randomized(ray_session):
         assert got == expect, f"cap={cap}"
 
 
+def test_score_shuffle_routes_fill_every_bucket(ray_session, monkeypatch):
+    """The score shuffle of the two-shuffle regime gives each of the 64
+    pair routes a bucket of its own (keyed by the route number itself,
+    the 64 routes fill only 39 buckets), and the scores equal the
+    broadcast regime's."""
+    from unittest import mock
+
+    import ray.data as rd
+
+    from nem_mms_ray.ops import dedup
+    from nem_mms_ray.ops.readutil import key_buckets
+
+    rng = np.random.default_rng(3)
+    payload_of = {i: bytes(rng.integers(0, 256, 6).astype(np.uint8))
+                  for i in range(300)}
+    pairs = sorted({tuple(sorted(map(int, rng.choice(300, 2, replace=False))))
+                    for _ in range(2000)})
+    pairs_ds = rd.from_arrow(pa.table({"a": [a for a, _ in pairs],
+                                       "b": [b for _, b in pairs]}))
+    pay_ds = rd.from_arrow(pa.table({"jid": list(payload_of),
+                                     "payload": list(payload_of.values())}))
+    metric = lambda x, y: float(x[0] ^ y[0])
+    groups = mock.Mock(wraps=dedup.keyed_map_groups)
+    monkeypatch.setattr(dedup, "keyed_map_groups", groups)
+
+    def scores(probe):
+        out = dedup.pairs_payload_metric(pairs_ds, pay_ds, metric, "m",
+                                         max_probe_pairs=probe).to_pandas()
+        return sorted(zip(out["a"], out["b"], out["m"]))
+
+    assert scores(0) == scores(4_000_000)
+    score_input = next(c.args[0] for c in groups.call_args_list
+                       if c.args[1] == ["route"])
+    routes = np.unique(score_input.to_pandas()["route"].to_numpy(np.int32))
+    assert len(routes) == 64
+    buckets = key_buckets(pa.table({"route": pa.array(routes)}), ["route"], 64)
+    assert len(np.unique(buckets)) == 64
+
+
 def test_ngram_dropped_stats_matches_duckdb(ray_session):
     """Oracle-level check for the capped n-gram recall-loss side output,
     held OUT of the driver's queries() because its report caps at 50 rows
