@@ -70,6 +70,13 @@ def _hex_keys(digests: np.ndarray) -> pa.Array:
         n, pa.py_buffer(offs), pa.py_buffer(_HEX[digests].tobytes()))
 
 
+def _shard_ids(digests: np.ndarray, n_shards: int) -> np.ndarray:
+    """int64 shard of each digest row: its first 60 bits (the hex key's
+    first 15 chars) mod n_shards."""
+    top60 = np.ascontiguousarray(digests[:, :8]).view(">u8").ravel() >> np.uint64(4)
+    return (top60 % np.uint64(n_shards)).astype(np.int64)
+
+
 def add_shuffle_key(ds, seed: int = 0, id_col: str = "doc_id",
                     key_col: str = "skey"):
     """Append the deterministic shuffle key column (md5 hex string)."""
@@ -89,10 +96,8 @@ def assign_shards(ds, n_shards: int, seed: int = 0, id_col: str = "doc_id",
 
     def add(batch: pa.Table) -> pa.Table:
         d = _digests(batch.column(id_col), seed)
-        top60 = np.ascontiguousarray(d[:, :8]).view(">u8").ravel() >> np.uint64(4)
-        sid = (top60 % np.uint64(n_shards)).astype(np.int64)
         return (batch.append_column(key_col, _hex_keys(d))
-                .append_column("shard_id", pa.array(sid)))
+                .append_column("shard_id", pa.array(_shard_ids(d, n_shards))))
 
     return ds.map_batches(add, batch_format="pyarrow")
 

@@ -154,3 +154,28 @@ def test_deterministic_shuffle_is_pure(ray_session, n, seed, nparts):
     want = sorted(ids.tolist(),
                   key=lambda i: hashlib.md5(f"{seed}:{i}".encode()).hexdigest())
     assert got["doc_id"].tolist() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(ids=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=60),
+       cut=st.integers(0, 60), seed=st.integers(0, 9),
+       n_shards=st.integers(1, 70), as_text=st.booleans())
+def test_shard_keys_match_per_row_md5(ids, cut, seed, n_shards, as_text):
+    """The batch digests give every id, int or string, across a chunk
+    boundary and a slice offset, the key and shard of the per-row
+    reference: md5(f"{seed}:{id}") hex, int(key[:15], 16) % n_shards."""
+    import hashlib
+
+    from nem_mms_ray.ops.shard import _digests, _hex_keys, _shard_ids
+
+    vals = [str(i) for i in ids] if as_text else ids
+    cut = min(cut, len(vals))
+    col = pa.chunked_array([pa.array(["pad", *vals[:cut]] if as_text
+                                     else [0, *vals[:cut]]).slice(1),
+                            pa.array(vals[cut:], pa.string() if as_text
+                                     else pa.int64())])
+    want = [hashlib.md5(f"{seed}:{i}".encode()).hexdigest() for i in vals]
+    d = _digests(col, seed)
+    assert _hex_keys(d).to_pylist() == want
+    assert _shard_ids(d, n_shards).tolist() == [int(k[:15], 16) % n_shards
+                                                for k in want]
