@@ -71,16 +71,6 @@ def compare(name: str, ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> list[str]:
     return problems
 
 
-def oracle_connection(sf_dir: str) -> duckdb.DuckDBPyConnection:
-    """A DuckDB connection with one view per testdata table of `sf_dir`."""
-    con = duckdb.connect()
-    for t in TABLES:
-        p = f"{sf_dir}/{t}.parquet"
-        if Path(p).exists():
-            con.sql(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{p}')")
-    return con
-
-
 def check_rows(sf_dir: str, only: set[str] | frozenset = frozenset()):
     """Yield (name, problems, rows, wall) for each queries() row (all, or
     those named in `only`) against its oracle_sql().  `problems` is None
@@ -88,7 +78,11 @@ def check_rows(sf_dir: str, only: set[str] | frozenset = frozenset()):
     Needs a running Ray session."""
     import __ray_entry__ as E
 
-    con = oracle_connection(sf_dir)
+    con = duckdb.connect()
+    for t in TABLES:
+        p = f"{sf_dir}/{t}.parquet"
+        if Path(p).exists():
+            con.sql(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{p}')")
     oracles = E.oracle_sql()
     for name, fn in E.queries().items():
         if only and name not in only:
