@@ -63,7 +63,7 @@ def encode(sym_bytes: np.ndarray, sym_lens: np.ndarray, data) -> bytes:
     inp = np.frombuffer(data, np.uint8)
     lib = get_lib()
     if lib is not None:
-        out = _enc_scratch(2 * n + 64)  # dual-lane: lane B region at out+n
+        out = _enc_scratch(2 * n + 64)  # lane L's region starts at out + 2*L*(n/4)
         m = lib.fsst_encode(
             _u8p(np.ascontiguousarray(sym_bytes)),
             _u8p(np.ascontiguousarray(sym_lens)),
@@ -101,21 +101,21 @@ def decode(sym_bytes: np.ndarray, sym_lens: np.ndarray, enc: bytes, out_size: in
 # ---------------------------------------------------------------------------
 
 
-# Inputs >= this size encode as two halves (C kernel's dual-lane scheme;
-# keep in sync with DUAL_MIN in fsst_kernel.c)
+# Inputs >= this size encode as independent lanes (the C kernel's
+# multi-lane scheme; keep in sync with DUAL_MIN in fsst_kernel.c)
 _DUAL_MIN = 4096
 
 
-# Lane count of the C kernel's split: `fsst_encode` cuts at `split = n / 2`
-# (fsst_kernel.c has no named constant for it; keep the two in sync)
-_NLANE = 2
+# Lane count of the C kernel's split: `fsst_encode` cuts at multiples of
+# n / NLANE (keep in sync with NLANE in fsst_kernel.c)
+_NLANE = 4
 
 
 def _py_encode(sym_bytes: np.ndarray, sym_lens: np.ndarray, data) -> bytes:
     data = bytes(data)  # the span loop looks slices up in dicts: hashable bytes
     if len(data) >= _DUAL_MIN:
         # mirror of the C kernel's lane split (no recursion): encode each
-        # half as an independent span — matches cannot cross boundaries
+        # lane as an independent span — matches cannot cross boundaries
         q = len(data) // _NLANE
         cuts = [L * q for L in range(_NLANE)] + [len(data)]
         return b"".join(

@@ -10,6 +10,11 @@
  * 3-byte prefix selects a bucket whose entries are walked in descending
  * length order — the first masked 8-byte compare that hits IS the longest
  * match. Length-2 symbols use a direct 64K table, length-1 a 256 table.
+ * The hash and the short-code index come from the little-endian 8-byte
+ * word the probe loads anyway, so a step reads its input once.
+ *
+ * Inputs of DUAL_MIN bytes or more encode in four independent lanes
+ * (fsst_encode), the paper's multi-lane scheme.
  *
  * Table construction/training happens in Python (numpy); these kernels only
  * run the per-byte loops that Python cannot do fast.
@@ -28,7 +33,7 @@ typedef struct {
     uint16_t byte_code[256];    /* len-1 symbols */
     uint16_t two_code[65536];   /* len-2 symbols, direct-mapped */
     /* merged probe for the no-len>=3-match path (paper's shortCodes):
-     * index = first two bytes; entry = len-2 code (len 2 in bits 12-13),
+     * index = first two bytes (idx2); entry = len-2 code (len 2 in bits 12-13),
      * else len-1 code of byte 0 (len 1), else 0x8000|byte0 = escape */
     uint16_t short_code[65536];
     uint16_t b_start[NBUCKET + 1]; /* prefix sums into order[] */
@@ -52,9 +57,17 @@ typedef struct {
 #endif
 } SymTable;
 
-static inline uint32_t hash3(const uint8_t *p) {
-    uint32_t x = ((uint32_t)p[0] << 16) | ((uint32_t)p[1] << 8) | p[2];
+/* bucket of the 3-byte prefix p[0..2], given v, the little-endian load
+ * of p: the byte swap of (uint32)v << 8 is p[0] << 16 | p[1] << 8 | p[2] */
+static inline uint32_t hash3(uint64_t v) {
+    uint32_t x = __builtin_bswap32((uint32_t)v << 8);
     return (x * 0x9E3779B1u >> 17) & BMASK;
+}
+
+/* index of the 2-byte prefix in two_code/short_code: p[0] | p[1] << 8,
+ * the low 16 bits of the little-endian load */
+static inline uint32_t idx2(const uint8_t *p) {
+    return (uint32_t)p[0] | ((uint32_t)p[1] << 8);
 }
 
 static const uint64_t LEN_MASK[9] = {
@@ -84,10 +97,10 @@ static void build_table(SymTable *t, const uint8_t *sym_bytes,
         if (len > t->max_len) t->max_len = len;
         if (len == 1) { t->byte_code[p[0]] = (uint16_t)s; continue; }
         if (len == 2) {
-            t->two_code[((uint32_t)p[0] << 8) | p[1]] = (uint16_t)s;
+            t->two_code[idx2(p)] = (uint16_t)s;
             continue;
         }
-        bucket_of[s] = (uint16_t)hash3(p);
+        bucket_of[s] = (uint16_t)hash3(le);
         counts[bucket_of[s]]++;
     }
     /* prefix sums */
@@ -102,7 +115,7 @@ static void build_table(SymTable *t, const uint8_t *sym_bytes,
                             ? (uint16_t)(t->byte_code[b0] | 0x1000)
                             : (uint16_t)(0x8000 | b0);
         for (int b1 = 0; b1 < 256; b1++)
-            t->short_code[((uint32_t)b0 << 8) | b1] = base;
+            t->short_code[(uint32_t)b0 | ((uint32_t)b1 << 8)] = base;
     }
     for (uint32_t idx = 0; idx < 65536; idx++)
         if (t->two_code[idx] != 0xFFFF)
@@ -180,59 +193,59 @@ static inline int probe3(const SymTable *t, uint64_t v, uint32_t h) {
 #endif
 }
 
+/* One greedy step at *i, writing to out at *o.  Caller guarantees >= 8
+ * readable bytes at in + *i and that any match fits the lane. */
+static inline void enc_step(const SymTable *t, const uint8_t *in, long *i,
+                            uint8_t *out, long *o) {
+    uint64_t v;
+    memcpy(&v, in + *i, 8);
+    int cl = probe3(t, v, hash3(v));
+    if (cl) {
+        out[(*o)++] = (uint8_t)(cl & 0xFF);
+        *i += cl >> 8;
+        return;
+    }
+    uint16_t e = t->short_code[(uint16_t)v];
+    if (e & 0x8000) { out[(*o)++] = ESCAPE; out[(*o)++] = (uint8_t)v; *i += 1; }
+    else { out[(*o)++] = (uint8_t)e; *i += (e >> 12); }
+}
+
+/* Encode positions i..n of one lane; unaligned 8-byte loads are allowed up
+ * to safe_n.  Returns the output length. */
 static inline long encode_span(const SymTable *t, const uint8_t *in, long i,
-                               long n, long safe_n, uint8_t *out, long o_in) {
-    /* encode positions i..n; unaligned 8-byte loads allowed up to safe_n */
-    long o = o_in;
+                               long n, long safe_n, uint8_t *out, long o) {
     /* fast region: while i <= fast_n, rem >= 8 (no per-candidate length
      * check — every symbol is <= 8 bytes) and an unaligned 8-byte load is
      * in bounds (no tail buffer).  This drops three branches from the
      * per-position hot path; the generic loop below finishes the tail. */
     long fast_n = ((n < safe_n ? n : safe_n)) - 8;
-    while (i <= fast_n) {
-        const uint8_t *p = in + i;
-        uint64_t v;
-        memcpy(&v, p, 8);
-        uint32_t h = hash3(p);
-        int cl = probe3(t, v, h);
-        int code = cl ? (cl & 0xFF) : -1, mlen = cl >> 8;
-        if (code < 0) {
-            uint16_t e = t->short_code[((uint32_t)p[0] << 8) | p[1]];
-            if (e & 0x8000) { out[o++] = ESCAPE; out[o++] = p[0]; i += 1; }
-            else { out[o++] = (uint8_t)e; i += (e >> 12); }
-            continue;
-        }
-        out[o++] = (uint8_t)code;
-        i += mlen;
-    }
+    while (i <= fast_n)
+        enc_step(t, in, &i, out, &o);
     while (i < n) {
         const uint8_t *p = in + i;
         long rem = n - i;
         int code = -1, mlen = 1;
         if (rem >= 3) {
-            uint32_t h = hash3(p);
-            int k = t->b_start[h], end = t->b_start[h + 1];
-            if (k < end) {
-                uint64_t v;
-                if (i + 8 <= safe_n) {
-                    memcpy(&v, p, 8);
-                } else {
-                    uint8_t tmp[8] = {0};
-                    memcpy(tmp, p, rem < 8 ? (size_t)rem : 8);
-                    memcpy(&v, tmp, 8);
-                }
-                for (; k < end; k++) {
-                    int s = t->order[k];
-                    int len = t->sym_len[s];
-                    if (len > rem) continue;
-                    if ((v & LEN_MASK[len]) == t->sym_le[s]) {
-                        code = s; mlen = len; break;
-                    }
+            uint64_t v;
+            if (i + 8 <= safe_n) {
+                memcpy(&v, p, 8);
+            } else {
+                uint8_t tmp[8] = {0};
+                memcpy(tmp, p, rem < 8 ? (size_t)rem : 8);
+                memcpy(&v, tmp, 8);
+            }
+            uint32_t h = hash3(v);
+            for (int k = t->b_start[h], end = t->b_start[h + 1]; k < end; k++) {
+                int s = t->order[k];
+                int len = t->sym_len[s];
+                if (len > rem) continue;
+                if ((v & LEN_MASK[len]) == t->sym_le[s]) {
+                    code = s; mlen = len; break;
                 }
             }
         }
         if (code < 0 && rem >= 2) {
-            uint16_t c2 = t->two_code[((uint32_t)p[0] << 8) | p[1]];
+            uint16_t c2 = t->two_code[idx2(p)];
             if (c2 != 0xFFFF) { code = c2; mlen = 2; }
         }
         if (code < 0) {
@@ -247,73 +260,61 @@ static inline long encode_span(const SymTable *t, const uint8_t *in, long i,
     return o;
 }
 
-/* One greedy step at *i, writing to out at *o.  Caller guarantees >= 8
- * readable bytes at in + *i and that any match fits the lane. */
-static inline void enc_step(const SymTable *t, const uint8_t *in, long *i,
-                            uint8_t *out, long *o) {
-    const uint8_t *p = in + *i;
-    uint64_t v;
-    memcpy(&v, p, 8);
-    uint32_t h = hash3(p);
-    int cl = probe3(t, v, h);
-    if (cl) {
-        out[(*o)++] = (uint8_t)(cl & 0xFF);
-        *i += cl >> 8;
-        return;
-    }
-    uint16_t e = t->short_code[((uint32_t)p[0] << 8) | p[1]];
-    if (e & 0x8000) { out[(*o)++] = ESCAPE; out[(*o)++] = p[0]; *i += 1; }
-    else { out[(*o)++] = (uint8_t)e; *i += (e >> 12); }
-}
-
 /* Below this size single-lane encoding wins (no split overhead).  The
- * Python reference (_fsst_native._py_encode) mirrors this constant — keep
- * them in sync or the C==Python parity tests break. */
+ * Python reference (_fsst_native._py_encode) mirrors this constant and the
+ * lane count, NLANE — keep them in sync or the C==Python parity tests
+ * break. */
 #define DUAL_MIN 4096
+#define NLANE 4
 
 /* out must have capacity >= 2*n + 64. Returns bytes written.
  *
- * Inputs >= DUAL_MIN encode as two independent lanes ([0, n/2) and
- * [n/2, n)) interleaved in one loop: the greedy parse is a serial
- * dependency chain (next position depends on this match's length), so one
- * lane leaves the out-of-order core idle; two chains overlap their load
- * and mispredict latencies (the FSST paper's multi-lane scheme, two-wide).
- * Output = encode(first half) ++ encode(second half) — byte-identical to
- * what per-half single-lane encoding produces, so decode is unchanged
- * (decoding a concatenation is the concatenation of decodings). */
+ * Inputs >= DUAL_MIN encode as four independent lanes, cut at multiples
+ * of q = n/4 ([0, q), [q, 2q), [2q, 3q), [3q, n)), interleaved in one
+ * loop: the greedy parse is a serial dependency chain (next position
+ * depends on this match's length), so one lane leaves the out-of-order
+ * core idle; four chains overlap their load and mispredict latencies (the
+ * FSST paper's multi-lane scheme).  Lane L writes at out + 2*L*q (its
+ * worst case is two bytes per input byte) and the lanes are compacted at
+ * the end.  Output = the concatenation of the four lanes' single-lane
+ * encodes, so decode is unchanged (decoding a concatenation is the
+ * concatenation of decodings).  Against the two-lane split with the hash
+ * read from the input bytes that this replaced (one core, 4-CPU x86 box,
+ * perfbench web_html seed 1 file 0, each column with its own trained
+ * table, best and median of 7): html 29.9 MB 531-578 -> 877-937 MB/s,
+ * text 5.3 MB 528-579 -> 831-888 MB/s, url 0.33 MB 355-397 -> 329-342
+ * MB/s (the fixed cost of four lanes on a short input; url is about 1%
+ * of the FSST bytes). */
 long fsst_encode(const uint8_t *sym_bytes, const uint8_t *sym_lens, int n_sym,
                  const uint8_t *in, long n, uint8_t *out) {
     SymTable t;
     build_table(&t, sym_bytes, sym_lens, n_sym);
     if (n < DUAL_MIN)
         return encode_span(&t, in, 0, n, n, out, 0);
-    long split = n / 2;
-    long iA = 0, oA = 0, iB = split, oB = 0;
-    uint8_t *outB = out + n;    /* lane B worst case 2*(n-split) <= n+1 */
-    long fastA = split - 8, fastB = n - 8;
-    /* 2x-unrolled interleave: two steps per lane per iteration halves the
-     * loop-condition overhead and gives the OoO core four independent
-     * chains in flight (A/B measured r4: +2-17% over the plain pair on
-     * every sample; output bytes identical — same lanes, same order).
-     * The extra -8 guard keeps both unrolled steps inside the fast
-     * region; a 4-lane split was also tried and measured SLOWER (four
-     * output streams thrash L1 against the 128 KB short-code table). */
-    while (iA <= fastA - 8 && iB <= fastB - 8) {
+    long q = n / NLANE;
+    long iA = 0, iB = q, iC = 2 * q, iD = 3 * q;
+    long oA = 0, oB = 0, oC = 0, oD = 0;
+    uint8_t *outB = out + 2 * q, *outC = out + 4 * q, *outD = out + 6 * q;
+    /* all four lanes step while each has >= 8 bytes left (lanes advance
+     * at similar rates, so little is left to the single-lane finish; going
+     * on with the live lanes after the first one ends measured no faster) */
+    long fA = q - 8, fB = 2 * q - 8, fC = 3 * q - 8, fD = n - 8;
+    while (iA <= fA && iB <= fB && iC <= fC && iD <= fD) {
         enc_step(&t, in, &iA, out, &oA);
         enc_step(&t, in, &iB, outB, &oB);
-        enc_step(&t, in, &iA, out, &oA);
-        enc_step(&t, in, &iB, outB, &oB);
-    }
-    while (iA <= fastA && iB <= fastB) {
-        enc_step(&t, in, &iA, out, &oA);
-        enc_step(&t, in, &iB, outB, &oB);
+        enc_step(&t, in, &iC, outC, &oC);
+        enc_step(&t, in, &iD, outD, &oD);
     }
     /* finish each lane; safe_n = n lets tails use plain 8-byte loads while
      * the generic loop's length checks respect each lane's end */
-    oA = encode_span(&t, in, iA, split, n, out, oA);
-    oB = encode_span(&t, in, iB, n, n, outB, oB);
+    oA = encode_span(&t, in, iA, q, n, out, oA);
+    oB = encode_span(&t, in, iB, 2 * q, n, outB, oB);
+    oC = encode_span(&t, in, iC, 3 * q, n, outC, oC);
+    oD = encode_span(&t, in, iD, n, n, outD, oD);
     memmove(out + oA, outB, (size_t)oB);
-    return oA + oB;
+    memmove(out + oA + oB, outC, (size_t)oC);
+    memmove(out + oA + oB + oC, outD, (size_t)oD);
+    return oA + oB + oC + oD;
 }
 
 /* out must have capacity >= 8*n + 8 (symbols copied 8-wide). */
