@@ -218,8 +218,10 @@ def cmd_web(args) -> int:
 
 def cmd_describe(args) -> int:
     """Codec registry + which C kernels loaded (`native`) + manifest
-    metrics — no Ray session needed.  Per column: codec, bytes, ratio and
-    `dict_read`, the partitions that read it as a Parquet dictionary.
+    metrics — no Ray session needed.  Per column: codec, bytes, ratio,
+    `dict_read`, the partitions that read it as a Parquet dictionary, and
+    for an FSST column `fsst_tables`, how many partitions encoded it with
+    the run's table and how many with their own.
     --fsck reconciles the manifest against the on-disk encoded files
     (the reference's `manage update`, implemented: main.rs:148-150 stubs
     it); --repair deletes stale records/orphans so resume re-encodes."""
@@ -259,6 +261,8 @@ def cmd_describe(args) -> int:
                 e["orig"] += ob
                 e["encoded"] += eb
                 e["dict_read"] += col in r.dict_read
+            for col, table in r.fsst_tables.items():
+                per_col[col].setdefault("fsst_tables", {"run": 0, "own": 0})[table] += 1
         for col, e in per_col.items():
             e["ratio"] = round(e["encoded"] / e["orig"], 4) if e["orig"] else 0.0
         out["columns"] = per_col

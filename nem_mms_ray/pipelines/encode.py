@@ -16,12 +16,24 @@ encode, verify and decode all start `min(#partitions, #CPUs)` tasks.
 
 Each partition streams through pyarrow record batches
 (bounded memory) and reads its input once: the first batches also feed the
-sampling pass (sketches -> codec plan, FSST symbol tables trained ONCE per
-partition and reused across batches — the stateful-stage contract from
-BASELINE.json:north_star; no training for a column FSST cannot win).  It
-then encodes column chunks and writes one encoded parquet file + one
-manifest lineage record atomically.  Encode is deliberately shuffle-free:
-partition independence is the design (SURVEY.md §7.3).
+sampling pass (sketches -> codec plan; no FSST training for a column FSST
+cannot win).  It then encodes column chunks and writes one encoded parquet
+file + one manifest lineage record atomically.  Encode is deliberately
+shuffle-free (SURVEY.md §7.3).
+
+FSST symbol tables are trained once per string column per run: on
+partition 0's plan sample (the first `SAMPLE_ROWS` rows of its first row
+group).  A later partition measures that table on its own training sample
+and keeps it unless its ratio drifted by more than `RUN_TABLE_DRIFT`, in
+which case it trains its own, as does a column partition 0 has no table
+for; each manifest record says which (`fsst_tables`).  So partition
+independence now means: a partition's bytes depend on its own data plus
+partition 0's plan sample, and on nothing else (not the grouping into
+tasks, the CPU count, or which partitions ran before it).  A task that
+does not encode partition 0 reads that sample itself; a resume whose
+partition 0 is done reads it again and gets the same tables, so resumed
+partitions are byte-identical to a clean run.  Every chunk still carries
+its table in its payload, so decode, verify and scan need no run state.
 
 Low-cardinality string columns stay dictionary-coded from the Parquet
 page to the payload: a column whose chunks all have a dictionary page and
@@ -52,7 +64,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from nem_mms_ray import dtypes
-from nem_mms_ray.codecs import EncodedColumn, fsst, get_codec
+from nem_mms_ray.codecs import EncodedColumn, _fsst_native, fsst, get_codec
 from nem_mms_ray.selector import plan_for_sketches, select_codec
 from nem_mms_ray.state.manifest import Manifest, PartitionRecord, atomic_write
 from nem_mms_ray.stats import sketch_array
@@ -287,11 +299,47 @@ def _fsst_can_win(sk) -> bool:
     return select_codec(replace(sk, fsst_ratio=fsst.MIN_RATIO)).codec == "fsst"
 
 
+@dataclass(frozen=True)
+class FsstTable:
+    """An FSST symbol table and its ratio (encoded / input bytes) on the
+    training sample of the partition that planned with it.  `run`: the
+    run's table (trained on partition 0's plan sample), not one the
+    partition trained on its own sample."""
+
+    symbols: tuple[np.ndarray, np.ndarray]
+    ratio: float
+    run: bool = False
+
+
+# A partition keeps the run's table for a column while the table's ratio on
+# the partition's own training sample is at most this much (encoded bytes
+# per input byte) above its ratio on partition 0's sample; past that the
+# column has drifted from partition 0's (another alphabet or language)
+# and the partition trains its own.  Host-level drift stays under it: on
+# the perfbench web table the run's `url` table reads 0.24-0.33 on later
+# partitions' samples against 0.18 on partition 0's (seeds 1-3), yet over
+# the whole partitions the run's tables give a lower codec ratio (seed 1:
+# 0.18570) than per-partition `url` tables (0.18582).
+RUN_TABLE_DRIFT = 0.25
+
+
+def _fsst_table(sample, run: FsstTable | None) -> FsstTable:
+    """The table a column encodes with, given its non-empty training
+    `sample`: the run's table `run` unless it drifted (`RUN_TABLE_DRIFT`),
+    else one trained on `sample`."""
+    if run is not None:
+        ratio = len(_fsst_native.encode(*run.symbols, sample)) / len(sample)
+        if ratio <= run.ratio + RUN_TABLE_DRIFT:
+            return FsstTable(run.symbols, ratio, run=True)
+    syms = fsst.train_symbols(sample)
+    return FsstTable(syms, len(_fsst_native.encode(*syms, sample)) / len(sample))
+
+
 def _kernel_paths() -> dict[str, bool]:
     """Which encode kernels loaded (False: the scalar reference ran).
     Asks only the encode's own bindings: `_native.status()` would build
     every kernel."""
-    from nem_mms_ray.codecs import _bitpack_native, _fsst_native
+    from nem_mms_ray.codecs import _bitpack_native
 
     return {"fsst_kernel": _fsst_native.get_lib() is not None,
             "bitpack_kernel": _bitpack_native.get_lib() is not None}
@@ -405,8 +453,14 @@ class EncodePartitions:
     (batch_format='pyarrow').
 
     Holds the output dir + manifest handle; per partition it builds the
-    codec plan + trained FSST symbol tables (on the sampling pass, reused
-    for every batch of that partition).
+    codec plan + FSST symbol tables (on the sampling pass, reused for every
+    batch of that partition).
+
+    `run_spec` is partition 0's spec, whose plan sample trains the run's
+    FSST tables (`encode_files` sets it); left None, the first partition
+    given takes its place.  The run's tables are built once per instance:
+    by encoding that partition, or else by reading its sample
+    (`_read_run_tables`).
     """
 
     def __init__(self, out_dir: str, columns: list[str] | None = None):
@@ -415,18 +469,41 @@ class EncodePartitions:
         self.columns = columns
         self.manifest = Manifest(out_dir)
         self.manifest.init()
+        self.run_spec: PartitionSpec | None = None
+        self._run_tables: dict[str, FsstTable] | None = None
+
+    def _read_run_tables(self, spec: PartitionSpec) -> dict[str, FsstTable]:
+        """The run's FSST tables, for a task that does not encode `spec`
+        (partition 0): its plan sample's string columns are read (the first
+        `SAMPLE_ROWS` rows of its first row group) and planned as its own
+        encode plans them, so each table is the one partition 0 trains."""
+        pf = pq.ParquetFile(spec.path)
+        schema = pf.schema_arrow
+        names = [n for n in (self.columns or schema.names)
+                 if schema.get_field_index(n) >= 0
+                 and dtypes.is_string_like(schema.field(n).type)]
+        need = min(SAMPLE_ROWS, pf.metadata.row_group(spec.row_groups[0]).num_rows)
+        if not names or not need:
+            return {}
+        rb = next(pf.iter_batches(batch_size=need, row_groups=spec.row_groups[:1],
+                                  columns=names))
+        _, tables = self._plan(pa.Table.from_batches([rb]))
+        return {n: replace(t, run=True) for n, t in tables.items()}
 
     # -- sampling pass ------------------------------------------------------
-    def _plan(self, sample: pa.Table):
-        """Sketch + train on the partition's sample rows, ONCE per column.
+    def _plan(self, sample: pa.Table, run_tables: dict[str, FsstTable] | None = None):
+        """Sketch + pick FSST tables on the partition's sample rows, ONCE
+        per column.  Returns the plans and the FSST table of each string
+        column that got one (`FsstTable`, planned FSST or not).
 
         `sample` is the first `SAMPLE_ROWS` rows of the partition's first
         row group, cut from the batches the encode loop reads (the file is
-        read once).  String columns train their real FSST symbol table
-        here and measure the realized ratio on the training sample — one
-        training pass feeds both the selector (via sketch.fsst_ratio) and
-        the encode stage (the table is reused for every batch of the
-        partition).  A column whose sketch already rules FSST out at its
+        read once).  String columns get their FSST symbol table here —
+        the run's table from `run_tables` unless it drifted, else one
+        trained on the training sample (`_fsst_table`) — and measure its
+        realized ratio on that sample, which feeds the selector (via
+        sketch.fsst_ratio); the encode stage reuses the table for every
+        batch of the partition.  A column whose sketch already rules FSST out at its
         best possible ratio (`_fsst_can_win`) is not trained: the plan is
         the same either way.  Sketches use a 2048-row slice: plan decisions
         are ratio-based and stable well below the full sample.
@@ -443,11 +520,11 @@ class EncodePartitions:
         prefix) reaches the sample decoded, so it is planned from the
         same values as a plain read.
         """
-        from nem_mms_ray.codecs import _fsst_native as _native
         from nem_mms_ray.selector import ColumnPlan
 
+        run_tables = run_tables or {}
         sketches = {}
-        trained = {}
+        tables = {}
         ipc_cols = []
         for name in sample.column_names:
             col = sample.column(name)
@@ -474,29 +551,27 @@ class EncodePartitions:
                     idx = np.linspace(0, len(arr) - 1, need).astype(np.int64)
                     _, data = fsst._string_buffers(dtypes.fill_nulls(arr.take(idx)))
                     if len(data):
-                        s = fsst.take_sample(data)
-                        syms = fsst.train_symbols(s)
-                        trained[name] = syms
-                        sk.fsst_ratio = len(_native.encode(*syms, s)) / max(1, len(s))
+                        tables[name] = t = _fsst_table(fsst.take_sample(data),
+                                                       run_tables.get(name))
+                        sk.fsst_ratio = t.ratio
             if not sk.exact and select_codec(sk).codec in ("dict", "rle"):
                 sk = replace(sketch_array(name, sl), fsst_ratio=sk.fsst_ratio)
             sketches[name] = sk
         plans = plan_for_sketches(sketches)
         for name in ipc_cols:
             plans[name] = ColumnPlan(column=name, codec="ipc")
-        symbols = {n: t for n, t in trained.items() if plans[n].codec == "fsst"}
-        return plans, symbols
+        return plans, tables
 
     def _encode_chunk(self, name: str, arr: pa.Array, plans,
-                      symbols) -> tuple[EncodedColumn, int]:
+                      tables) -> tuple[EncodedColumn, int]:
         """Codec dispatch + never-expand guard + zone-map stamp; returns the
         column and the `Array.nbytes` of the chunk as a plain array.  `arr`
         is a DictionaryArray only for a dict-planned column read as one."""
         codec_name = plans[name].codec
         codec = get_codec(codec_name)
         try:
-            if codec_name == "fsst" and name in symbols:
-                ec = codec.encode(arr, symbols=symbols[name])
+            if codec_name == "fsst" and name in tables:
+                ec = codec.encode(arr, symbols=tables[name].symbols)
             else:
                 ec = codec.encode(arr)
         except Exception:
@@ -528,6 +603,8 @@ class EncodePartitions:
         """Encode one partition and record it; None if the manifest already
         holds it (resume)."""
         t0 = time.monotonic()
+        if self.run_spec is None:
+            self.run_spec = spec
         out_path = self.out_dir / f"part-{spec.pid:06d}.parquet"
         if self.manifest.is_done(spec.pid, spec.path, spec.row_groups):
             return None
@@ -557,7 +634,14 @@ class EncodePartitions:
             sample = pf.schema_arrow.empty_table()
             if self.columns:
                 sample = sample.select(list(self.columns))
-        plans, symbols = self._plan(sample)
+        if spec.pid == self.run_spec.pid:
+            plans, tables = self._plan(sample)
+            tables = {n: replace(t, run=True) for n, t in tables.items()}
+            self._run_tables = tables
+        else:
+            if self._run_tables is None:
+                self._run_tables = self._read_run_tables(self.run_spec)
+            plans, tables = self._plan(sample, self._run_tables)
         del sample  # so each head batch is freed once it is encoded
 
         col_bytes: dict[str, list[int]] = {}
@@ -580,7 +664,7 @@ class EncodePartitions:
                 for name, arr in zip(rb.schema.names, rb.columns):
                     if name in dict_cols and plans[name].codec != "dict":
                         arr = _dense(arr)
-                    ec, nbytes = self._encode_chunk(name, arr, plans, symbols)
+                    ec, nbytes = self._encode_chunk(name, arr, plans, tables)
                     ecs.append(ec)
                     cb = col_bytes.setdefault(name, [0, 0])
                     cb[0] += nbytes
@@ -606,6 +690,8 @@ class EncodePartitions:
             output_file=str(out_path),
             native=_kernel_paths(),
             dict_read=dict_cols,
+            fsst_tables={n: "run" if n in tables and tables[n].run else "own"
+                         for n, p in plans.items() if p.codec == "fsst"},
         )
         self.manifest.write(rec)
         return rec
@@ -623,8 +709,11 @@ class EncodePartitions:
         return pa.Table.from_pylist(out)
 
 
-def _encode_task(batch: pa.Table, *, out_dir: str, columns: list[str] | None) -> pa.Table:
-    return EncodePartitions(out_dir, columns)(batch)
+def _encode_task(batch: pa.Table, *, out_dir: str, columns: list[str] | None,
+                 run_spec: dict | None) -> pa.Table:
+    stage = EncodePartitions(out_dir, columns)
+    stage.run_spec = PartitionSpec(**run_spec) if run_spec else None
+    return stage(batch)
 
 
 def encode_files(
@@ -641,8 +730,10 @@ def encode_files(
     The stage runs as Ray tasks, one per CPU slot (`map_partition_groups`):
     each task gets a contiguous, byte-balanced run of partition specs,
     builds one `EncodePartitions` (two mkdirs) and encodes its partitions
-    one after another, each with its own plan + FSST tables.  A task that
-    fails leaves its finished partitions recorded; a rerun skips them.
+    one after another, each with its own plan.  Every task gets partition
+    0's spec, so each one uses the same run FSST tables (module
+    docstring).  A task that fails leaves its finished partitions
+    recorded; a rerun skips them.
     """
     import functools
 
@@ -651,6 +742,7 @@ def encode_files(
     m = Manifest(out_dir)
     m.check_run_header([str(p) for p in input_paths], target_bytes)
     m.write_run_header([str(p) for p in input_paths], target_bytes, len(specs))
-    fn = functools.partial(_encode_task, out_dir=str(out_dir), columns=columns or None)
+    fn = functools.partial(_encode_task, out_dir=str(out_dir), columns=columns or None,
+                           run_spec=specs[0].to_row() if specs else None)
     return map_partition_groups([s.to_row() for s in specs],
                                 [s.approx_bytes for s in specs], fn)

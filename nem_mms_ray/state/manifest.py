@@ -71,6 +71,10 @@ class PartitionRecord:
     # input columns read as Arrow dictionaries (Parquet dictionary pages
     # kept, `encode._dict_read_columns`); [] on records that predate it
     dict_read: list = field(default_factory=list)
+    # FSST column -> "run" (encoded with the run's table, trained on
+    # partition 0's plan sample) or "own" (trained on this partition's
+    # sample); {} on records that predate it
+    fsst_tables: dict = field(default_factory=dict)
 
     @property
     def ratio(self) -> float:
