@@ -349,19 +349,68 @@ def test_encode_pipeline_handles_list_columns(tmp_path):
 
 
 def test_fsst_dual_lane_boundary_parity():
-    """Inputs around the dual-lane threshold (and far above it) must match
-    the Python reference byte-for-byte: the C kernel's lane split is
+    """Inputs around the multi-lane threshold (and far above it) must match
+    the Python reference byte-for-byte: the C kernel's four-lane split is
     mirrored by _py_encode, and any drift in the split arithmetic shows up
     here as an output mismatch (round-trip would still pass — decode is
-    split-agnostic — so parity is the sharper assertion)."""
+    split-agnostic — so parity is the sharper assertion).  The lengths
+    cover DUAL_MIN - 1 .. DUAL_MIN + 3 and every residue mod 4, so the last
+    lane is up to three bytes longer than the others."""
+    assert native._NLANE == 4
+    d = native._DUAL_MIN
     rng = np.random.default_rng(77)
     base = b"the quick brown fox jumps over a lazy dog " * 600
-    for n in [4095, 4096, 4097, 8191, 8193, 65537]:
-        data = (base * 3 + bytes(rng.integers(0, 256, 4000, dtype=np.uint8)))[:n]
+    for n in [d - 1, d, d + 1, d + 2, d + 3, 4099, 5000, 8191, 8193, 12345,
+              65537, 200003]:
+        data = ((base * 3 + bytes(rng.integers(0, 256, 4000, dtype=np.uint8))) * 3)[:n]
         syms = train_symbols(data)
         enc_c = native.encode(*syms, data)
         assert enc_c == native._py_encode(*syms, data), n
         assert native.decode(*syms, enc_c, len(data)) == data, n
+
+
+def _one_symbol_table(symbol: bytes):
+    rows = np.zeros((1, 8), np.uint8)
+    rows[0, : len(symbol)] = np.frombuffer(symbol, np.uint8)
+    return rows, np.array([len(symbol)], np.uint8)
+
+
+@pytest.mark.parametrize("n", [4096, 4097, 4098, 4099, 4103, 5001])
+def test_fsst_four_lanes_cut_symbols_at_each_boundary(n):
+    """An 8-byte symbol placed across each of the three lane cuts (at
+    multiples of n // 4) is cut there: the lanes parse it as literals, the
+    C kernel equals the reference, and both equal the per-lane encodes.
+    Each lane's tail is shorter than one symbol, so the lanes end in the
+    kernel's byte-at-a-time loop."""
+    sym = b"ABCDEFGH"
+    table = _one_symbol_table(sym)
+    data = bytearray(b"-" * n)
+    q = n // 4
+    for cut in (q, 2 * q, 3 * q):
+        data[cut - 3 : cut + 5] = sym  # straddles the cut
+        data[cut - 20 : cut - 12] = sym  # whole, ends 12 bytes before it
+    data = bytes(data)
+    enc_c = native.encode(*table, data)
+    cuts = [0, q, 2 * q, 3 * q, n]
+    lanes = b"".join(native._py_encode_span(*table, data[a:b])
+                     for a, b in zip(cuts, cuts[1:]))
+    assert enc_c == native._py_encode(*table, data) == lanes
+    # three whole symbols are coded; the straddling ones are escaped bytes
+    assert enc_c.count(0) == 3
+    assert native.decode(*table, enc_c, n) == data
+
+
+def test_fsst_two_lane_stream_still_decodes():
+    """Files written before the four-lane split hold two-lane streams (the
+    encode of each half, concatenated); they decode to their input."""
+    data = (b"the quick brown fox jumps over a lazy dog " * 300)[:10_001]
+    syms = train_symbols(data)
+    half = len(data) // 2
+    two_lane = (native._py_encode_span(*syms, data[:half])
+                + native._py_encode_span(*syms, data[half:]))
+    assert two_lane != native.encode(*syms, data)
+    assert native.decode(*syms, two_lane, len(data)) == data
+    assert native._py_decode(*syms, two_lane) == data
 
 
 def test_fsst_null_fast_path_and_sliced():
@@ -560,17 +609,17 @@ def test_fsst_refine_sums_counts_of_equal_pairs():
     for i, s in enumerate(symbols):
         sym_bytes[i, : len(s)] = np.frombuffer(s, np.uint8)
     sym_lens = np.array([len(s) for s in symbols], np.uint8)
-    half = 2100  # two lanes: the input is >= the dual-lane threshold
-    first = (b"z" * 100 + b"zabcz" * 3).ljust(half - 1, b"z") + b"a"
-    second = b"bc".ljust(half, b"z")
-    assert len(first + second) >= native._DUAL_MIN
+    quarter = 1050  # four lanes: the input is >= the multi-lane threshold
+    first = (b"z" * 100 + b"zabcz" * 3).ljust(quarter - 1, b"z") + b"a"
+    rest = b"bc".ljust(quarter, b"z") + b"z" * (2 * quarter)
+    assert len(first + rest) >= native._DUAL_MIN and len(first + rest) // 4 == quarter
 
     def refined(data):
         out_bytes, out_lens = _refine(data, (sym_bytes, sym_lens), 255)
         return {bytes(row[:n]) for row, n in zip(out_bytes, out_lens)}
 
-    assert b"abc" in refined(first + second)
-    assert b"abc" not in refined(first.replace(b"zabcz", b"zzzzz", 1) + second)
+    assert b"abc" in refined(first + rest)
+    assert b"abc" not in refined(first.replace(b"zabcz", b"zzzzz", 1) + rest)
 
 
 # ---------------------------------------------------------------------------
