@@ -530,125 +530,3 @@ def hash_equijoin(left_ds, right_ds, on: str,
         on=(on,),
     )
     return joined.select_columns(out_cols)
-
-
-# ---------------------------------------------------------------------------
-# as-of join (a temporal join Ray Data has no native operator for)
-# ---------------------------------------------------------------------------
-
-
-def _ts_i64(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
-    """Ordering view of a key/timestamp column as int64 (timestamps compare
-    by their epoch payload; int columns pass through)."""
-    t = col.type
-    if pa.types.is_timestamp(t):
-        col = col.cast(pa.int64())
-    elif not pa.types.is_integer(t):
-        raise ValueError(f"temporal-join key/ts column must be integer or "
-                         f"timestamp, got {t}")
-    return np.asarray(col.combine_chunks()
-                      if isinstance(col, pa.ChunkedArray) else col, np.int64)
-
-
-def _two_sided(left_ds, right_ds, left_key: str, right_key: str,
-               left_take: list, right_take: list):
-    """Union the two sides into ONE dataset keyed by an int64 `key`
-    column, so a single `keyed_map_groups` co-locates each key's rows from
-    BOTH tables — the user-keyed window shape (`sessionize_events`)
-    extended to two inputs.  Each side's payload columns ride as typed
-    nulls on the other side's rows (Ray's union requires one schema).
-    Returns (unioned dataset, left column names, right column names) where
-    names are prefixed to avoid collisions."""
-    l_names = [f"l_{c}" for c in left_take]
-    r_names = [f"r_{c}" for c in right_take]
-    l_schema = left_ds.schema()   # ray.data.Schema: parallel names/types
-    r_schema = right_ds.schema()
-    l_types = {c: dict(zip(l_schema.names, l_schema.types))[c]
-               for c in left_take}
-    r_types = {c: dict(zip(r_schema.names, r_schema.types))[c]
-               for c in right_take}
-
-    def tag(take, names, key, side):
-        def fn(t: pa.Table) -> pa.Table:
-            k = _ts_i64(t.column(key))
-            own = dict(zip(names, (t.column(c) for c in take)))
-            # canonical column order (key, side, l_*, r_*) on BOTH
-            # sides so the union's schemas line up
-            cols = {"key": pa.array(k),
-                    "side": pa.array(np.full(len(k), side, np.int8))}
-            for c, nm in zip(left_take, l_names):
-                cols[nm] = own.get(nm, pa.nulls(len(k), l_types[c]))
-            for c, nm in zip(right_take, r_names):
-                cols[nm] = own.get(nm, pa.nulls(len(k), r_types[c]))
-            return pa.table(cols)
-        return fn
-
-    tagged_l = left_ds.select_columns(list(left_take)).map_batches(
-        tag(left_take, l_names, left_key, 0), batch_format="pyarrow")
-    tagged_r = right_ds.select_columns(list(right_take)).map_batches(
-        tag(right_take, r_names, right_key, 1), batch_format="pyarrow")
-    return tagged_l.union(tagged_r), l_names, r_names
-
-
-def asof_join(left_ds, right_ds, left_on: str, right_on: str,
-              left_ts: str, right_ts: str, left_cols: tuple = (),
-              right_cols: tuple = ()):
-    """Backward as-of join: attach to each left row the right row with the
-    GREATEST right_ts <= left_ts among rows sharing the key (SQL: `ASOF
-    LEFT JOIN r ON l.k = r.k AND l.ts >= r.ts`).  Left-outer: unmatched
-    left rows keep typed nulls (Arrow `take` with null indices — int
-    columns stay int, no pandas float upcast).
-
-    Determinism under right-side (key, ts) ties — where SQL ASOF is
-    implementation-defined — the row with the greatest (*right_cols)
-    tuple wins (right side is sorted by (key, ts, *right_cols) and the
-    LAST candidate is taken), so N-cpu and 4N-cpu runs agree bitwise.
-
-    Returns Dataset[(left_on, left_ts, *left_cols, *right_cols)].
-
-    Scale shape: one keyed group shuffle over both sides
-    (`keyed_map_groups`: keys co-locate, bounded Ray group count), then a
-    fully vectorized per-bucket probe: dense-rank (key, ts) into one
-    int64 composite and a single np.searchsorted against the sorted
-    right side.  Nothing driver-side; a hot key's rows bound one task's
-    memory (same `MAX_USER_ROWS` caveat as the window ops).
-    """
-    out_names = [left_on, left_ts, *left_cols, *right_cols]
-    if len(set(out_names)) != len(out_names):
-        raise ValueError(f"output column collision in {out_names}; rename "
-                         "or drop the duplicate before joining")
-    left_take = [left_on, left_ts, *left_cols]
-    right_take = [right_on, right_ts, *right_cols]
-    both, l_names, r_names = _two_sided(
-        left_ds, right_ds, left_on, right_on, left_take, right_take)
-    r_out = [f"r_{c}" for c in right_cols]
-
-    def per_bucket(g: pa.Table) -> pa.Table:
-        side = np.asarray(g.column("side"), np.int8)
-        lt = g.filter(pa.array(side == 0)).select(l_names)
-        rt = g.filter(pa.array(side == 1)).select(r_names)
-        rt = rt.sort_by([(c, "ascending") for c in r_names])  # key, ts, ties
-        lk = _ts_i64(lt.column(f"l_{left_on}"))
-        lts_ = _ts_i64(lt.column(f"l_{left_ts}"))
-        rk = _ts_i64(rt.column(f"r_{right_on}"))
-        rts_ = _ts_i64(rt.column(f"r_{right_ts}"))
-        # dense-rank keys and timestamps bucket-locally so (key, ts) packs
-        # into ONE sortable int64 (rows^2 < 2^63 for any in-memory bucket)
-        keys = np.unique(np.concatenate([lk, rk]))
-        tss = np.unique(np.concatenate([lts_, rts_]))
-        span = np.int64(len(tss) + 1)
-        lcomp = np.searchsorted(keys, lk) * span + np.searchsorted(tss, lts_)
-        rcomp = np.searchsorted(keys, rk) * span + np.searchsorted(tss, rts_)
-        pos = np.searchsorted(rcomp, lcomp, side="right") - 1
-        safe = np.maximum(pos, 0)
-        ok = (pos >= 0) & (rk[safe] == lk) if len(rk) else \
-            np.zeros(len(lk), bool)
-        idx = pa.array(np.where(ok, safe, -1), pa.int64(),
-                       mask=~ok)  # null index -> null row (typed)
-        cols = {name: lt.column(f"l_{name}")
-                for name in (left_on, left_ts, *left_cols)}
-        for c, nm in zip(right_cols, r_out):
-            cols[c] = rt.column(nm).combine_chunks().take(idx)
-        return pa.table(cols)
-
-    return keyed_map_groups(both, ["key"], per_bucket, "pyarrow")

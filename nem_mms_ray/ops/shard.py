@@ -77,17 +77,6 @@ def _shard_ids(digests: np.ndarray, n_shards: int) -> np.ndarray:
     return (top60 % np.uint64(n_shards)).astype(np.int64)
 
 
-def add_shuffle_key(ds, seed: int = 0, id_col: str = "doc_id",
-                    key_col: str = "skey"):
-    """Append the deterministic shuffle key column (md5 hex string)."""
-
-    def add(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            key_col, _hex_keys(_digests(batch.column(id_col), seed)))
-
-    return ds.map_batches(add, batch_format="pyarrow")
-
-
 def assign_shards(ds, n_shards: int, seed: int = 0, id_col: str = "doc_id",
                   key_col: str = "skey"):
     """Append (skey, shard_id): shard = int(skey[:15], 16) % n_shards —

@@ -146,11 +146,11 @@ def test_deterministic_shuffle_is_pure(ray_session, n, seed, nparts):
 
     import ray.data as rd
 
-    from nem_mms_ray.ops.shard import add_shuffle_key
+    from nem_mms_ray.ops.shard import assign_shards
 
     ids = np.arange(n, dtype=np.int64) * 3 - 7
     ds = rd.from_pandas(pd.DataFrame({"doc_id": ids})).repartition(nparts)
-    got = add_shuffle_key(ds, seed=seed).sort("skey").to_pandas()
+    got = assign_shards(ds, 3, seed=seed).sort("skey").to_pandas()
     want = sorted(ids.tolist(),
                   key=lambda i: hashlib.md5(f"{seed}:{i}".encode()).hexdigest())
     assert got["doc_id"].tolist() == want

@@ -10,14 +10,15 @@ SF_DIR = "/root/testdata/sf0.001"
 
 def test_shuffle_matches_duckdb(ray_session):
     """Global order == ORDER BY md5('{seed}:' || id) — the SQL mirror,
-    exact, over the sf0.001 documents table."""
+    exact, over the sf0.001 documents table: `assign_shards`' `skey`."""
     import ray.data as rd
 
-    from nem_mms_ray.ops.shard import add_shuffle_key
+    from nem_mms_ray.ops.shard import assign_shards
 
     ds = rd.read_parquet(f"{SF_DIR}/documents.parquet",
                          columns=["doc_id"])
-    got = add_shuffle_key(ds, seed=7).sort("skey").to_pandas()
+    got = (assign_shards(ds, n_shards=4, seed=7).sort("skey").to_pandas()
+           .drop(columns="shard_id"))
     want = duckdb.sql(f"""
         SELECT doc_id, md5(concat('7:', CAST(doc_id AS VARCHAR))) AS skey
         FROM read_parquet('{SF_DIR}/documents.parquet')
@@ -33,13 +34,13 @@ def test_shuffle_partition_invariance_and_seed(ray_session):
     seed is a different permutation of the same rows."""
     import ray.data as rd
 
-    from nem_mms_ray.ops.shard import add_shuffle_key
+    from nem_mms_ray.ops.shard import assign_shards
 
     df = pd.DataFrame({"doc_id": np.arange(500, dtype=np.int64)})
-    a = add_shuffle_key(rd.from_pandas(df), seed=1).sort("skey").to_pandas()
-    b = add_shuffle_key(rd.from_pandas(df).repartition(9),
-                        seed=1).sort("skey").to_pandas()
-    c = add_shuffle_key(rd.from_pandas(df), seed=2).sort("skey").to_pandas()
+    a = assign_shards(rd.from_pandas(df), 5, seed=1).sort("skey").to_pandas()
+    b = assign_shards(rd.from_pandas(df).repartition(9),
+                      5, seed=1).sort("skey").to_pandas()
+    c = assign_shards(rd.from_pandas(df), 5, seed=2).sort("skey").to_pandas()
     pd.testing.assert_frame_equal(a, b)
     assert not a["doc_id"].equals(c["doc_id"])
     assert sorted(a["doc_id"]) == sorted(c["doc_id"])
