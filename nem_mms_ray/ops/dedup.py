@@ -214,7 +214,10 @@ def pairs_payload_metric(pairs, payloads, pair_metric, metric_name: str,
       filter the payloads, and if the referenced payload rows fit
       `max_broadcast_payload` bytes (`Dataset.size_bytes` of the
       materialized rows) they ship once via ray.put as a keyed payload
-      store; scoring is a plain map_batches over the pair stream.
+      store; scoring is a plain map_batches over the pair stream.  A
+      `payloads` that is already materialized (as `minhash_dedup`'s is)
+      and fits the cap whole is filtered on the driver instead, which
+      saves one Ray Data execution.
     - TWO-SHUFFLE (above either cap): no pair id is ever collected on the
       driver above `max_probe_pairs`.  Two `keyed_map_groups` shuffles,
       payload-deduplicated:
@@ -232,6 +235,7 @@ def pairs_payload_metric(pairs, payloads, pair_metric, metric_name: str,
     """
     import ray
     import ray.data as rd
+    from ray.data.dataset import MaterializedDataset
 
     def rows(a: np.ndarray, b: np.ndarray, m) -> pa.Table:
         m = np.asarray(m, np.float64)
@@ -273,20 +277,30 @@ def pairs_payload_metric(pairs, payloads, pair_metric, metric_name: str,
           for t in pairs.iter_batches(batch_format="pyarrow",
                                       batch_size=65536)
           if t.num_rows]
-    id_ref = ray.put(np.unique(np.concatenate(ab)))
+    ids = np.unique(np.concatenate(ab))
+    if (isinstance(payloads, MaterializedDataset)
+            and payloads.size_bytes() <= max_broadcast_payload):
+        # already materialized and under the cap: its blocks come to the
+        # driver and are filtered there, with no further Ray execution
+        blocks = [_filter_by_sorted_ids(t, ids, "jid")
+                  for t in ray.get(payloads.to_arrow_refs()) if t.num_rows]
+        pdf = pd.concat([t.to_pandas() for t in blocks]) if blocks else pd.DataFrame()
+    else:
+        id_ref = ray.put(ids)
 
-    def keep_referenced(t: pa.Table) -> pa.Table:
-        return _filter_by_sorted_ids(t, ray.get(id_ref), "jid")
+        def keep_referenced(t: pa.Table) -> pa.Table:
+            return _filter_by_sorted_ids(t, ray.get(id_ref), "jid")
 
-    referenced = payloads.map_batches(keep_referenced,
-                                      batch_format="pyarrow").materialize()
-    if referenced.size_bytes() > max_broadcast_payload:
-        logger.info("pairs_payload_metric: referenced payloads %.0f MB exceed "
-                    "broadcast cap — two-shuffle path",
-                    referenced.size_bytes() / 1e6)
-        return _pairs_payload_metric_shuffle(pairs, referenced, score)
+        referenced = payloads.map_batches(keep_referenced,
+                                          batch_format="pyarrow").materialize()
+        if referenced.size_bytes() > max_broadcast_payload:
+            logger.info("pairs_payload_metric: referenced payloads %.0f MB exceed "
+                        "broadcast cap — two-shuffle path",
+                        referenced.size_bytes() / 1e6)
+            return _pairs_payload_metric_shuffle(pairs, referenced, score)
+        pdf = referenced.to_pandas()
     # reindex: a zero-row frame (no id has a payload) has no columns
-    pdf = referenced.to_pandas().reindex(columns=["jid", "payload"])
+    pdf = pdf.reindex(columns=["jid", "payload"])
     store_ref = ray.put(_keyed_store(pdf["jid"].to_numpy(np.int64),
                                      pdf["payload"]))
 

@@ -801,12 +801,40 @@ def test_pairs_payload_metric_randomized(ray_session):
                             2 * len(payload_of.get(b, b"")))
               for a, b in pairs}
     # BOTH regimes must agree with the local reference: payload-broadcast
-    # (default cap) and the two-shuffle path (cap forced to 0)
-    for cap in (256 << 20, 0):
-        out = pairs_payload_metric(pairs_ds, pay_ds, metric, "m",
+    # (default cap) and the two-shuffle path (cap forced to 0); so must
+    # the broadcast of materialized payloads (filtered on the driver)
+    for pay, cap in ((pay_ds, 256 << 20), (pay_ds, 0), (pay_ds.materialize(), 256 << 20)):
+        out = pairs_payload_metric(pairs_ds, pay, metric, "m",
                                    max_broadcast_payload=cap).to_pandas()
         got = {(int(r.a), int(r.b)): r.m for r in out.itertuples()}
-        assert got == expect, f"cap={cap}"
+        assert got == expect, f"cap={cap}, {type(pay).__name__}"
+
+
+def test_pairs_payload_metric_materialized_payloads_run_no_filter_map(ray_session):
+    """Materialized payloads under the broadcast cap are filtered on the
+    driver: no `map_batches` runs over them, and the scores are the ones
+    the filtering map gives.  Over the cap (the unreferenced id's 4 KB
+    payload does not fit) the filtering map runs, and the referenced
+    payloads it keeps are broadcast."""
+    import ray.data as rd
+
+    from nem_mms_ray.ops.dedup import pairs_payload_metric
+
+    pairs = rd.from_items([{"a": 1, "b": 2}, {"a": 1, "b": 3}, {"a": 2, "b": 9}])
+    rows = [{"jid": 1, "payload": b"\x01"}, {"jid": 2, "payload": b"\x01"},
+            {"jid": 3, "payload": b"\x02"}, {"jid": 4, "payload": b"\xff" * 4096}]
+    metric = lambda x, y: float(len(x) > 0 and x == y)
+    want = {(1, 2): 1.0, (1, 3): 0.0, (2, 9): 0.0}
+    for cap, maps in ((256 << 20, 0), (2048, 1)):
+        payloads = rd.from_items(rows).materialize()
+        calls = []
+        real = payloads.map_batches
+        payloads.map_batches = lambda *a, **k: calls.append(1) or real(*a, **k)
+        out = pairs_payload_metric(pairs, payloads, metric, "eq",
+                                   max_broadcast_payload=cap,
+                                   max_probe_pairs=10).to_pandas()
+        assert {(int(r.a), int(r.b)): r.eq for r in out.itertuples()} == want
+        assert len(calls) == maps, cap
 
 
 def test_score_shuffle_routes_fill_every_bucket(ray_session, monkeypatch):
