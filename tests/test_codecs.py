@@ -514,11 +514,11 @@ def _table_digest(table) -> str:
 
 
 GOLDEN_TABLES = {
-    "web_url": "682a36b0a7b9435ed0eb492c6dcb6aa1ed6b5f647f140460f525ea48bd4539bd",
-    "web_text": "72f57dd3e6fcc91189ee77153802a45bfd431e6f0963ab3f7adb801371fe9ac1",
-    "web_html": "06b27b6dfc1057c215512cdc528893a334422cbc72f0c945c85884a3dd4cd5f8",
+    "web_url": "b1bb5e684190df66cbf8ec0a3d11996e73f8ef077740906304f096b63593b2ba",
+    "web_text": "fd2d3531103ce88c109d70af763243ee0f770787d594b4f27101db3561749586",
+    "web_html": "a2047e79d6b67a0cbf3e71d552d9f491401e75e16b738ef6aeba273c77ed8d9e",
     "web_lang": "3065b77a48ebda6fe92e9f452ce8d68a8fbad0c174908d266dcc899e98cc815a",
-    "alphabet_2": "ae7fc0ac4b5505a8b840f2cc7b05ac307a622308d90368248928ffaaeadc5b20",
+    "alphabet_2": "fc3357b8893e71586cea289b0bafa0d08e314dd5efe51023f6e54a89064cfe0e",
     "alphabet_16": "6a0f3480587162b25cc0c526f754c1e70aca0aad7d2d083ceec1e0367d056a78",
     "alphabet_256": "47cf2f9a9e28a65c60ddf8f1b99f0466b0e037bb2d2ae6e4f458d4db8cb2ed01",
     "ff_run_1": "10b66bfeae32f532fe156e8c7a7e3cb428b1d4171f8910ce68f741318243e0d2",
@@ -526,9 +526,9 @@ GOLDEN_TABLES = {
     "ff_run_3": "bbbf37f6f04fa69646eb0eea966d9565d455063d62b0ca3255cc1e5d2ce191d9",
     "ff_run_5": "bd2a07d5e020d64b0e5eaa1916ed13a4b998b1908efbd6435126170a26c40342",
     "ff_run_8": "ac74294072e1cbfead24e96ea7d333118111abc2f3c2956d1b89c56fd67e2229",
-    "ff_all": "7ff75282891d8941a095d140f518a9ffb4451181ebe5e9da13c1af1de1c744c9",
+    "ff_all": "3792f9b968fcf587a010d2de17ee98928fedee3e8ef89a6e79915c521f247882",
     "ff_sparse_2": "73b0ff441560cb8af8fe4629c58019531dac25da3a36951c19f56d89d87db201",
-    "ff_sparse_8": "3ecefa2f69653521fd617fcd874af0d8cf508300a56ce0515323d5de41a4a716",
+    "ff_sparse_8": "790466df04afa49d6719b9f44443a8b88fbe4c53dd46d68f61465995d24e555b",
     "size_1": "ce62c2f73ed0e20176208613beb326982872497ec022d5df5de818b40a30876c",
     "size_7": "aa89c74273e75d5896f9885e49eba6585eeb4e98e732dae88dbe718584fb1c5b",
     "size_4095": "32a02526ad572c30988eb50dcdc4bb6faee21931b56a70e6a130dc01c5f86951",
@@ -550,7 +550,7 @@ GOLDEN_TABLES = {
     "tail_a00_500": "bfc66fbc27a60df4b045a1054a8674c2350acd7cd2fc2071814a08186013528c",
     "tail_all_zero_8": "13b2ea29e1926f9e95229bad3760db4f4f6faf5dc07d26543be2ed6a1ace2259",
     "tail_all_zero_9": "a2d97e1d96e7e41a1bdbafc19d3179736539d95addd1abe79a95d1e5ce356b4a",
-    "tail_all_zero_5000": "964e47db35f597c9abb8f0a379fbdf3197fc8502a1dcc9393683fa2ebda7f141",
+    "tail_all_zero_5000": "c6c68a199034b31781e6562c9b9517c750aaa1b9829a801c0026082a2be4e2e1",
 }
 
 
@@ -686,10 +686,10 @@ GOLDEN_PAYLOADS = {
     "for_full_range": "c8888008214d6765b192ad0d880787b18350c268d3b86601b75b2272bdd6f64c",
     "for_int16": "5d29ed4ed9c7c114983312bed342c82f04b1727bacedaba260cc35b851b9366c",
     "for_int64": "556445b20ccd35acfb12290e2058463330886c7372435a5c7f5888c63a58487c",
-    "fsst_text": "df86fefacf98723e12f83b8ce2c08544525608662c4dd8e3eee3160ebf84272f",
-    "fsst_url": "13de4f8906d2d530dc9fa395088abda5e739ac92db57f509181d1f275f9de1f3",
+    "fsst_text": "703f6978ba7e7095d1e399cc6786437ff5014c3f711b2b58d68b8fd86bd0e8ae",
+    "fsst_url": "c916a1189a8df5d2aaf026d04b4df55724b430afa7a166947fce8371f49818d2",
     "rle_ints": "69ebad49811bfe8ee3ee8762a5b78a36012fee6501f8ac1144dffd220d79352e",
-    "rle_strings": "4849d0c7fd6839c8c552ca0b54b04f3244016ac6bfbf255e96cacdbefef09fed",
+    "rle_strings": "b64abd8cc36134f437857faa8097bc5627b95c831099e6b53420a09ccc69a537",
 }
 
 

@@ -165,20 +165,20 @@ PARTITION_CASES = {
 
 PARTITION_DIGESTS = {
     "partitions_per_file": [
-        "138f69439fa7f55c25910df3952d0d662276b0b48d4b5d9843429b930d307b0e",
-        "6a702fe60e880cfffcaaca5304f3d0fba82ba8c8b81aef71ea499b3c1e67b76e",
-        "f10146c22696216f1b0f9ace900ed4173aae0f94ab1251b72bd51bd4f539cf6c",
-        "f4f00d32c7182aef53ca239496e91760bf13d87bd7bca31a162e302ea3474a40",
+        "a36279b58a81932bba80fb8acf0f1aac94d76f0a31c9df6acb4759bfdcb2b6f1",
+        "4a28993a727866702477fce1394be56fa20eebf82199e095343f510cbe8fd40c",
+        "579390ad03babad480913679604b3e3b23e484cbbcde417d64aee17738eede20",
+        "0925aa61873ffeae58b3e6b4d04459c2e6c4a8ca8379276d1105ced9ac273a92",
     ],
-    "projection": ["89eb931c474ad4504c86e5cd1de43e765f6c8c02f3824c21080eda27d491a30a"],
+    "projection": ["42d919220cb7e28654040b698e17faef64aac499960df73de242ddafca7ef4f4"],
     "tabular_chunks": ["07a35ed4bbb228cff2ddc91a29af8fdfbfe430984550add6a63cd9713a8f2c1f"],
     "tabular_one_chunk": ["36a008e91f5d574bb81be981a9df552d7d175205f7c65a955d68c5153a534675"],
-    "sample_spans_batches": ["4927a94f2e0a480faf63f3bb323fab5ceb8118063b41f79ad0d45ec2298f1aa7"],
-    "short_first_group": ["659fde27e424d36c62195531d9674ee6a79a5d755996223f4ee746d4f68e7e08"],
-    "two_row_groups": ["61b063bf9ef482d6aeec7c6db60f801cc3fa5750bd2c81258545b5137d5b1bb3"],
+    "sample_spans_batches": ["4a0a91ba1fa413d5b64c57280dfd3dc2463e7a6391d69ebdd7185d6bf4aa6e77"],
+    "short_first_group": ["2e530b03006aa1172bd7e5a0c98848ae9cff4210f93d8b3081c0d80d3658d17c"],
+    "two_row_groups": ["7ca05cdaf07d1a8a9fc6f2cba1643005a2e48fd3b2a31df041adba1c3ed4bf97"],
     "zero_rows": ["ff8cc2e9aab0984577a06b8a270a33bdcff24cacaff0222dc3c7acbc4129cd9b"],
     "dict_clustered": ["82988b7d97dab1533c98f006f28a1f4d6d9d97cf968c3f7bd755614426ac5a20"],
-    "dict_overflow": ["b1eb1e4329f155b793c4170fcbf79ae9a1c204674227d4c57641bf8fb9f68f39"],
+    "dict_overflow": ["dfd25efc98d5438a5f4f6f0e61df0166d205d0476dccc9811a381224c5965ab0"],
     "dict_projection": ["7a82cdb6dc34ffd434de0cd9a76c485d787d605f332cc478a07be82801a44ee0"],
     "dict_projection_only": ["04a140532706b680b61e29c1726c372078fb108cacf828ef2cab87c6f05b94c5"],
     "dict_sorted_rle": ["d00fe2f48ee9d62c247cdc53d04137dc413eb14524b4272dd3843fdd607c4163"],
