@@ -10,7 +10,9 @@ Each partition is sketched from its own sample (the first rows of its
 first row group, `EncodePartitions._plan`), so the plan depends only on
 the partition's data: an N-cpu and a 4N-cpu run produce the same sketches
 and therefore the same codec plan (SURVEY.md §7.4).  The FSST ratio is
-filled in by `_plan`, which trains the symbol table it then encodes with.
+filled in by `_plan`, which measures the symbol table it then encodes with
+(the run's table from partition 0's sample, or one it trains) on the
+partition's own sample.
 
 String-like columns are first sketched from their lengths alone
 (`sketch_array(..., exact=False)`): `value_bytes` and `max_len` are exact,
