@@ -9,7 +9,7 @@ shuffle-free per-partition encode in one Ray task per CPU slot.
 
 Layout:
   codecs/     pure encode/decode kernels over pyarrow Arrays
-              (plain, for+gcd, bitpack, delta, dict, rle, alp, fsst, ipc)
+              (plain, for+gcd, delta, dict, rle, alp, fsst)
   stats.py    column sketches from each partition's own sample (KMV ndv, runs, sizes)
   selector.py sketch -> codec plan (the Package::from_information_record analog)
   pipelines/  end-to-end Ray pipelines (encode with zone maps,

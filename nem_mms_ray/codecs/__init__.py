@@ -1,6 +1,6 @@
 """Codec registry — importing this package registers all codecs.
 
-Registry keys: plain, for, bitpack, delta, alp, dict, rle, fsst, ipc.
+Registry keys: alp, delta, dict, for, fsst, plain, rle.
 """
 
 from nem_mms_ray.codecs.base import (  # noqa: F401
@@ -12,7 +12,7 @@ from nem_mms_ray.codecs.base import (  # noqa: F401
     ec_to_bytes,
     get_codec,
 )
-from nem_mms_ray.codecs import plain, bitpack, alp, dictionary, rle, fsst, ipc  # noqa: F401,E402
+from nem_mms_ray.codecs import plain, bitpack, alp, dictionary, rle, fsst  # noqa: F401,E402
 
 __all__ = [
     "REGISTRY",

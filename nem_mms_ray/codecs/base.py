@@ -59,17 +59,6 @@ class EncodedColumn:
             "has_validity": self.validity is not None,
         }
 
-    @classmethod
-    def from_row(cls, row: dict) -> "EncodedColumn":
-        return cls(
-            codec=row["codec"],
-            n=int(row["n"]),
-            dtype=row["dtype"],
-            payload=bytes(row["payload"]),
-            validity=bytes(row["validity"]) if row["has_validity"] else None,
-            params=json.loads(row["params"]),
-        )
-
 
 class Codec:
     """Interface; subclasses register themselves via `register`."""
@@ -102,8 +91,14 @@ def get_codec(name: str) -> Codec:
     return REGISTRY[name]
 
 
+# codec names that earlier encodes wrote and that no encode emits now:
+# `bitpack` was `for` with its base pinned at 0 (params {"base": 0,
+# "width": w}, no "div"), `ipc` was `plain` (a one-column Arrow IPC stream)
+_DECODE_ALIASES = {"bitpack": "for", "ipc": "plain"}
+
+
 def decode_column(ec: EncodedColumn) -> pa.Array:
-    return REGISTRY[ec.codec].decode(ec)
+    return REGISTRY[_DECODE_ALIASES.get(ec.codec, ec.codec)].decode(ec)
 
 
 def ec_to_bytes(ec: EncodedColumn) -> bytes:

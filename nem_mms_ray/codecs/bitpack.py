@@ -1,8 +1,9 @@
 """Width-minimal bit packing + frame-of-reference codec for integer-like types.
 
-Used directly as the `for` codec on int/timestamp/date columns (e.g. the
-`warc_ts` epoch-micros column per BASELINE.json:north_star), and as the shared
-index/length packer inside dict, rle and fsst.
+Used directly as the `for` and `delta` codecs on int/timestamp/date columns
+(e.g. the `warc_ts` epoch-micros column per BASELINE.json:north_star), and as
+the shared index/length packer inside dict, rle, fsst and alp.  Plain
+width-minimal packing is `for` with base 0, which `for` never packs wider.
 
 The decode side must reproduce values bit-identically including the
 reference's checked-narrowing semantics (/root/reference/src/flatfile.rs:573-587):
@@ -30,11 +31,24 @@ from nem_mms_ray.codecs import _bitpack_native
 from nem_mms_ray.codecs.base import Codec, EncodedColumn, register
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
+GCD_HEAD = 64  # deltas whose gcd `common_divisor` takes before the full pass
 
 
 def bit_width(max_delta: int) -> int:
     """Bits needed for values in [0, max_delta]."""
     return int(max_delta).bit_length() if max_delta > 0 else 0
+
+
+def common_divisor(deltas: np.ndarray) -> int:
+    """The gcd of the uint64 `deltas`, or 1 when all of them are 0.
+
+    The gcd of all the deltas divides the gcd of the first `GCD_HEAD`, so
+    a head gcd of 1 settles the answer without the full pass (the same
+    head test as the ALP scale search).  A head of zeros has gcd 0 and a
+    head gcd above 1 may still be broken later: both run the full pass."""
+    if int(np.gcd.reduce(deltas[:GCD_HEAD])) == 1:
+        return 1
+    return int(np.gcd.reduce(deltas)) if deltas.any() else 1
 
 
 def _kernel():
@@ -128,7 +142,7 @@ class ForBitpackCodec(Codec):
             deltas = work.astype(np.uint64) - np.uint64(base & 0xFFFFFFFFFFFFFFFF)
             # extract the common divisor: day-aligned timestamps, cents,
             # quantized sensor steps etc. pack log2(div) fewer bits/value
-            div = int(np.gcd.reduce(deltas)) if deltas.any() else 1
+            div = common_divisor(deltas)
             if div > 1:
                 deltas = deltas // np.uint64(div)
             width = bit_width(int(deltas.max()))
@@ -161,39 +175,6 @@ class ForBitpackCodec(Codec):
         return dtypes.apply_validity(out, ec.validity)
 
 
-class BitpackCodec(ForBitpackCodec):
-    """Plain width-minimal bit-pack (no frame of reference): payload =
-    pack_bits(v, width from the max value).  Only competitive when values
-    are small non-negative ints already near zero (flags, small enums);
-    `for` strictly dominates otherwise, so the estimate prices the wider
-    zero-based width honestly and the selector picks whichever wins."""
-
-    name = "bitpack"
-
-    def estimate(self, sketch) -> float:
-        if sketch.int_min is None or sketch.int_max is None or sketch.int_min < 0:
-            return float("inf")
-        return sketch.n * bit_width(sketch.int_max) / 8 + 24
-
-    def encode(self, arr: pa.Array) -> EncodedColumn:
-        typ = arr.type
-        validity = dtypes.extract_validity(arr)
-        filled = dtypes.fill_nulls(arr)
-        v = _int_values(filled)
-        work = v.astype(np.uint64)
-        if len(work) and v.dtype.kind == "i" and (v < 0).any():
-            raise ValueError("bitpack codec requires non-negative values")
-        width = bit_width(int(work.max())) if len(work) else 0
-        return EncodedColumn(
-            codec=self.name,
-            n=len(arr),
-            dtype=dtypes.type_to_str(typ),
-            payload=pack_bits(work, width),
-            validity=validity,
-            params={"base": 0, "width": width},
-        )
-
-
 class DeltaBitpackCodec(Codec):
     """Delta + frame-of-reference-on-deltas + bit-pack (the
     DELTA_BINARY_PACKED family): ideal for near-monotone sequences like
@@ -222,7 +203,7 @@ class DeltaBitpackCodec(Codec):
             if len(deltas):
                 min_d = int(deltas.min())
                 rel = deltas - np.uint64(min_d)
-                div = int(np.gcd.reduce(rel)) if rel.any() else 1
+                div = common_divisor(rel)
                 if div > 1:
                     rel = rel // np.uint64(div)
                 width = bit_width(int(rel.max()))
@@ -265,5 +246,4 @@ class DeltaBitpackCodec(Codec):
 
 
 register(ForBitpackCodec())
-register(BitpackCodec())
 register(DeltaBitpackCodec())

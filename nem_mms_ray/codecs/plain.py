@@ -2,7 +2,9 @@
 
 Type-complete and always valid — the analog of the reference's `Utf8`
 stringify-anything fallback (/root/reference/src/flatfile.rs:598-608), but
-lossless for every Arrow type because the payload is Arrow itself.
+lossless for every Arrow type because the payload is Arrow itself.  The
+encode planner gives it every column that has no sketch (list, struct,
+map...), whose dtype is then "ipc": the stream's schema describes it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import pyarrow as pa
 from nem_mms_ray import dtypes
 from nem_mms_ray.codecs.base import Codec, EncodedColumn, register
 
-_IPC_TYPE = "ipc"
+IPC_DTYPE = "ipc"  # dtype of a chunk whose type only its IPC schema describes
 
 
 def ipc_serialize_array(arr: pa.Array) -> bytes:
@@ -46,7 +48,7 @@ class PlainCodec(Codec):
         try:
             dtype = dtypes.type_to_str(arr.type)
         except KeyError:
-            dtype = _IPC_TYPE  # exotic type: fully described by the IPC schema
+            dtype = IPC_DTYPE  # exotic type: fully described by the IPC schema
         return EncodedColumn(
             codec=self.name,
             n=len(arr),

@@ -525,7 +525,7 @@ class EncodePartitions:
         run_tables = run_tables or {}
         sketches = {}
         tables = {}
-        ipc_cols = []
+        unsketched = []
         for name in sample.column_names:
             col = sample.column(name)
             arr = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
@@ -533,9 +533,9 @@ class EncodePartitions:
             try:
                 sk = sketch_array(name, sl, exact=False)
             except Exception:
-                # un-sketchable type (list/struct/map/...): store via the
-                # universal Arrow-IPC fallback instead of aborting the run
-                ipc_cols.append(name)
+                # un-sketchable type (list/struct/map/...): store it plain
+                # (an Arrow IPC stream) instead of aborting the run
+                unsketched.append(name)
                 continue
             # train even on small columns (cheap): prefix-heavy short string
             # columns (ids, names) compress well and the measured ratio beats
@@ -558,8 +558,8 @@ class EncodePartitions:
                 sk = replace(sketch_array(name, sl), fsst_ratio=sk.fsst_ratio)
             sketches[name] = sk
         plans = plan_for_sketches(sketches)
-        for name in ipc_cols:
-            plans[name] = ColumnPlan(column=name, codec="ipc")
+        for name in unsketched:
+            plans[name] = ColumnPlan(column=name, codec="plain")
         return plans, tables
 
     def _encode_chunk(self, name: str, arr: pa.Array, plans,
@@ -577,13 +577,9 @@ class EncodePartitions:
         except Exception:
             # robustness split per the reference (unknown/undecodable unit ->
             # skip+record, /root/reference/src/packages/mod.rs:201-216):
-            # fall back to plain, or to the universal IPC codec if even
-            # plain can't represent the type; record the event either way.
+            # fall back to plain, which takes every Arrow type, and record it
             arr = _dense(arr)
-            try:
-                ec = get_codec("plain").encode(arr)
-            except Exception:
-                ec = get_codec("ipc").encode(arr)
+            ec = get_codec("plain").encode(arr)
             ec.params["fallback_from"] = codec_name
             return ec, arr.nbytes
         nbytes = _dense(arr).nbytes if ec.dense_nbytes is None else ec.dense_nbytes
@@ -591,7 +587,7 @@ class EncodePartitions:
         # all-distinct short strings from a tiny sample) must not store more
         # bytes than plain would — compare against the exact plain encoding
         # when the chosen one isn't clearly smaller
-        if codec_name not in ("plain", "ipc") and ec.encoded_bytes > 0.9 * nbytes:
+        if codec_name != "plain" and ec.encoded_bytes > 0.9 * nbytes:
             pe = get_codec("plain").encode(_dense(arr))
             if pe.encoded_bytes < ec.encoded_bytes:
                 pe.params["fallback_from"] = codec_name
@@ -649,7 +645,7 @@ class EncodePartitions:
         orig_bytes = 0
         enc_bytes = 0
         with atomic_write(out_path) as tmp:
-            # zstd entropy layer over the codec payloads: FSST/bitpack output
+            # zstd entropy layer over the codec payloads: FSST/bit-packed output
             # keeps a skewed, repetitive byte distribution that zstd cuts
             # hard, at a faster write than snappy (measured on a 64MiB
             # webtable partition: snappy 9.6MB/79ms; zstd-1 3.9MB/49ms;

@@ -87,22 +87,61 @@ def test_int_roundtrip(codec, i):
     _roundtrip(codec, INT_ARRAYS[i])
 
 
+def _stored_roundtrip(ecs: dict) -> pa.RecordBatch:
+    """Write `{column: EncodedColumn}` as one chunk's rows of an encoded
+    file and decode them back, on the path the engine stores and reads."""
+    from nem_mms_ray.pipelines.decode import _decode_chunk
+    from nem_mms_ray.pipelines.encode import _chunk_table
+
+    return _decode_chunk(_chunk_table(list(ecs), list(ecs.values()), 0, 0))
+
+
 @pytest.mark.parametrize("i", range(len(INT_ARRAYS)))
 def test_bitpack_roundtrip(i):
-    """Plain bit-pack: non-negative domain only (the selector estimates it
-    as inf below zero, and encode() refuses; pipeline falls back to plain)."""
-    import pyarrow.compute as pc
+    """A chunk stored under the removed `bitpack` codec decodes through
+    `for`, bit-identically: payload pack_bits(v, width of the largest v)
+    and params {"base": 0, "width": width}, as that codec wrote it (it
+    refused negative values; the same layout of their two's complement
+    decodes too)."""
+    from nem_mms_ray import dtypes
+    from nem_mms_ray.codecs import EncodedColumn
 
-    from nem_mms_ray import dtypes as _dt
-
+    assert "bitpack" not in REGISTRY
     arr = INT_ARRAYS[i]
-    iv = arr if pa.types.is_integer(arr.type) else arr.view(_dt.int_view_type(arr.type))
-    mn = pc.min(iv).as_py() if len(arr) else None
-    if mn is not None and int(mn) < 0:
-        with pytest.raises(ValueError):
-            get_codec("bitpack").encode(arr)
-        return
-    _roundtrip("bitpack", arr)
+    v = bitpack._int_values(dtypes.fill_nulls(arr)).astype(np.uint64)
+    width = bit_width(int(v.max())) if len(v) else 0
+    ec = EncodedColumn(codec="bitpack", n=len(arr), dtype=dtypes.type_to_str(arr.type),
+                       payload=pack_bits(v, width), validity=dtypes.extract_validity(arr),
+                       params={"base": 0, "width": width})
+    assert _stored_roundtrip({"x": ec}).column("x").equals(arr)
+
+
+HEAD = bitpack.GCD_HEAD
+GCD_CASES = {
+    # the head shares the divisor 6; the value after it breaks it to 3
+    "head_divisor_broken": np.r_[np.arange(HEAD) * 6, HEAD * 6 + 3],
+    # the head is all zero (gcd 0): the divisor comes from the tail
+    "zero_head": np.r_[np.zeros(HEAD, np.int64), 4, 8],
+    # all equal: every delta is zero
+    "all_equal": np.full(200, 7),
+    # the head settles it: gcd 1 within the first values
+    "head_gcd_one": np.r_[np.arange(HEAD) * 2 + 1, 1000],
+}
+
+
+@pytest.mark.parametrize("case", sorted(GCD_CASES))
+def test_common_divisor_head(case):
+    """`common_divisor` decides from the head only when the head's gcd is
+    1; otherwise it is the full gcd (1 for all zeros).  `for` and `delta`
+    store that divisor and round-trip."""
+    v = GCD_CASES[case].astype(np.uint64) + np.uint64(10**12)
+    arr = pa.array(v.astype(np.int64))
+    for codec, deltas in (("for", v - v.min()), ("delta", np.diff(v) - np.diff(v).min())):
+        div = int(np.gcd.reduce(deltas)) or 1
+        assert bitpack.common_divisor(deltas) == div, (case, codec)
+        ec = get_codec(codec).encode(arr)
+        assert ec.params["div"] == div, (case, codec)
+        assert decode_column(ec).equals(arr)
 
 
 @pytest.mark.parametrize("codec", ["plain", "dict", "rle", "fsst"])
@@ -311,7 +350,15 @@ def test_alp_selector_picks_it_for_prices():
 
 
 def test_ipc_fallback_roundtrips_nested_types():
-    """The universal fallback must round-trip types no typed codec covers."""
+    """Plain, the Arrow IPC fallback, round-trips types no typed codec
+    covers; a chunk stored under the removed `ipc` codec (a one-column
+    IPC stream of a table, dtype "ipc", no validity) decodes through
+    plain, bit-identically."""
+    import io
+
+    from nem_mms_ray.codecs import EncodedColumn
+
+    assert "ipc" not in REGISTRY
     arrays = [
         pa.array([[1.5, 2.5], None, [], [0.0]], type=pa.list_(pa.float32())),
         pa.array([{"a": 1, "b": "x"}, None, {"a": 2, "b": None}],
@@ -319,14 +366,23 @@ def test_ipc_fallback_roundtrips_nested_types():
         pa.array([[1, 2], [3]], type=pa.list_(pa.int64())),
     ]
     for arr in arrays:
-        ec = get_codec("ipc").encode(arr)
+        ec = get_codec("plain").encode(arr)
+        assert ec.dtype == "ipc"
         out = decode_column(ec)
         assert out.equals(arr), arr.type
         assert out.null_count == arr.null_count
 
+        t = pa.table({"c": arr})
+        sink = io.BytesIO()
+        with pa.ipc.new_stream(sink, t.schema) as w:
+            w.write_table(t)
+        old = EncodedColumn(codec="ipc", n=len(arr), dtype="ipc",
+                            payload=sink.getvalue(), validity=None, params={})
+        assert _stored_roundtrip({"x": old}).column("x").equals(arr), arr.type
+
 
 def test_encode_pipeline_handles_list_columns(tmp_path):
-    """A table with a list column encodes via the ipc plan instead of
+    """A table with a list column encodes via the plain plan instead of
     aborting (the embeddings-table case)."""
     import pyarrow.parquet as pq
 
@@ -343,7 +399,7 @@ def test_encode_pipeline_handles_list_columns(tmp_path):
     specs = plan_partitions([str(src)], target_bytes=1 << 20)
     enc = EncodePartitions(str(tmp_path / "enc"))
     r = enc._encode_partition(specs[0])
-    assert r.codecs["embedding"] == "ipc"
+    assert r.codecs["embedding"] == "plain"
     back = decode_partition_file(tmp_path / "enc" / "part-000000.parquet")
     assert back.select(["vec_id", "embedding"]).equals(t)
 
@@ -624,7 +680,7 @@ def test_fsst_refine_sums_counts_of_equal_pairs():
 
 # ---------------------------------------------------------------------------
 # Golden payloads: sha256(payload + sorted params JSON) of every codec that
-# bit-packs (for/bitpack/delta/alp payloads, dict indices, rle run lengths,
+# bit-packs (for/delta/alp payloads, dict indices, rle run lengths,
 # fsst string lengths) on seeded columns.  Recorded before the packer moved
 # to C; any packer change must reproduce them (the on-disk format), so
 # never regenerate them to make a change pass.
@@ -821,18 +877,21 @@ def test_zone_map_from_value_range_matches_scan(i):
 
 
 def test_value_range_is_never_persisted():
-    from nem_mms_ray.codecs import EncodedColumn
+    """The zone-map range rides on the EncodedColumn only: the chunk rows
+    the encode writes are the same with any range, and decode without it."""
+    from nem_mms_ray.pipelines.decode import _decode_chunk
+    from nem_mms_ray.pipelines.encode import _chunk_table
 
     arr = pa.array([19.99, 0.01, 4.5])
     ec = get_codec("alp").encode(arr)
     assert ec.value_range is not None
-    row = ec.to_row()
-    assert sorted(row) == ["codec", "dtype", "has_validity", "n", "params",
-                           "payload", "validity"]
-    back = EncodedColumn.from_row(row)
-    assert back.value_range is None and back == ec
+    assert sorted(ec.to_row()) == ["codec", "dtype", "has_validity", "n", "params",
+                                   "payload", "validity"]
+    rows = _chunk_table(["x"], [ec], 0, 0)
     bogus = dataclasses.replace(ec, value_range=(pa.scalar(-1.0), pa.scalar(1.0)))
-    assert decode_column(back).equals(arr) and decode_column(bogus).equals(arr)
+    assert _chunk_table(["x"], [bogus], 0, 0).equals(rows)
+    assert _chunk_table(["x"], [dataclasses.replace(ec, value_range=None)], 0, 0).equals(rows)
+    assert _decode_chunk(rows).column("x").equals(arr)
 
 
 def _dictionary_case(rng, i: int) -> pa.DictionaryArray:
