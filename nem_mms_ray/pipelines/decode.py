@@ -31,7 +31,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from nem_mms_ray import dtypes
 from nem_mms_ray.codecs import EncodedColumn, decode_column
+from nem_mms_ray.codecs.plain import IPC_DTYPE
 from nem_mms_ray.pipelines.encode import (
     DEFAULT_TARGET_BYTES,
     PartitionSpec,
@@ -116,10 +118,8 @@ def _bound_raw(v, dt_str: str):
     microsecond column)."""
     if isinstance(v, (int, float)) and not isinstance(v, bool):
         return v
-    from nem_mms_ray import dtypes as _dt
-
     try:
-        sc = pa.scalar(v, _dt.type_from_str(dt_str))
+        sc = pa.scalar(v, dtypes.type_from_str(dt_str))
         return sc.value
     except Exception:
         try:
@@ -146,15 +146,14 @@ def _scan_task(batch: pa.Table, *, columns: list[str] | None,
     row groups by zone map, decode the rest, apply the exact row mask."""
     need = set(columns) | set(filters) if columns else None
     out = []
-    dtype_map: dict[str, str] = {}
     for enc_path in batch.column("path").to_pylist():
         pf = pq.ParquetFile(enc_path)
         for rg in range(pf.metadata.num_row_groups):
             meta = pf.read_row_group(rg, columns=["column", "params", "dtype"])
-            names = meta.column("column").to_pylist()
-            dtype_map.update(zip(names, meta.column("dtype").to_pylist()))
-            if any(_zone_disjoint(filters[name], ps, dtype_map[name])
-                   for name, ps in zip(names, meta.column("params").to_pylist())
+            if any(_zone_disjoint(filters[name], ps, dt)
+                   for name, ps, dt in zip(meta.column("column").to_pylist(),
+                                           meta.column("params").to_pylist(),
+                                           meta.column("dtype").to_pylist())
                    if name in filters):
                 continue
             chunk = _decode_chunk(pf.read_row_group(rg), need)
@@ -176,15 +175,30 @@ def _scan_task(batch: pa.Table, *, columns: list[str] | None,
             if chunk.num_rows:
                 out.append(chunk)
     if not out:
-        # typed empty block: all blocks must agree on schema
-        from nem_mms_ray import dtypes as _dt
-
-        want_cols = columns if columns is not None else sorted(dtype_map)
-        if all(c in dtype_map for c in want_cols):
-            return pa.table({c: pa.array([], _dt.type_from_str(dtype_map[c]))
-                             for c in want_cols})
-        return pa.table({})
+        return _empty_block(pf, columns)  # all blocks must agree on schema
     return pa.Table.from_batches(out)
+
+
+def _empty_block(pf: pq.ParquetFile, columns: list[str] | None) -> pa.Table:
+    """The zero-row block of an encoded file whose rows were all pruned or
+    filtered out: `columns` (or the file's own column order) at the types
+    its decoded chunks have.  The types come from the first chunk's dtype
+    strings; a nested column's dtype ("ipc") stands for the type in the
+    schema message that heads its payload, and only that message is read."""
+    if pf.metadata.num_row_groups == 0:
+        return pa.table({})
+    rows = pf.read_row_group(0, columns=["column", "dtype"])
+    dtype = dict(zip(rows.column("column").to_pylist(), rows.column("dtype").to_pylist()))
+    names = list(columns) if columns is not None else list(dtype)
+    if not all(c in dtype for c in names):
+        return pa.table({})
+    types = {c: dtypes.type_from_str(dtype[c]) for c in names if dtype[c] != IPC_DTYPE}
+    if len(types) < len(names):
+        rows = pf.read_row_group(0, columns=["column", "payload"])
+        for c, payload in zip(rows.column("column").to_pylist(), rows.column("payload")):
+            if c in names and c not in types:
+                types[c] = pa.ipc.open_stream(payload.as_buffer()).schema.field(0).type
+    return pa.table({c: pa.array([], types[c]) for c in names})
 
 
 def scan_encoded(enc_dir: str | Path, columns: list[str] | None = None,

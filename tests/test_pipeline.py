@@ -277,6 +277,44 @@ def test_scan_encoded_timestamp_bounds(ray_session, tmp_path):
     assert sorted(got["event_id"]) == expect and len(expect) == 61
 
 
+def test_scan_block_of_a_pruned_file_keeps_file_schema(ray_session, tmp_path):
+    """A file whose every chunk is pruned gives a zero-row block with the
+    schema of the other files' blocks: their column order (not sorted),
+    and the real type of a list column stored plain."""
+    import numpy as np
+
+    from nem_mms_ray.pipelines import decode
+    from nem_mms_ray.pipelines.encode import EncodePartitions
+
+    paths = []
+    for i, lo in enumerate((0, 10_000)):
+        k = np.arange(lo, lo + 2000)
+        src = tmp_path / f"in{i}.parquet"
+        pq.write_table(pa.table({
+            "z": pa.array([f"s{j % 7}" for j in k]),
+            "k": pa.array(k),
+            "emb": pa.array([[float(j), j + 0.5] for j in k], pa.list_(pa.float32())),
+        }), src, row_group_size=1000)
+        paths.append(str(src))
+    enc = tmp_path / "enc"
+    specs = plan_partitions(paths, target_bytes=1 << 30)
+    EncodePartitions(str(enc))(pa.Table.from_pylist([s.to_row() for s in specs]))
+    files = sorted(str(p) for p in enc.glob("part-*.parquet"))
+    assert len(files) == 2
+
+    flt = {"k": (0, 100)}
+    for columns in (None, ["emb", "k"]):
+        kept, pruned = (decode._scan_task(pa.table({"path": [f]}), columns=columns,
+                                          filters=flt) for f in files)
+        assert kept.num_rows == 101 and pruned.num_rows == 0
+        assert pruned.schema.equals(kept.schema), columns
+        assert pruned.column_names == (columns or ["z", "k", "emb"])
+
+    got = decode.scan_encoded(enc, range_filters=flt).to_pandas()
+    assert list(got.columns) == ["z", "k", "emb"]
+    assert sorted(got["k"]) == list(range(101))
+
+
 def test_encode_zero_row_input(ray_session, tmp_path):
     """Zero-row parquet: plan, encode, verify and decode all succeed."""
     src = tmp_path / "empty.parquet"
