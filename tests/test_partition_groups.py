@@ -109,13 +109,9 @@ def test_encode_and_verify_without_partitions(ray_session, tmp_path):
     assert verify_files([src], tmp_path / "enc").to_pandas().empty
 
 
-def test_crash_inside_a_group_resumes_unfinished_partitions(tmp_path, monkeypatch, capsys):
-    """A grouped task dies writing its second partition's record: the rerun
-    of the same group skips the first partition, re-encodes the other two,
-    leaves no temporary file and no fsck finding, and writes the bytes a
-    clean run writes."""
-    from nem_mms_ray.__main__ import main
-
+def _three_partitions(tmp_path):
+    """One group of three partition specs (one per row group) and the
+    directory a clean encode of it wrote."""
     src = tmp_path / "in.parquet"
     pq.write_table(generate_shard(0, 3000, 0, SMALL), src, row_group_size=1000)
     specs = plan_partitions([src], target_bytes=1)  # one partition per row group
@@ -123,6 +119,29 @@ def test_crash_inside_a_group_resumes_unfinished_partitions(tmp_path, monkeypatc
     batch = pa.Table.from_pylist([s.to_row() for s in specs])
     clean = tmp_path / "clean"
     EncodePartitions(str(clean))(batch)
+    return batch, clean
+
+
+def _assert_as_clean(out, clean, capsys):
+    """No temporary file, no fsck finding, and the bytes of a clean run."""
+    from nem_mms_ray.__main__ import main
+
+    assert not list(out.rglob("*.tmp"))
+    assert main(["describe", str(out), "--fsck"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["clean"] and rep["ok"] == rep["checked"] == 3
+    names = sorted(p.name for p in clean.glob("part-*.parquet"))
+    assert names == sorted(p.name for p in out.glob("part-*.parquet"))
+    for name in names:
+        assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+
+
+def test_crash_inside_a_group_resumes_unfinished_partitions(tmp_path, monkeypatch, capsys):
+    """A grouped task dies writing its second partition's record: the rerun
+    of the same group skips the first partition, re-encodes the other two,
+    leaves no temporary file and no fsck finding, and writes the bytes a
+    clean run writes."""
+    batch, clean = _three_partitions(tmp_path)
 
     real_write = Manifest.write
     writes = []
@@ -155,12 +174,45 @@ def test_crash_inside_a_group_resumes_unfinished_partitions(tmp_path, monkeypatc
     assert res.column("skipped").to_pylist() == [True, False, False]
     assert writes == [1, 2]
     assert (out / "part-000000.parquet").stat().st_mtime_ns == first
+    _assert_as_clean(out, clean, capsys)
 
+
+def test_crash_at_a_partition_file_commit_resumes_that_partition(tmp_path, monkeypatch, capsys):
+    """The rename that commits the last partition's encoded file fails
+    once: that partition leaves no file, no record and no temporary file;
+    the rerun encodes it alone, and the run ends as a clean run does."""
+    import os
+
+    batch, clean = _three_partitions(tmp_path)
+    real_replace = os.replace
+    failed = []
+
+    def replace_once(src, dst):
+        if Path(dst).name == "part-000002.parquet" and not failed:
+            failed.append(dst)
+            raise OSError("input/output error")
+        real_replace(src, dst)
+
+    out = tmp_path / "enc"
+    monkeypatch.setattr(os, "replace", replace_once)
+    with pytest.raises(OSError, match="input/output"):
+        EncodePartitions(str(out))(batch)
+    assert len(failed) == 1
+    assert not (out / "part-000002.parquet").exists()
+    assert not Manifest(out).record_path(2).exists()
     assert not list(out.rglob("*.tmp"))
-    assert main(["describe", str(out), "--fsck"]) == 0
-    rep = json.loads(capsys.readouterr().out)
-    assert rep["clean"] and rep["ok"] == rep["checked"] == 3
-    names = sorted(p.name for p in clean.glob("part-*.parquet"))
-    assert names == sorted(p.name for p in out.glob("part-*.parquet"))
-    for name in names:
-        assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+    done = {p: (out / f"part-{p:06d}.parquet").stat().st_mtime_ns for p in (0, 1)}
+
+    writes = []
+    real_write = Manifest.write
+
+    def recording(self, rec):
+        writes.append(rec.pid)
+        real_write(self, rec)
+
+    monkeypatch.setattr(Manifest, "write", recording)
+    res = EncodePartitions(str(out))(batch)
+    assert res.column("skipped").to_pylist() == [True, True, False]
+    assert writes == [2]
+    assert {p: (out / f"part-{p:06d}.parquet").stat().st_mtime_ns for p in (0, 1)} == done
+    _assert_as_clean(out, clean, capsys)
