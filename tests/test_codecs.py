@@ -705,8 +705,8 @@ def _golden_columns() -> dict[str, tuple[str, pa.Array]]:
         "for_full_range": ("for", pa.array(
             rng.integers(-2**63, 2**63 - 1, 4099, dtype=np.int64, endpoint=True))),
         "for_int16": ("for", pa.array(rng.integers(-300, 300, 999).astype(np.int16))),
-        "bitpack_small": ("bitpack", pa.array(rng.integers(0, 6, n), pa.int64())),
-        "bitpack_uint64": ("bitpack", pa.array(
+        "for_small": ("for", pa.array(rng.integers(0, 6, n), pa.int64())),
+        "for_uint64": ("for", pa.array(
             rng.integers(0, 2**64 - 1, 3001, dtype=np.uint64, endpoint=True))),
         "delta_ts": ("delta", pa.array(ts, pa.timestamp("us"))),
         "delta_mixed": ("delta", pa.array(ints, pa.int64(), mask=nulls)),
@@ -732,8 +732,6 @@ def _payload_digest(ec) -> str:
 GOLDEN_PAYLOADS = {
     "alp_float32": "32fcf01a7e1d266522a752b7732483857e7f6915a30037b5def53a2c2fba3b47",
     "alp_prices": "070dfbcb83612856d0593fcb77d7a5958e2e4da2f74f22f4c24b1749f5253a3e",
-    "bitpack_small": "48b55ed76ab7aa29fbdf62df4dcf04e743ff4794ae83f7c908721b55929460ab",
-    "bitpack_uint64": "366d3a3143f52e8a11d9544c9034de142412b5a33ca62a086070eec98ca75d4d",
     "delta_mixed": "fd6bf75e12e7df085fe660028e77bcf9204610787aff7b0a5591e3ea15f7d869",
     "delta_ts": "2044ad12afb4b7ce2edbcb44eaaa74dd01f8f3ebdc01f39da07d2cbb10d50e7f",
     "dict_ints": "436a73b970645625488be47d31f0941f22462fc269cad5e3ab20d4e4e71bf05c",
@@ -742,6 +740,8 @@ GOLDEN_PAYLOADS = {
     "for_full_range": "c8888008214d6765b192ad0d880787b18350c268d3b86601b75b2272bdd6f64c",
     "for_int16": "5d29ed4ed9c7c114983312bed342c82f04b1727bacedaba260cc35b851b9366c",
     "for_int64": "556445b20ccd35acfb12290e2058463330886c7372435a5c7f5888c63a58487c",
+    "for_small": "2f219a715582947b4a9e230c07125377f18bc6e75541411b6253ba7497231309",
+    "for_uint64": "afac091e8a9f814d9f62f5a10a7cd3f2c609a2dcd99daf5bf114bc4bc21cbd52",
     "fsst_text": "703f6978ba7e7095d1e399cc6786437ff5014c3f711b2b58d68b8fd86bd0e8ae",
     "fsst_url": "c916a1189a8df5d2aaf026d04b4df55724b430afa7a166947fce8371f49818d2",
     "rle_ints": "69ebad49811bfe8ee3ee8762a5b78a36012fee6501f8ac1144dffd220d79352e",

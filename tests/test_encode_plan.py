@@ -177,12 +177,12 @@ PARTITION_DIGESTS = {
     "short_first_group": ["2e530b03006aa1172bd7e5a0c98848ae9cff4210f93d8b3081c0d80d3658d17c"],
     "two_row_groups": ["7ca05cdaf07d1a8a9fc6f2cba1643005a2e48fd3b2a31df041adba1c3ed4bf97"],
     "zero_rows": ["ff8cc2e9aab0984577a06b8a270a33bdcff24cacaff0222dc3c7acbc4129cd9b"],
-    "dict_clustered": ["82988b7d97dab1533c98f006f28a1f4d6d9d97cf968c3f7bd755614426ac5a20"],
-    "dict_overflow": ["dfd25efc98d5438a5f4f6f0e61df0166d205d0476dccc9811a381224c5965ab0"],
+    "dict_clustered": ["b37047d15a24d188c6530e704141c1067fb26f2623c1668f2f10a8f5602b4415"],
+    "dict_overflow": ["ebf449ebee76e0ef43dcb6c51fa6c1d2263c5ca9018085217f2baa012def8b26"],
     "dict_projection": ["7a82cdb6dc34ffd434de0cd9a76c485d787d605f332cc478a07be82801a44ee0"],
     "dict_projection_only": ["04a140532706b680b61e29c1726c372078fb108cacf828ef2cab87c6f05b94c5"],
-    "dict_sorted_rle": ["d00fe2f48ee9d62c247cdc53d04137dc413eb14524b4272dd3843fdd607c4163"],
-    "dict_two_row_groups": ["d4e473c28ccfe87da9d98213e434f2b5360f5f31b043c19fa7c6d50cdb1fce5a"],
+    "dict_sorted_rle": ["62c659597fe675d417e9b007eebd5002e430f988954f7ec781cab3907cc10813"],
+    "dict_two_row_groups": ["41eab7d376bc1dfc4138e3e16ec126112defe9bb67653da07dee2e6eb08c6c23"],
 }
 
 
