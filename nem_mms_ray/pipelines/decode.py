@@ -197,7 +197,8 @@ def _empty_block(pf: pq.ParquetFile, columns: list[str] | None) -> pa.Table:
         rows = pf.read_row_group(0, columns=["column", "payload"])
         for c, payload in zip(rows.column("column").to_pylist(), rows.column("payload")):
             if c in names and c not in types:
-                types[c] = pa.ipc.open_stream(payload.as_buffer()).schema.field(0).type
+                with pa.ipc.open_stream(payload.as_buffer()) as r:
+                    types[c] = r.schema.field(0).type
     return pa.table({c: pa.array([], types[c]) for c in names})
 
 
